@@ -249,13 +249,14 @@ def _displacement_derivative(chain: ProbeChain, T: float) -> np.ndarray:
 
     The probe displacement scales exactly as sqrt(T), so the derivative is
     d_probe / (2 T) and the conjugate entries are T-independent.  A central
-    difference (step 1e-6 * max(T, 0.01), shifted off T = 1 if needed) must
-    agree to 1e-6 relative or the evaluation is rejected.
+    difference (step 1e-6 * T, so it stays inside (0, 1] at any T > 0, shifted
+    off T = 1 if needed) must agree to 1e-6 relative or the evaluation is
+    rejected.
     """
     d = chain.state_at(T).d
     derivative = np.zeros_like(d)
     derivative[:2] = d[:2] / (2.0 * T)
-    step = 1e-6 * max(T, 0.01)
+    step = 1e-6 * T
     center = T if T + step <= 1.0 else T - step
     plus = chain.state_at(center + step).d[:2]
     minus = chain.state_at(center - step).d[:2]

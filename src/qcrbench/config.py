@@ -33,6 +33,9 @@ DEFAULTS = {
     "format": "csv",
 }
 
+#: most T_grid points a config may ask for, checked before any grid is built
+MAX_GRID_POINTS = 100_000
+
 _FLOAT_KEYS = ("s", "T_a", "seed_photons", "T_p", "eta_p", "eta_c", "n_r", "rbw_hz")
 
 
@@ -88,10 +91,16 @@ def _parse_grid(raw: str) -> np.ndarray:
         start, stop, step = (_parse_float("T_grid", p) for p in parts)
         if step <= 0.0 or stop < start:
             raise ConfigError("T_grid range must increase with a positive step")
-        count = int(round((stop - start) / step)) + 1
+        span = (stop - start) / step
+        if span >= MAX_GRID_POINTS - 0.5:  # the grid has round(span) + 1 points
+            raise ConfigError(f"T_grid range has more than {MAX_GRID_POINTS} points")
+        count = int(round(span)) + 1
         grid = np.round(start + step * np.arange(count), 12)
     else:
-        grid = np.array([_parse_float("T_grid", p) for p in raw.split(",") if p.strip()])
+        parts = [p for p in raw.split(",") if p.strip()]
+        if len(parts) > MAX_GRID_POINTS:
+            raise ConfigError(f"T_grid list has more than {MAX_GRID_POINTS} points")
+        grid = np.array([_parse_float("T_grid", p) for p in parts])
     if grid.size == 0:
         raise ConfigError("T_grid is empty")
     if np.any(grid <= 0.0) or np.any(grid > 1.0):

@@ -72,7 +72,8 @@ class SymplecticOp:
 
     ``check=False`` skips the symplectic-condition test so the same carrier
     can hold composite mean-field maps that include loss (those contract
-    phase space and are not symplectic).
+    phase space and are not symplectic).  ``tol`` is relative: S Omega S^T
+    has entries of order max|S|^2, so the test allows tol * max(1, max|S|^2).
     """
 
     S: Array
@@ -86,8 +87,9 @@ class SymplecticOp:
             raise ValueError("map must be a square 2M x 2M matrix")
         if check:
             omega = symplectic_form(S.shape[0] // 2)
-            if not np.allclose(S @ omega @ S.T, omega, rtol=0.0, atol=tol):
-                raise ValueError(f"matrix is not symplectic within {tol}")
+            atol = tol * max(1.0, float(np.max(np.abs(S))) ** 2)
+            if not np.allclose(S @ omega @ S.T, omega, rtol=0.0, atol=atol):
+                raise ValueError(f"matrix is not symplectic within relative {tol}")
         object.__setattr__(self, "S", S)
 
     @property

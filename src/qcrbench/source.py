@@ -237,41 +237,100 @@ def _propagator_column(s, g, q, z):
     )
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-_GL_NODES = 0.5 * (_GL_NODES + 1.0)
-_GL_WEIGHTS = 0.5 * _GL_WEIGHTS
+def _exprel(x: np.ndarray) -> np.ndarray:
+    """(e^x - 1)/x with its limit 1 at x = 0, written over the array x."""
+    zero = x == 0.0
+    np.divide(np.expm1(x), x, out=x, where=~zero)
+    x[zero] = 1.0
+    return x
+
+
+def _vacuum_injection(s, g, q):
+    """Vacuum G = g * int_0^1 c(z) c(z)^T dz injected by the distributed loss.
+
+    With k = g/4 the probe column of the depth-z propagator is
+    c(z) = e^{-kz} (a e^{qz} + b e^{-qz}, h (e^{qz} - e^{-qz})), where
+    a = (q - k)/2q = s^2/(2q(q + k)), b = (q + k)/2q and h = s/2q, so ab = h^2.
+    Every entry of G is then a combination of E(x) = int_0^1 e^{xz} dz =
+    exprel(x) at x = 2(q - k) = 2s^2/(q + k), x = -2k and x = -2(q + k).
+    G vanishes with g, so where g = 0 any finite q stands in for q (which is
+    zero at s = 0).  Each step writes into an array it owns, because on large
+    batches every extra temporary adds 8 bytes per point to peak memory.
+    """
+    q = np.where(g > 0.0, q, 1.0)
+    qk = 0.25 * g
+    qk += q
+    h = 0.5 * s
+    h /= q
+    b = 0.5 * qk
+    b /= q
+    del q
+    a = h * s
+    a /= qk
+    e_up = s * s
+    e_up *= 2.0
+    e_up /= qk
+    e_up = _exprel(e_up)
+    qk *= -2.0
+    e_down = _exprel(qk)
+    e_mid = _exprel(-0.5 * g)
+    # G00 = g (a^2 E+ + 2 h^2 E0 + b^2 E-)
+    g00 = a * a
+    g00 *= e_up
+    term = h * h
+    term *= e_mid
+    term *= 2.0
+    g00 += term
+    np.multiply(b, b, out=term)
+    term *= e_down
+    g00 += term
+    g00 *= g
+    del term
+    # G11 = g h^2 (E+ - 2 E0 + E-)
+    g11 = e_up + e_down
+    g11 -= e_mid
+    g11 -= e_mid
+    g11 *= h
+    g11 *= h
+    g11 *= g
+    # G01 = g h (a (E+ - E0) + b (E0 - E-)), over the spent E+ and E-
+    g01 = e_up
+    g01 -= e_mid
+    g01 *= a
+    np.subtract(e_mid, e_down, out=e_down)
+    e_down *= b
+    g01 += e_down
+    g01 *= h
+    g01 *= g
+    return g00, g01, g11
 
 
 def continuum_noises(s, T_a) -> NoiseTriple:
     """Exact infinite-slice normalized noises; accepts scalar or array input.
 
     The x-sector covariance is sigma = M M^T + G with M the depth-1
-    propagator and G the accumulated vacuum injected by the distributed probe
-    loss; G is integrated by 64-node Gauss-Legendre quadrature, which is
-    exact to machine precision for these smooth exponential integrands.
+    propagator and G the vacuum injected by the distributed probe loss, both
+    in closed form.  Array input keeps its shape; scalar input gives scalars.
     """
     s, g, q = _slice_dynamics(s, T_a)
+    shape = s.shape
+    s, g, q = np.atleast_1d(s, g, q)
     m11, m21 = _propagator_column(s, g, q, 1.0)
     damp = np.exp(-0.25 * g)
     stretch = _sinhc(q)
     m22 = damp * (np.cosh(q) + 0.25 * g * stretch)
-    g00 = np.zeros_like(m11)
-    g01 = np.zeros_like(m11)
-    g11 = np.zeros_like(m11)
-    for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
-        c1, c2 = _propagator_column(s, g, q, node)
-        g00 += weight * c1 * c1
-        g01 += weight * c1 * c2
-        g11 += weight * c2 * c2
-    g00, g01, g11 = g * g00, g * g01, g * g11
+    del damp, stretch
+    s00, s01, s11 = _vacuum_injection(s, g, q)
     # sigma = M M^T + G with symmetric M (m12 = m21)
-    s00 = m11 * m11 + m21 * m21 + g00
-    s01 = m21 * (m11 + m22) + g01
-    s11 = m21 * m21 + m22 * m22 + g11
+    s00 += m11 * m11 + m21 * m21
+    s01 += m21 * (m11 + m22)
+    s11 += m21 * m21 + m22 * m22
     w_p = m11 * m11
     w_c = m21 * m21
     diff = (w_p * s00 + w_c * s11 - 2.0 * m11 * m21 * s01) / (w_p + w_c)
-    return NoiseTriple(diff=diff, probe=s00, conj=s11)
+    return NoiseTriple(
+        diff=diff.reshape(shape)[()], probe=s00.reshape(shape)[()], conj=s11.reshape(shape)[()]
+    )
 
 
 def continuum_gain(s, T_a):

@@ -172,6 +172,14 @@ class TestNumericGaussianBound:
             closed = qcrb_distributed(float(t), 1.0, PARAMS, BUDGET).var_n
             assert numeric == pytest.approx(closed, rel=1e-6)
 
+    @pytest.mark.parametrize("t", [1e-4, 1e-6, 1e-9, 1e-12])
+    def test_distributed_chain_matches_closed_form_at_small_transmission(self, t):
+        # the finite-difference audit step scales with T, so it stays in (0, 1]
+        chain = build_chain(PARAMS, BUDGET)
+        numeric = qcrb_numeric_gaussian(t, PARAMS, BUDGET, chain=chain).var_n
+        closed = qcrb_distributed(t, 1.0, PARAMS, BUDGET).var_n
+        assert numeric == pytest.approx(closed, rel=1e-6)
+
     def test_var_n_is_seed_independent(self):
         a = qcrb_numeric_gaussian(0.5, PARAMS, BUDGET).var_n
         rich = SourceParams(s=2.04, T_a=0.71, seed_photons=4e8)

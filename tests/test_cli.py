@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qcrbench.cli import main
-from qcrbench.config import load_config, parse_config_text
+from qcrbench.config import MAX_GRID_POINTS, load_config, parse_config_text
 from qcrbench.errors import ConfigError
 from qcrbench.inference import synthetic_noise_measurements
 
@@ -65,6 +65,13 @@ class TestConfigParsing:
             parse_config_text("T_grid = 0.5,0.4\n")
         with pytest.raises(ConfigError):
             parse_config_text("T_grid = 0.0,0.5\n")
+
+    @pytest.mark.parametrize(
+        "grid", ["0.1:1:1e-12", "0.1:1:5e-324", ",".join(["0.5"] * (MAX_GRID_POINTS + 1))]
+    )
+    def test_oversized_grid_rejected_before_it_is_built(self, grid):
+        with pytest.raises(ConfigError, match="more than"):
+            parse_config_text(f"T_grid = {grid}\n")
 
     def test_bad_filter_rejected(self):
         with pytest.raises(ConfigError):
@@ -151,6 +158,11 @@ class TestBoundsCommand:
     def test_unknown_config_key_exits_3(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("bogus = 1\n")
+        assert main(["bounds", "--config", str(cfg)]) == 3
+
+    def test_oversized_grid_exits_3(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("T_grid = 0.1:1:1e-12\n")
         assert main(["bounds", "--config", str(cfg)]) == 3
 
     def test_unwritable_output_exits_2(self, tmp_path):

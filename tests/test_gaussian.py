@@ -223,6 +223,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             SymplecticOp(np.diag([2.0, 2.0, 1.0, 1.0]))
 
+    def test_strong_squeezer_passes_relative_tolerance(self):
+        # S Omega S^T sums terms of size cosh(8)^2 ~ 2e6, whose rounding alone
+        # exceeds an absolute tolerance of 1e-10
+        assert SymplecticOp(two_mode_squeezer(8.0).S).modes == 2
+
+    @pytest.mark.parametrize("r", [0.5, 8.0])
+    def test_scaled_squeezer_rejected(self, r):
+        with pytest.raises(ValueError, match="not symplectic"):
+            SymplecticOp(1.001 * two_mode_squeezer(r).S)
+
     def test_check_flag_skips_validation(self):
         op = SymplecticOp(np.diag([0.5, 0.5, 1.0, 1.0]), check=False)
         assert op.modes == 2

@@ -8,7 +8,11 @@ import pytest
 from qcrbench.errors import ConvergenceError
 from qcrbench.gaussian import ChannelOp, apply_loss, two_mode_squeezer
 from qcrbench.source import (
+    NoiseTriple,
     SourceParams,
+    _propagator_column,
+    _sinhc,
+    _slice_dynamics,
     analytic_noises,
     continuum_gain,
     continuum_noises,
@@ -23,6 +27,50 @@ REFERENCE = SourceParams(s=2.04, T_a=0.71)
 
 # frozen from the N = 10^4 slice stack; the converged values agree to ~1e-9
 GOLDEN_TRIPLE = (0.0787828177356782, 25.130075539539856, 26.997153066760422)
+
+# (s, T_a) -> (diff, probe, conj) of the continuum model, evaluated offline at
+# 80 significant digits (mpmath) and rounded to 17
+HIGH_PRECISION_TRIPLES = {
+    (2.04, 0.71): (0.078782815873859759, 25.130075539392751, 26.997153035084034),
+    (3.0, 0.96): (0.0061170341483954375, 197.66494242804867, 198.97378593726886),
+    (5.0, 0.9): (0.57774880189185757, 10449.281353573238, 10559.853796990247),
+    (8.0, 0.9): (91.692437074306526, 4215372.2381519265, 4243222.0425161283),
+}
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+_GL_NODES = 0.5 * (_GL_NODES + 1.0)
+_GL_WEIGHTS = 0.5 * _GL_WEIGHTS
+
+
+def gauss_legendre_noises(s, T_a) -> NoiseTriple:
+    """Continuum noises with the vacuum integral G by 64-node Gauss-Legendre.
+
+    An independent route to the closed-form G of `continuum_noises`: the
+    integrands are smooth exponentials, so the quadrature is exact to
+    rounding.
+    """
+    s, g, q = _slice_dynamics(s, T_a)
+    m11, m21 = _propagator_column(s, g, q, 1.0)
+    m22 = np.exp(-0.25 * g) * (np.cosh(q) + 0.25 * g * _sinhc(q))
+    g00 = np.zeros_like(m11)
+    g01 = np.zeros_like(m11)
+    g11 = np.zeros_like(m11)
+    for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
+        c1, c2 = _propagator_column(s, g, q, node)
+        g00 += weight * c1 * c1
+        g01 += weight * c1 * c2
+        g11 += weight * c2 * c2
+    s00 = m11 * m11 + m21 * m21 + g * g00
+    s01 = m21 * (m11 + m22) + g * g01
+    s11 = m21 * m21 + m22 * m22 + g * g11
+    w_p = m11 * m11
+    w_c = m21 * m21
+    diff = (w_p * s00 + w_c * s11 - 2.0 * m11 * m21 * s01) / (w_p + w_c)
+    return NoiseTriple(diff=diff, probe=s00, conj=s11)
+
+
+def relative_error(value, reference):
+    return np.abs(np.asarray(value) - reference) / np.abs(reference)
 
 
 class TestSourceParams:
@@ -112,6 +160,14 @@ class TestConvergedSource:
         assert triple.conj == pytest.approx(float(exact.conj), rel=1e-8)
         assert out.gain == pytest.approx(float(continuum_gain(2.04, 0.71)), rel=1e-8)
 
+    def test_strong_squeezing_ladder_matches_continuum_limit(self):
+        # the first rung holds a squeezer with entries ~cosh(8)^2 ~ 2e6 in
+        # S Omega S^T, which the relative symplectic tolerance accepts
+        out = converged_source(SourceParams(s=8.0, T_a=0.9), rel_tol=1e-10)
+        exact = continuum_noises(8.0, 0.9)
+        assert noise_triple(out.state).diff == pytest.approx(float(exact.diff), rel=1e-7)
+        assert out.gain == pytest.approx(float(continuum_gain(8.0, 0.9)), rel=1e-8)
+
     def test_conj_noise_matches_analytic(self):
         out = converged_source(SourceParams(s=0.5, T_a=0.9), rel_tol=1e-9)
         triple = noise_triple(out.state)
@@ -177,6 +233,37 @@ class TestContinuumNoises:
         triple = continuum_noises(np.array([0.5, 2.04]), np.array([0.9, 0.71]))
         single = continuum_noises(2.04, 0.71)
         assert float(triple.probe[1]) == pytest.approx(float(single.probe), rel=1e-14)
+
+    def test_shapes_and_inputs_kept(self):
+        s = np.array([[0.0], [1.0], [2.5]])
+        ta = np.array([0.6, 1.0])
+        s_before, ta_before = s.copy(), ta.copy()
+        triple = continuum_noises(s, ta)
+        for value in (triple.diff, triple.probe, triple.conj):
+            assert value.shape == (3, 2)
+        assert np.array_equal(s, s_before) and np.array_equal(ta, ta_before)
+        single = continuum_noises(2.04, 0.71)
+        for value in (single.diff, single.probe, single.conj):
+            assert np.ndim(value) == 0 and not isinstance(value, np.ndarray)
+
+    def test_matches_gauss_legendre_oracle(self):
+        rng = np.random.default_rng(20260808)
+        edges_s, edges_ta = np.meshgrid([0.0, 1e-12, 1e-8, 1e-3], [1e-6, 0.5, 1.0 - 1e-12, 1.0])
+        s = np.concatenate([rng.uniform(0.0, 3.0, 400), edges_s.ravel()])
+        ta = np.concatenate([rng.uniform(0.5, 1.0, 400), edges_ta.ravel()])
+        closed = continuum_noises(s, ta)
+        oracle = gauss_legendre_noises(s, ta)
+        assert np.max(relative_error(closed.probe, oracle.probe)) < 1e-13
+        assert np.max(relative_error(closed.conj, oracle.conj)) < 1e-13
+        assert np.max(relative_error(closed.diff, oracle.diff)) < 1e-10
+
+    @pytest.mark.parametrize("point", sorted(HIGH_PRECISION_TRIPLES))
+    def test_matches_high_precision_reference(self, point):
+        diff, probe, conj = HIGH_PRECISION_TRIPLES[point]
+        triple = continuum_noises(*point)
+        assert relative_error(triple.diff, diff) < 1e-10
+        assert relative_error(triple.probe, probe) < 1e-13
+        assert relative_error(triple.conj, conj) < 1e-13
 
 
 class TestAnalyticNoises:
