@@ -36,6 +36,12 @@ DEFAULTS = {
 #: most T_grid points a config may ask for, checked before any grid is built
 MAX_GRID_POINTS = 100_000
 
+#: largest squeezing parameter a config may set (about 30 dB).  The numeric
+#: chain loses precision as s grows; up to here its bound agrees with the
+#: closed form to 1e-6 over T_a and T in (0, 1] for any loss budget, the
+#: lossless one included, which is off by 1.5e-6 at s = 4.
+MAX_S = 3.5
+
 _FLOAT_KEYS = ("s", "T_a", "seed_photons", "T_p", "eta_p", "eta_c", "n_r", "rbw_hz")
 
 
@@ -138,6 +144,8 @@ def parse_config_text(text: str) -> "WorkbenchConfig":
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         entries[key] = raw
     numbers = {key: _parse_float(key, entries[key]) for key in _FLOAT_KEYS}
+    if numbers["s"] > MAX_S:
+        raise ConfigError(f"config key 's' = {numbers['s']!r} exceeds the maximum {MAX_S}")
     if entries["format"] not in ("csv", "json"):
         raise ConfigError("format must be csv or json")
     try:

@@ -20,15 +20,22 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import constants, integrate
 
-from .errors import BrightLimitError, ConvergenceError, NonPhysicalError
+from .errors import BrightLimitError, NonPhysicalError
 from .gaussian import (
     GaussianState,
     bright_mean_photon,
     number_covariance_bright,
     number_variance_bright,
 )
+
+#: exact SI values (2019 redefinition) for the photon energy h c / lambda
+PLANCK_H = 6.62607015e-34
+SPEED_OF_LIGHT = 299792458.0
+
+#: most poles a sync-tuned filter may have; the effective time is a product
+#: over poles - 1 factors
+MAX_POLES = 1000
 
 
 @dataclass(frozen=True)
@@ -42,47 +49,46 @@ class FilterModel:
     def __post_init__(self):
         if self.kind not in ("gaussian", "sync_tuned"):
             raise ValueError(f"unknown filter kind {self.kind!r}")
-        if not self.rbw > 0.0:
-            raise ValueError("RBW must be positive")
+        if not (self.rbw > 0.0 and math.isfinite(self.rbw)):
+            raise ValueError("RBW must be positive and finite")
         if self.poles < 1:
             raise ValueError("need at least one pole")
+        if self.poles > MAX_POLES:
+            raise ValueError(f"at most {MAX_POLES} poles are supported")
+
+    @property
+    def corner(self) -> float:
+        """Corner frequency of each sync-tuned pole, placing the FWHM at RBW."""
+        return 0.5 * self.rbw / math.sqrt(2.0 ** (1.0 / self.poles) - 1.0)
 
     def power_response(self, f):
         """|H(f)|^2 normalized to |H(0)|^2 = 1."""
         f = np.asarray(f, dtype=float)
         if self.kind == "gaussian":
             return np.exp(-4.0 * math.log(2.0) * (f / self.rbw) ** 2)
-        corner = 0.5 * self.rbw / math.sqrt(2.0 ** (1.0 / self.poles) - 1.0)
-        return (1.0 + (f / corner) ** 2) ** (-self.poles)
+        return (1.0 + (f / self.corner) ** 2) ** (-self.poles)
 
 
-def effective_time(filt: FilterModel, method: str = "auto") -> float:
+def effective_time(filt: FilterModel) -> float:
     """Effective measurement time t = |H(0)|^2 / (2 int |H(f)|^2 df).
 
-    The Gaussian filter has the closed form sqrt(ln 2 / pi) / RBW
-    (~0.47/RBW); sync-tuned filters are integrated numerically.  Pass
-    method="quadrature" to force the numeric route for any kind.
+    Both filter kinds have closed forms.  The Gaussian gives
+    sqrt(ln 2 / pi) / RBW (~0.47/RBW).  An n-pole sync-tuned filter with
+    corner c gives int_0^inf (1 + (f/c)^2)^-n df = c sqrt(pi) G / 2, where
+    G = Gamma(n - 1/2) / Gamma(n) = sqrt(pi) prod_{k=1}^{n-1} (k - 1/2) / k.
+    An RBW so extreme that t is not a positive finite number is rejected.
     """
-    if method not in ("auto", "closed_form", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
-    if filt.kind == "gaussian" and method in ("auto", "closed_form"):
-        return math.sqrt(math.log(2.0) / math.pi) / filt.rbw
-    if method == "closed_form" and filt.kind != "gaussian":
-        raise ValueError("no closed form for sync-tuned filters; use quadrature")
-    # fold [0, inf) onto [0, pi/2) with f = rbw tan(theta); the transformed
-    # integrand is smooth and bounded for both filter kinds
-    scale = filt.rbw
-
-    def integrand(theta: float) -> float:
-        f = scale * math.tan(theta)
-        return float(filt.power_response(f)) * scale / math.cos(theta) ** 2
-
-    integral, abserr = integrate.quad(
-        integrand, 0.0, 0.5 * math.pi, epsabs=0.0, epsrel=1e-12, limit=200
-    )
-    if not np.isfinite(integral) or abserr > 1e-9 * integral:
-        raise ConvergenceError("RBW filter quadrature did not converge")
-    return 1.0 / (4.0 * integral)
+    if filt.kind == "gaussian":
+        t = math.sqrt(math.log(2.0) / math.pi) / filt.rbw
+    else:
+        gamma_ratio = math.sqrt(math.pi)
+        for k in range(1, filt.poles):
+            gamma_ratio *= (k - 0.5) / k
+        integral = filt.corner * math.sqrt(math.pi) * gamma_ratio / 2.0
+        t = 1.0 / (4.0 * integral) if integral > 0.0 else math.inf
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"RBW {filt.rbw!r} Hz gives no finite effective time")
+    return t
 
 
 @dataclass(frozen=True)
@@ -302,5 +308,5 @@ def photons_from_voltage(v_dc: float, volts_per_watt: float, wavelength: float, 
         raise ValueError("detector responsivity must be positive")
     if v_dc < 0.0 or wavelength <= 0.0 or t < 0.0:
         raise ValueError("voltage, wavelength, and time must be non-negative")
-    flux = (v_dc / volts_per_watt) * wavelength / (constants.h * constants.c)
+    flux = (v_dc / volts_per_watt) * wavelength / (PLANCK_H * SPEED_OF_LIGHT)
     return flux * t

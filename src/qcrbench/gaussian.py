@@ -14,6 +14,7 @@ state this reproduces Var(n) = <n> exactly.  Exact fourth-moment formulas
 for dim states are deliberately out of scope.
 """
 
+import math
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -48,7 +49,11 @@ class GaussianState:
             raise ValueError("displacement must be a vector of even length 2M")
         if sigma.shape != (d.size, d.size):
             raise ValueError("covariance shape does not match the displacement")
-        if not np.allclose(sigma, sigma.T, rtol=0.0, atol=SYMMETRY_TOL):
+        scale = float(np.max(np.abs(sigma)))
+        if not math.isfinite(scale):
+            raise ValueError("covariance matrix is not finite")
+        # relative: rounding in S sigma S^T leaves asymmetries of order max|sigma|
+        if float(np.max(np.abs(sigma - sigma.T))) > SYMMETRY_TOL * max(1.0, scale):
             raise ValueError("covariance matrix is not symmetric")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "sigma", 0.5 * (sigma + sigma.T))

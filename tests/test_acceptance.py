@@ -140,11 +140,11 @@ def test_criterion_05_headline_numbers():
               f"{to_ultimate:.2f}, detected squeezing {db:.2f} dB)")
 
 
-def test_criterion_06_spectrum_analyzer_fixtures():
+def test_criterion_06_spectrum_analyzer_fixtures(quadrature_effective_time):
     gauss = FilterModel(kind="gaussian", rbw=51e3)
     sync4 = FilterModel(kind="sync_tuned", rbw=51e3, poles=4)
-    closed = effective_time(gauss, method="closed_form") * 51e3
-    quad = effective_time(gauss, method="quadrature") * 51e3
+    closed = effective_time(gauss) * 51e3
+    quad = quadrature_effective_time(gauss) * 51e3
     assert closed == pytest.approx(0.4697, rel=0.01)
     assert quad == pytest.approx(closed, rel=0.01)
     assert effective_time(sync4) * 51e3 == pytest.approx(0.44, rel=0.02)

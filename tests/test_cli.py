@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qcrbench
 from qcrbench.cli import main
-from qcrbench.config import MAX_GRID_POINTS, load_config, parse_config_text
+from qcrbench.config import MAX_GRID_POINTS, MAX_S, load_config, parse_config_text
 from qcrbench.errors import ConfigError
 from qcrbench.inference import synthetic_noise_measurements
 
@@ -168,6 +172,34 @@ class TestBoundsCommand:
     def test_unwritable_output_exits_2(self, tmp_path):
         assert main(["bounds", "--out", str(tmp_path / "missing" / "bounds.csv")]) == 2
 
+    def test_squeezing_above_cap_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("s = 200\n")
+        assert main(["bounds", "--config", str(cfg)]) == 3
+        assert "'s'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            "T_a = 1e-9",
+            "T_a = 0.05",
+            "T_a = 0.95",
+            "T_a = 1.0",
+            # lossless, where the bound goes to 0 and precision is worst
+            "T_a = 0.9999\nT_p = 1\neta_p = 1\neta_c = 1\nT_grid = 0.5,0.99,0.9999,1",
+        ],
+    )
+    def test_squeezing_at_cap_gives_accurate_bounds(self, tmp_path, extra):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"s = {MAX_S!r}\n{extra}\n")
+        out = tmp_path / "bounds.csv"
+        assert main(["bounds", "--config", str(cfg), "--out", str(out)]) == 0
+        _, header, rows = read_csv(out)
+        assert np.all(np.isfinite(rows))
+        closed = rows[:, header.index("btmss_closed")]
+        numeric = rows[:, header.index("btmss_numeric")]
+        np.testing.assert_allclose(numeric, closed, rtol=1e-6, atol=0.0)
+
 
 class TestSimulateCommand:
     def test_reproducible_and_close_to_bound(self, tmp_path):
@@ -180,6 +212,20 @@ class TestSimulateCommand:
         assert out1.read_bytes() == out2.read_bytes()
         _, _, rows = read_csv(out1)
         assert np.all(np.abs(rows[:, 1] / rows[:, 2] - 1.0) < 0.15)
+
+    def test_squeezing_at_cap_gives_analytic_variance_at_bound(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"s = {MAX_S!r}\nT_a = 0.95\n")
+        sim = tmp_path / "sim.csv"
+        bnd = tmp_path / "bounds.csv"
+        assert main(["simulate", "--config", str(cfg), "--trials", "1000", "--out", str(sim)]) == 0
+        assert main(["bounds", "--config", str(cfg), "--out", str(bnd)]) == 0
+        _, header, rows = read_csv(sim)
+        _, bound_header, bound_rows = read_csv(bnd)
+        analytic = rows[:, header.index("var_n_analytic")]
+        assert np.all(np.isfinite(rows)) and np.all(analytic > 0.0)
+        closed = bound_rows[:, bound_header.index("btmss_closed")]
+        np.testing.assert_allclose(analytic, closed, rtol=1e-6, atol=0.0)
 
     def test_coherent_simulation_tracks_shot_limit(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
@@ -292,6 +338,20 @@ class TestSaTimeCommand:
             )["effective_time_s"]
         )
         assert sync / gauss == pytest.approx(0.94, abs=0.005)
+
+    def test_infinite_rbw_exits_4(self, capsys):
+        assert main(["sa-time", "--filter", "sync4", "--rbw", "inf"]) == 4
+        assert "RBW" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(qcrbench.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, qcrbench.cli; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 class TestLoadConfig:

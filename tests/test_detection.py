@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import constants, integrate
 
 from qcrbench.bounds import LossBudget, build_chain, qcrb_coherent, qcrb_numeric_gaussian
 from qcrbench.detection import (
+    MAX_POLES,
+    PLANCK_H,
+    SPEED_OF_LIGHT,
     FilterModel,
     MeasurementPlan,
     effective_time,
@@ -33,10 +36,18 @@ class TestEffectiveTime:
     def test_gaussian_closed_form(self):
         assert effective_time(GAUSS) * 51e3 == pytest.approx(math.sqrt(math.log(2) / math.pi))
 
-    def test_gaussian_quadrature_agrees(self):
-        closed = effective_time(GAUSS, method="closed_form")
-        quad = effective_time(GAUSS, method="quadrature")
+    def test_gaussian_quadrature_agrees(self, quadrature_effective_time):
+        closed = effective_time(GAUSS)
+        quad = quadrature_effective_time(GAUSS)
         assert quad == pytest.approx(closed, rel=1e-6)
+
+    @pytest.mark.parametrize("poles", [1, 2, 3, 4, 5, 8, 16, 50, 170, MAX_POLES])
+    def test_sync_tuned_closed_form_matches_quadrature(self, poles, quadrature_effective_time):
+        for rbw in (1e-3, 1.0, 51e3, 3e6):
+            filt = FilterModel(kind="sync_tuned", rbw=rbw, poles=poles)
+            assert effective_time(filt) == pytest.approx(
+                quadrature_effective_time(filt), rel=1e-12, abs=0.0
+            )
 
     def test_sync4_time_bandwidth_product(self):
         assert effective_time(SYNC4) * 51e3 == pytest.approx(0.44, rel=0.02)
@@ -58,8 +69,21 @@ class TestEffectiveTime:
             FilterModel(kind="gaussian", rbw=0.0)
         with pytest.raises(ValueError):
             FilterModel(kind="sync_tuned", rbw=1e3, poles=0)
-        with pytest.raises(ValueError):
-            effective_time(SYNC4, method="closed_form")
+        for rbw in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                FilterModel(kind="sync_tuned", rbw=rbw)
+        with pytest.raises(ValueError, match=str(MAX_POLES)):
+            FilterModel(kind="sync_tuned", rbw=1e3, poles=MAX_POLES + 1)
+
+    def test_extreme_rbw_rejected(self):
+        # t overflows for a subnormal RBW; the corner overflows for a huge one
+        for filt in (
+            FilterModel(kind="gaussian", rbw=1e-310),
+            FilterModel(kind="sync_tuned", rbw=5e-324),
+            FilterModel(kind="sync_tuned", rbw=1e308, poles=MAX_POLES),
+        ):
+            with pytest.raises(ValueError, match="effective time"):
+                effective_time(filt)
 
 
 class TestOptimalGain:
@@ -239,6 +263,10 @@ class TestPhotonAccounting:
 
     def test_zero_time(self):
         assert photons_from_voltage(1.0, 1.0, 795e-9, 0.0) == 0.0
+
+    def test_si_constants_are_exact(self):
+        assert PLANCK_H == constants.h
+        assert SPEED_OF_LIGHT == constants.c
 
     def test_linearity(self):
         one = photons_from_voltage(0.5, 2.0, 795e-9, 1e-6)

@@ -211,6 +211,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             GaussianState(np.zeros(2), sigma)
 
+    def test_symmetry_tolerance_is_relative(self):
+        sigma = 1e6 * np.eye(2)
+        sigma[0, 1] = 1e-8  # rounding-sized for entries of 1e6
+        GaussianState(np.zeros(2), sigma)
+        sigma[0, 1] = 1e-4
+        with pytest.raises(ValueError):
+            GaussianState(np.zeros(2), sigma)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_sigma_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianState(np.zeros(2), np.diag([1.0, bad]))
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             GaussianState(np.zeros(4), np.eye(2))
