@@ -171,7 +171,11 @@ def transmission_variance(chain, T: float, n_r: float = 1.0, g: float | None = N
         g = optimal_gain(state)
     derivative = n_detected / T
     var_native = estimator_variance(state, g) / derivative**2
-    return var_native * chain.n_input / n_r
+    variance = var_native * chain.n_input / n_r
+    if not (variance > 0.0 and math.isfinite(variance)):
+        # an ill-conditioned chain covariance (very large s) can cancel below zero
+        raise NonPhysicalError(f"transmission variance {variance:.6g} at T = {T} is not positive")
+    return variance
 
 
 def linear_ramp(initial_amplitude: float, duration: float):

@@ -218,9 +218,10 @@ def _slice_dynamics(s, T_a):
     s = np.asarray(s, dtype=float)
     ta = np.asarray(T_a, dtype=float)
     s, ta = np.broadcast_arrays(s, ta)
-    if np.any(s < 0.0):
+    # the array method skips the dispatch wrapper of np.any, a few us a call
+    if (s < 0.0).any():
         raise ValueError("squeezing parameter s must be >= 0")
-    if np.any(ta <= 0.0) or np.any(ta > 1.0):
+    if (ta <= 0.0).any() or (ta > 1.0).any():
         raise ValueError("internal transmission T_a must lie in (0, 1]")
     g = -np.log(ta)
     q = 0.25 * np.sqrt(16.0 * s * s + g * g)
@@ -315,11 +316,15 @@ def continuum_noises(s, T_a) -> NoiseTriple:
     s, g, q = _slice_dynamics(s, T_a)
     shape = s.shape
     s, g, q = np.atleast_1d(s, g, q)
-    m11, m21 = _propagator_column(s, g, q, 1.0)
+    # the depth-1 propagator, with the operations of `_propagator_column`
     damp = np.exp(-0.25 * g)
     stretch = _sinhc(q)
-    m22 = damp * (np.cosh(q) + 0.25 * g * stretch)
-    del damp, stretch
+    ch = np.cosh(q)
+    shift = 0.25 * g * stretch
+    m11 = damp * (ch - shift)
+    m21 = damp * (s * stretch)
+    m22 = damp * (ch + shift)
+    del damp, stretch, ch, shift
     s00, s01, s11 = _vacuum_injection(s, g, q)
     # sigma = M M^T + G with symmetric M (m12 = m21)
     s00 += m11 * m11 + m21 * m21
@@ -340,45 +345,55 @@ def continuum_gain(s, T_a):
     return m11 * m11
 
 
-def analytic_noises(s: float, T_a: float, corrected_probe: bool = True) -> NoiseTriple:
+def analytic_noises(s, T_a, corrected_probe: bool = True) -> NoiseTriple:
     """Printed closed forms for the three normalized source noises.
 
     The probe formula is published with cos(xi/2), which goes negative and
     cannot be a noise; ``corrected_probe`` substitutes cosh(xi/2), which
     reproduces the lossless limit.  The intensity-difference form is
-    evaluated exactly as printed: it disagrees with the slice model away
-    from trivial limits (it tends to 3/4 instead of 0 at high squeezing),
-    so the slice model is the authority and this one is kept for audits.
+    evaluated as printed: it disagrees with the slice model away from
+    trivial limits (it tends to 3/4 instead of 0 at high squeezing), so the
+    slice model is the authority and this one is kept for audits.
+
+    The forms are written in the ratios u = 4s/xi and v = ln(T_a)/xi, with
+    xi = sqrt(16 s^2 + ln^2 T_a), and zeta = atanh(v) as ln(u / (1 - v)),
+    which stays finite as s -> 0 where 1 + v cancels.  Accepts scalar or
+    array input; scalar input gives floats.
     """
-    s = float(s)
-    ta = float(T_a)
-    if not (0.0 < ta <= 1.0):
+    s = np.asarray(s, dtype=float)
+    ta = np.asarray(T_a, dtype=float)
+    s, ta = np.broadcast_arrays(s, ta)
+    if not np.all((ta > 0.0) & (ta <= 1.0)):
         raise ValueError("internal transmission T_a must lie in (0, 1]")
-    if s < 0.0:
+    if np.any(s < 0.0):
         raise ValueError("squeezing parameter s must be >= 0")
-    if s == 0.0:
-        return NoiseTriple(diff=1.0, probe=1.0, conj=1.0)
-    log_ta = math.log(ta)
-    root_ta = math.sqrt(ta)
-    xi = math.sqrt(16.0 * s * s + log_ta * log_ta)
-    zeta = math.atanh(log_ta / xi)
-    sh4 = math.sinh(0.25 * xi)
-    ch_shift = math.cosh(0.5 * xi + zeta)
-    diff = (
-        1.0
-        - 2.0 * s * sh4 * sh4 / (xi * ch_shift)
-        - root_ta * s * log_ta * log_ta * sh4**4 / (2.0 * xi**3 * ch_shift)
-    )
-    half = math.cosh(0.5 * xi) if corrected_probe else math.cos(0.5 * xi)
-    probe = (16.0 * s * s * (1.0 - root_ta * (1.0 - half)) + log_ta * log_ta) / (xi * xi)
-    conj = (
-        16.0 * s * s * root_ta / (xi * xi)
-        - 1.0
-        - 2.0
-        * root_ta
-        * ((8.0 * s * s - xi * xi) * math.cosh(0.5 * xi) + xi * log_ta * math.sinh(0.5 * xi))
-        / (xi * xi)
-    )
+    pumped = s != 0.0
+    # s = 0 is the coherent triple; any s > 0 keeps the formulas finite there
+    s = np.where(pumped, s, 1.0)
+    # cosh(xi/2 + zeta) overflows at tiny s, where the terms it divides vanish;
+    # any other overflow leaves a non-finite noise, rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_ta = np.log(ta)
+        root_ta = np.sqrt(ta)
+        xi = np.hypot(4.0 * s, log_ta)
+        u = 4.0 * s / xi
+        v = log_ta / xi
+        zeta = np.log(u / (1.0 - v))
+        sh4 = np.sinh(0.25 * xi)
+        ch_shift = np.cosh(0.5 * xi + zeta)
+        diff = 1.0 - 0.5 * u * sh4 * sh4 / ch_shift - root_ta * u * v * v * sh4**4 / (8.0 * ch_shift)
+        half = np.cosh(0.5 * xi) if corrected_probe else np.cos(0.5 * xi)
+        probe = u * u * (1.0 - root_ta * (1.0 - half)) + v * v
+        conj = (
+            u * u * root_ta
+            - 1.0
+            - 2.0 * root_ta * ((0.5 * u * u - 1.0) * np.cosh(0.5 * xi) + v * np.sinh(0.5 * xi))
+        )
+    diff, probe, conj = (np.where(pumped, x, 1.0) for x in (diff, probe, conj))
+    if not (np.isfinite(diff).all() and np.isfinite(probe).all() and np.isfinite(conj).all()):
+        raise ValueError("printed formulas overflow double precision (s above ~178) or s is NaN")
+    if diff.ndim == 0:
+        return NoiseTriple(diff=float(diff), probe=float(probe), conj=float(conj))
     return NoiseTriple(diff=diff, probe=probe, conj=conj)
 
 

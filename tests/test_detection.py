@@ -143,6 +143,12 @@ class TestTransmissionVariance:
             transmission_variance(chain, 0.5) / 2e9, rel=1e-12
         )
 
+    def test_non_positive_variance_rejected(self):
+        # at s = 17.5 the ill-conditioned chain covariance cancels to -0.143
+        chain = build_chain(SourceParams(s=17.5, T_a=0.575), BUDGET)
+        with pytest.raises(NonPhysicalError, match="not positive"):
+            transmission_variance(chain, 0.85)
+
 
 class TestSnrRamp:
     def plan(self, trials=10_000, seed=1):

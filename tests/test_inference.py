@@ -1,5 +1,7 @@
 """Tests for noise backtracking, chi-square, differential evolution, and fits."""
 
+import functools
+import math
 import warnings
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 from qcrbench.errors import NonPhysicalError, SchemaError
 from qcrbench.inference import (
+    LEVELS_PER_CALL,
     DEConfig,
     NoiseMeasurement,
     backtrack_measurement,
@@ -20,6 +23,68 @@ from qcrbench.inference import (
 )
 
 ETAS = {"diff": 0.919, "probe": 0.973 * 0.945, "conj": 0.919}
+BOX = ((0.0, 3.0), (0.5, 1.0))
+
+
+def criterion_08_inputs(seed: int, i: int):
+    """One perturbed triple and DE settings of the criterion-08 coverage study."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+    measurements = synthetic_noise_measurements(2.04, 0.71, ETAS, rel_sigma=0.012, rng=rng)
+    config = DEConfig(
+        population=96, rng_seed=int(rng.integers(2**31)), spread_tol=1e-5, max_generations=300
+    )
+    return measurements, config
+
+
+def quadratic_bowl(center, widths, chi2_min):
+    def objective(points):
+        ds = (points[:, 0] - center[0]) / widths[0]
+        dt = (points[:, 1] - center[1]) / widths[1]
+        return chi2_min + ds * ds + dt * dt
+
+    return objective, np.array(center), chi2_min, 1
+
+
+def holed_bowl():
+    """A bowl that is NaN above T_a = 0.77, across part of its contour."""
+    bowl, optimum, chi2_min, dof = quadratic_bowl((1.5, 0.75), (0.05, 0.02), 0.8)
+
+    def objective(points):
+        return np.where(points[:, 1] > 0.77, np.nan, bowl(points))
+
+    return objective, optimum, chi2_min, dof
+
+
+def flat_objective():
+    return (lambda points: np.full(points.shape[0], 0.5)), np.array([1.0, 0.7]), 0.5, 1
+
+
+@functools.lru_cache(maxsize=None)
+def fitted_objective(seed: int, i: int, noise_model: str = "numeric_oracle"):
+    """A criterion-08 chi-square and its DE optimum, as `fit_source` sizes it."""
+    measurements, config = criterion_08_inputs(seed, i)
+    at_source = [backtrack_measurement(m) for m in measurements]
+
+    def objective(points):
+        return chi_square_batch(at_source, points, noise_model)
+
+    de = differential_evolution(objective, config)
+    return objective, de.best_point, de.best_value, 1
+
+
+# name -> (objective, optimum, chi2_min, dof) maker, and whether the contour closes
+CONTOUR_CASES = {
+    "quadratic": (lambda: quadratic_bowl((1.5, 0.75), (0.05, 0.02), 0.8), True),
+    "flat_unbounded": (flat_objective, False),
+    "nan_holes": (holed_bowl, True),
+    # on the T_a = 0.5 edge: the rays that leave the box through it are unbracketed
+    "box_edge": (lambda: quadratic_bowl((1.0, 0.5), (0.4, 0.3), 0.8), False),
+    "box_corner": (lambda: quadratic_bowl((0.0, 1.0), (0.05, 0.02), 0.3), False),
+    "chi2_fit_a": (lambda: fitted_objective(11, 0), True),
+    "chi2_fit_b": (lambda: fitted_objective(11, 3), True),
+    "chi2_fit_c": (lambda: fitted_objective(97, 1), True),
+    "chi2_fit_printed": (lambda: fitted_objective(11, 3, "printed_formulas"), False),
+}
 
 
 class TestBacktrack:
@@ -249,6 +314,48 @@ class TestChi2Doubling:
         assert wide[0] / narrow[0] == pytest.approx(2.0, rel=0.08)
         assert wide[1] / narrow[1] == pytest.approx(2.0, rel=0.08)
 
+    @pytest.mark.parametrize("case", sorted(CONTOUR_CASES))
+    @pytest.mark.parametrize("steps", [1, 7, 60])
+    @pytest.mark.parametrize("n_rays", [37, 64])
+    def test_bit_identical_to_sequential_bisection(
+        self, sequential_chi2_doubling, case, steps, n_rays
+    ):
+        make, closes = CONTOUR_CASES[case]
+        objective, optimum, chi2_min, dof = make()
+        batch_sizes = []
+
+        def counted(points):
+            batch_sizes.append(points.shape[0])
+            return objective(points)
+
+        with warnings.catch_warnings():
+            # unbracketed rays warn on both routes
+            warnings.simplefilter("ignore", UserWarning)
+            widths, bounded = uncertainty_by_chi2_doubling(
+                counted, optimum, chi2_min, dof, BOX, n_rays=n_rays, bisection_steps=steps
+            )
+            want_widths, want_bounded = sequential_chi2_doubling(
+                objective, optimum, chi2_min, dof, BOX, n_rays=n_rays, bisection_steps=steps
+            )
+        assert np.array_equal(widths, want_widths)
+        assert bounded == want_bounded == closes
+        assert len(batch_sizes) == 1 + math.ceil(steps / LEVELS_PER_CALL)
+        depths = [min(LEVELS_PER_CALL, steps - k) for k in range(0, steps, LEVELS_PER_CALL)]
+        assert batch_sizes == [n_rays] + [(2**d - 1) * n_rays for d in depths]
+
+    def test_optimum_on_box_edge_raises_no_runtime_warning(self):
+        # the ray along the T_a = 0.5 edge divides 0 by 0 for its distance to it
+        objective, optimum, chi2_min, dof = quadratic_bowl((1.0, 0.5), (0.05, 0.02), 0.8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            # the rays leaving the box through the edge are unbracketed
+            with pytest.warns(UserWarning, match="not bracketed"):
+                widths, bounded = uncertainty_by_chi2_doubling(
+                    objective, optimum, chi2_min, dof, BOX
+                )
+        assert not bounded
+        assert np.all(np.isfinite(widths)) and np.all(widths > 0.0)
+
     def test_unbracketed_contour_warns(self):
         def flat(points):
             return np.full(points.shape[0], 0.5)
@@ -291,6 +398,19 @@ class TestFitSource:
             warnings.simplefilter("ignore")
             fit = fit_source(measurements, config)
         assert 0.0 <= fit.s <= 0.01
+
+    def test_printed_formulas_fit_on_criterion_08_triple(self):
+        # a contour ray of this fit ends near s = 0, where the printed forms
+        # used to fail in atanh(ln T_a / xi)
+        measurements, config = criterion_08_inputs(11, 3)
+        with warnings.catch_warnings():
+            # the printed difference form leaves much of the contour unbracketed
+            warnings.simplefilter("ignore", UserWarning)
+            fit = fit_source(measurements, config, noise_model="printed_formulas")
+        values = (fit.s, fit.sigma_s, fit.T_a, fit.sigma_T_a, fit.chi2)
+        assert all(math.isfinite(v) for v in values)
+        assert 0.0 <= fit.s <= 3.0 and 0.5 <= fit.T_a <= 1.0
+        assert fit.noise_model == "printed_formulas"
 
     def test_missing_channel_rejected(self):
         measurements = synthetic_noise_measurements(1.0, 0.9, ETAS)[:2]

@@ -38,6 +38,46 @@ HIGH_PRECISION_TRIPLES = {
 }
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+
+
+def _printed_noises_scalar(s: float, ta: float, corrected_probe: bool) -> tuple:
+    """The printed closed forms, term by term in float math, with zeta = atanh(ln T_a / xi)."""
+    if s == 0.0:
+        return 1.0, 1.0, 1.0
+    log_ta = math.log(ta)
+    root_ta = math.sqrt(ta)
+    xi = math.sqrt(16.0 * s * s + log_ta * log_ta)
+    zeta = math.atanh(log_ta / xi)
+    sh4 = math.sinh(0.25 * xi)
+    ch_shift = math.cosh(0.5 * xi + zeta)
+    diff = (
+        1.0
+        - 2.0 * s * sh4 * sh4 / (xi * ch_shift)
+        - root_ta * s * log_ta * log_ta * sh4**4 / (2.0 * xi**3 * ch_shift)
+    )
+    half = math.cosh(0.5 * xi) if corrected_probe else math.cos(0.5 * xi)
+    probe = (16.0 * s * s * (1.0 - root_ta * (1.0 - half)) + log_ta * log_ta) / (xi * xi)
+    conj = (
+        16.0 * s * s * root_ta / (xi * xi)
+        - 1.0
+        - 2.0
+        * root_ta
+        * ((8.0 * s * s - xi * xi) * math.cosh(0.5 * xi) + xi * log_ta * math.sinh(0.5 * xi))
+        / (xi * xi)
+    )
+    return diff, probe, conj
+
+
+def printed_noises_loop(s, T_a, corrected_probe: bool = True) -> NoiseTriple:
+    """Reference for the vectorized `analytic_noises`: a Python loop over the scalar forms.
+
+    It fails where ln T_a / xi rounds to -1 (s below a few 1e-9 |ln T_a|), so
+    it is only compared away from s = 0.
+    """
+    s, ta = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(T_a, dtype=float))
+    rows = [_printed_noises_scalar(a, b, corrected_probe) for a, b in zip(s.flat, ta.flat)]
+    diff, probe, conj = (np.array(col).reshape(s.shape) for col in zip(*rows))
+    return NoiseTriple(diff=diff, probe=probe, conj=conj)
 _GL_NODES = 0.5 * (_GL_NODES + 1.0)
 _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 
@@ -307,6 +347,51 @@ class TestAnalyticNoises:
             analytic_noises(1.0, 0.0)
         with pytest.raises(ValueError):
             analytic_noises(-1.0, 0.9)
+        with pytest.raises(ValueError):
+            analytic_noises(1.0, float("nan"))
+        with pytest.raises(ValueError):
+            analytic_noises(np.array([1.0, 2.0]), np.array([0.9, 1.5]))
+        # sinh(xi/4)^4 overflows from s ~ 178, cosh(xi/2) from s ~ 355
+        for s in (200.0, 400.0, float("nan")):
+            with pytest.raises(ValueError, match="overflow"):
+                analytic_noises(np.array([1.0, s]), 0.9)
+
+    @pytest.mark.parametrize("corrected_probe", [True, False])
+    def test_vectorized_matches_scalar_loop(self, corrected_probe):
+        rng = np.random.default_rng(np.random.SeedSequence([2026, 5]))
+        s = np.concatenate([rng.uniform(1e-3, 3.5, 2000), [0.1, 1.0, 2.04, 3.5]])
+        ta = np.concatenate([rng.uniform(1e-3, 1.0, 2000), [1.0, 1.0, 0.71, 1e-3]])
+        got = analytic_noises(s, ta, corrected_probe=corrected_probe)
+        want = printed_noises_loop(s, ta, corrected_probe=corrected_probe)
+        assert np.max(np.abs(got.diff - want.diff) / np.abs(want.diff)) <= 1e-14
+        assert np.max(np.abs(got.conj - want.conj) / np.abs(want.conj)) <= 1e-14
+        if corrected_probe:
+            assert np.max(np.abs(got.probe - want.probe) / want.probe) <= 1e-14
+        else:
+            # the cos(xi/2) form passes through 0, so compare on its O(1) terms
+            assert np.max(np.abs(got.probe - want.probe)) <= 1e-14
+
+    def test_array_shape_and_scalar_type(self):
+        grid = analytic_noises(np.linspace(0.0, 3.0, 6).reshape(2, 3), 0.71)
+        assert grid.diff.shape == grid.probe.shape == grid.conj.shape == (2, 3)
+        assert (grid.diff[0, 0], grid.probe[0, 0], grid.conj[0, 0]) == (1.0, 1.0, 1.0)
+        triple = analytic_noises(2.04, 0.71)
+        assert all(type(x) is float for x in (triple.diff, triple.probe, triple.conj))
+        batch = analytic_noises(np.array([2.04, 1.0]), np.array([0.71, 0.9]))
+        assert (batch.diff[0], batch.probe[0], batch.conj[0]) == (
+            triple.diff,
+            triple.probe,
+            triple.conj,
+        )
+
+    @pytest.mark.parametrize("s", [1e-300, 1e-12, 1e-9, 1e-3])
+    @pytest.mark.parametrize("ta", [0.5, 0.71, 1.0])
+    def test_small_squeezing_tends_to_coherent_triple(self, s, ta):
+        # ln T_a / xi rounds to -1 here, where atanh(ln T_a / xi) used to fail
+        triple = analytic_noises(s, ta)
+        for value in (triple.diff, triple.probe, triple.conj):
+            assert math.isfinite(value)
+            assert abs(value - 1.0) <= 10.0 * s * s + 1e-15
 
 
 class TestGainAndDecibels:
