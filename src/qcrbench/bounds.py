@@ -21,7 +21,7 @@ conjugate only sees eta_c.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -208,19 +208,37 @@ def qcrb_ultimate(T: float, n_r: float, budget: LossBudget, lossless: bool = Fal
 class ProbeChain:
     """Source output propagated through the external loss budget.
 
-    ``n_input`` counts the bright probe photons incident on the system
-    (after T_p, before T); all var_n products are normalized to it.
+    The T-independent stages are built once per chain: ``incident`` is the
+    source state after T_p (the light incident on the system), and
+    ``detection`` is the channel ChannelOp([eta_p, eta_c]) applied after T.
+    ``state_at(T)`` therefore runs two loss stages, and
+    ``displacement_at(T)`` gives the same displacement without building a
+    covariance.  ``n_input`` counts the bright probe photons incident on the
+    system (after T_p, before T); all var_n products are normalized to it.
     """
 
     source_state: GaussianState
     budget: LossBudget
+    incident: GaussianState = field(init=False, repr=False)
+    detection: ChannelOp = field(init=False, repr=False)
+
+    def __post_init__(self):
+        incident = apply_loss(self.source_state, ChannelOp([self.budget.T_p, 1.0]))
+        object.__setattr__(self, "incident", incident)
+        detection = ChannelOp([self.budget.eta_p, self.budget.eta_c])
+        object.__setattr__(self, "detection", detection)
 
     def state_at(self, T: float) -> GaussianState:
         if not (0.0 <= T <= 1.0):
             raise ValueError("transmission T must lie in [0, 1]")
-        state = apply_loss(self.source_state, ChannelOp([self.budget.T_p, 1.0]))
-        state = apply_loss(state, ChannelOp([T, 1.0]))
-        return apply_loss(state, ChannelOp([self.budget.eta_p, self.budget.eta_c]))
+        return apply_loss(apply_loss(self.incident, ChannelOp([T, 1.0])), self.detection)
+
+    def displacement_at(self, T: float) -> np.ndarray:
+        """``state_at(T).d``, by the same products as `apply_loss`."""
+        if not (0.0 <= T <= 1.0):
+            raise ValueError("transmission T must lie in [0, 1]")
+        d = np.repeat(np.sqrt(np.array([T, 1.0])), 2) * self.incident.d
+        return np.repeat(np.sqrt(self.detection.eta_per_mode), 2) * d
 
     @property
     def n_input(self) -> float:
@@ -244,8 +262,8 @@ def build_chain(
 _FD_MISMATCH_TOL = 1e-6
 
 
-def _displacement_derivative(chain: ProbeChain, T: float) -> np.ndarray:
-    """d(displacement)/dT of the chain output, with a finite-difference audit.
+def _displacement_derivative(chain: ProbeChain, T: float, d: np.ndarray) -> np.ndarray:
+    """d(displacement)/dT of the chain output `d` at T, with a finite-difference audit.
 
     The probe displacement scales exactly as sqrt(T), so the derivative is
     d_probe / (2 T) and the conjugate entries are T-independent.  A central
@@ -253,16 +271,17 @@ def _displacement_derivative(chain: ProbeChain, T: float) -> np.ndarray:
     off T = 1 if needed) must agree to 1e-6 relative or the evaluation is
     rejected.
     """
-    d = chain.state_at(T).d
     derivative = np.zeros_like(d)
     derivative[:2] = d[:2] / (2.0 * T)
     step = 1e-6 * T
     center = T if T + step <= 1.0 else T - step
-    plus = chain.state_at(center + step).d[:2]
-    minus = chain.state_at(center - step).d[:2]
+    plus = chain.displacement_at(center + step)[:2]
+    minus = chain.displacement_at(center - step)[:2]
     fd = (plus - minus) / (2.0 * step)
-    reference = chain.state_at(center).d[:2] / (2.0 * center)
-    mismatch = np.linalg.norm(fd - reference) / np.linalg.norm(reference)
+    at_center = d if center == T else chain.displacement_at(center)
+    reference = at_center[:2] / (2.0 * center)
+    # hypot, not the norm of the squares: d/(2T) ~ T^-1/2 squares past 1e308 near T = 1e-300
+    mismatch = np.hypot(*(fd - reference)) / np.hypot(*reference)
     if mismatch > _FD_MISMATCH_TOL:
         raise NonPhysicalError(
             f"analytic and finite-difference displacement derivatives disagree "
@@ -293,7 +312,11 @@ def qcrb_numeric_gaussian(
     if chain is None:
         chain = build_chain(params, budget, rel_tol=rel_tol)
     state = chain.state_at(T)
-    derivative = _displacement_derivative(chain, T)
+    derivative = _displacement_derivative(chain, T, state.d)
+    # the Fisher product squares d/(2T) too; a power-of-two scale is exact, so
+    # var_n keeps the bits of the unscaled product wherever that one is finite
+    _, exponent = math.frexp(float(np.max(np.abs(derivative))))
+    derivative = np.ldexp(derivative, -exponent)
     try:
         solved = np.linalg.solve(state.sigma, derivative)
     except np.linalg.LinAlgError as exc:
@@ -301,7 +324,7 @@ def qcrb_numeric_gaussian(
     fisher = float(derivative @ solved)
     if fisher <= 0.0:
         raise NonPhysicalError("non-positive Fisher information")
-    var_n = chain.n_input / fisher
+    var_n = math.ldexp(chain.n_input, -2 * exponent) / fisher
     return BoundPoint(T=T, var_n=var_n, bound_kind="numeric_gaussian", n_r=n_r)
 
 

@@ -100,13 +100,10 @@ class MeasurementPlan:
     rng_seed: int
     ramp_duration: float = 14.0
     modulation_freq: float = 1.5e6
-    estimator_gain: float | None = None
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("need at least one trial bin")
-        if self.estimator_gain is not None and self.estimator_gain < 0.0:
-            raise ValueError("estimator gain must be >= 0")
         if not self.ramp_duration > 0.0:
             raise ValueError("ramp duration must be positive")
 
@@ -207,7 +204,7 @@ def _iterated_line_fit(mod_power: np.ndarray, snr: np.ndarray):
     lo, hi = _SNR_FIT_WINDOW
     slope = intercept = float("nan")
     for _ in range(10):
-        if int(mask.sum()) < _MIN_WINDOW_BINS:
+        if np.count_nonzero(mask) < _MIN_WINDOW_BINS:
             raise NonPhysicalError("SNR=1 not bracketed: too few usable ramp bins")
         slope, intercept = np.polyfit(mod_power[mask], snr[mask], 1)
         fitted = intercept + slope * mod_power

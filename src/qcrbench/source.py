@@ -218,10 +218,11 @@ def _slice_dynamics(s, T_a):
     s = np.asarray(s, dtype=float)
     ta = np.asarray(T_a, dtype=float)
     s, ta = np.broadcast_arrays(s, ta)
-    # the array method skips the dispatch wrapper of np.any, a few us a call
-    if (s < 0.0).any():
-        raise ValueError("squeezing parameter s must be >= 0")
-    if (ta <= 0.0).any() or (ta > 1.0).any():
+    # written so that NaN fails each test; the array method skips the
+    # dispatch wrapper of np.all, a few us a call
+    if not ((s >= 0.0) & (s < np.inf)).all():
+        raise ValueError("squeezing parameter s must be finite and >= 0")
+    if not ((ta > 0.0) & (ta <= 1.0)).all():
         raise ValueError("internal transmission T_a must lie in (0, 1]")
     g = -np.log(ta)
     q = 0.25 * np.sqrt(16.0 * s * s + g * g)

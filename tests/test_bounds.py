@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from qcrbench.bounds import (
+    _FD_MISMATCH_TOL,
     BoundPoint,
     LossBudget,
+    ProbeChain,
     advantage_ratio,
     build_chain,
     conjugate_factor,
@@ -21,11 +23,58 @@ from qcrbench.bounds import (
     qcrb_pure_btmss,
     qcrb_ultimate,
 )
+from qcrbench.config import MAX_S
+from qcrbench.detection import transmission_variance
+from qcrbench.errors import NonPhysicalError
+from qcrbench.gaussian import ChannelOp, apply_loss
 from qcrbench.source import SourceParams
 
 PARAMS = SourceParams(s=2.04, T_a=0.71)
 BUDGET = LossBudget(T_p=0.973, eta_p=0.945, eta_c=0.919)
 GRID = np.round(0.10 + 0.05 * np.arange(16), 12)
+
+
+def three_stage_state(chain: ProbeChain, T: float):
+    """Chain output at T with all three loss stages applied from the source state."""
+    state = apply_loss(chain.source_state, ChannelOp([chain.budget.T_p, 1.0]))
+    state = apply_loss(state, ChannelOp([T, 1.0]))
+    return apply_loss(state, ChannelOp([chain.budget.eta_p, chain.budget.eta_c]))
+
+
+class ThreeStageChain:
+    """Oracle chain whose `state_at` rebuilds every stage on each call."""
+
+    def __init__(self, chain: ProbeChain):
+        self.chain = chain
+        self.n_input = chain.n_input
+
+    def state_at(self, T: float):
+        return three_stage_state(self.chain, T)
+
+
+def six_state_numeric_var_n(chain: ProbeChain, T: float) -> float:
+    """Reference numeric bound: one full chain state for the bound, four for the audit.
+
+    `qcrb_numeric_gaussian` reuses its state and builds no covariance for the
+    audit; it must return the same bits as this route.
+    """
+    state = three_stage_state(chain, T)
+    d = three_stage_state(chain, T).d
+    derivative = np.zeros_like(d)
+    derivative[:2] = d[:2] / (2.0 * T)
+    step = 1e-6 * T
+    center = T if T + step <= 1.0 else T - step
+    plus = three_stage_state(chain, center + step).d[:2]
+    minus = three_stage_state(chain, center - step).d[:2]
+    fd = (plus - minus) / (2.0 * step)
+    reference = three_stage_state(chain, center).d[:2] / (2.0 * center)
+    assert np.linalg.norm(fd - reference) / np.linalg.norm(reference) <= _FD_MISMATCH_TOL
+    fisher = float(derivative @ np.linalg.solve(state.sigma, derivative))
+    return chain.n_input / fisher
+
+
+ORACLE_SOURCES = [(2.04, 0.71), (1e-9, 0.71), (2.04, 1.0), (MAX_S, 0.71), (MAX_S, 1.0)]
+ORACLE_T = [1e-300, 0.01, 0.1, 0.3, 0.5, 0.84, 0.99, 1.0 - 1e-7, 1.0]
 
 
 class TestConjugateFactor:
@@ -199,6 +248,78 @@ class TestNumericGaussianBound:
     def test_zero_transmission_rejected(self):
         with pytest.raises(ValueError):
             qcrb_numeric_gaussian(0.0, PARAMS, BUDGET)
+
+
+class TestPrecomputedChainStages:
+    @pytest.fixture(scope="class", params=ORACLE_SOURCES, ids=str)
+    def source(self, request):
+        return SourceParams(*request.param)
+
+    @pytest.fixture(scope="class")
+    def chain(self, source):
+        return build_chain(source, BUDGET)
+
+    @pytest.mark.parametrize("t", ORACLE_T)
+    def test_numeric_bound_equals_six_state_route(self, source, chain, t):
+        numeric = qcrb_numeric_gaussian(t, PARAMS, BUDGET, chain=chain).var_n
+        try:
+            expected = six_state_numeric_var_n(chain, t)
+        except RuntimeWarning:
+            # the unscaled route squares d/(2T) ~ 1e154 past the float range
+            assert (t, source.s) == (1e-300, MAX_S)
+            closed = qcrb_distributed(t, 1.0, source, BUDGET).var_n
+            assert numeric == pytest.approx(closed, rel=1e-6)
+        else:
+            assert numeric == expected
+
+    @pytest.mark.parametrize("t", ORACLE_T)
+    def test_transmission_variance_equals_three_stage_route(self, chain, t):
+        oracle = transmission_variance(ThreeStageChain(chain), t)
+        assert transmission_variance(chain, t) == oracle
+
+    @pytest.mark.parametrize("t", [0.0, *ORACLE_T])
+    def test_state_and_displacement_equal_three_stage_route(self, chain, t):
+        assert np.array_equal(chain.displacement_at(t), chain.state_at(t).d)
+        assert np.array_equal(chain.state_at(t).sigma, three_stage_state(chain, t).sigma)
+
+    @pytest.mark.parametrize("t", [-1e-12, 1.0 + 1e-12, float("nan")])
+    def test_displacement_rejects_transmission_outside_unit_interval(self, chain, t):
+        with pytest.raises(ValueError):
+            chain.displacement_at(t)
+
+    @pytest.mark.parametrize("t", [0.5, 1.0])
+    def test_audit_rejects_disagreeing_finite_difference(self, chain, t, monkeypatch):
+        # t = 1 moves the audit center off T, so the center is read from
+        # displacement_at too and is left unscaled
+        original = ProbeChain.displacement_at
+        step = 1e-6 * t
+        center = t if t + step <= 1.0 else t - step
+
+        def skewed(self, at):
+            d = original(self, at)
+            if at != center:
+                d[:2] *= 1.0 + 1e-5
+            return d
+
+        monkeypatch.setattr(ProbeChain, "displacement_at", skewed)
+        with pytest.raises(NonPhysicalError, match="finite-difference"):
+            qcrb_numeric_gaussian(t, PARAMS, BUDGET, chain=chain)
+
+    def test_one_state_per_bound_and_per_variance(self, chain, monkeypatch):
+        calls = []
+        original = ProbeChain.state_at
+
+        def counted(self, at):
+            calls.append(at)
+            return original(self, at)
+
+        monkeypatch.setattr(ProbeChain, "state_at", counted)
+        for t in (0.5, 1.0):
+            qcrb_numeric_gaussian(t, PARAMS, BUDGET, chain=chain)
+            assert calls == [t]
+            transmission_variance(chain, t)
+            assert calls == [t, t]
+            calls.clear()
 
 
 class TestAdvantage:

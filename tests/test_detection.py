@@ -217,8 +217,6 @@ class TestSnrRamp:
     def test_plan_validation(self):
         with pytest.raises(ValueError):
             MeasurementPlan(filter=SYNC4, trials=0, rng_seed=1)
-        with pytest.raises(ValueError):
-            MeasurementPlan(filter=SYNC4, trials=10, rng_seed=1, estimator_gain=-1.0)
 
 
 class TestSpectrumAnalyzerChain:

@@ -305,6 +305,36 @@ class TestContinuumNoises:
         assert relative_error(triple.probe, probe) < 1e-13
         assert relative_error(triple.conj, conj) < 1e-13
 
+    @pytest.mark.parametrize("kernel", [continuum_noises, continuum_gain])
+    @pytest.mark.parametrize(
+        "s, ta, message",
+        [
+            (float("nan"), 0.9, "finite and >= 0"),
+            (math.inf, 0.9, "finite and >= 0"),
+            (-1.0, 0.9, "finite and >= 0"),
+            (1.0, float("nan"), r"\(0, 1\]"),
+            (1.0, 0.0, r"\(0, 1\]"),
+            (1.0, 1.5, r"\(0, 1\]"),
+        ],
+    )
+    def test_out_of_domain_scalar_rejected(self, kernel, s, ta, message):
+        with pytest.raises(ValueError, match=message):
+            kernel(s, ta)
+
+    @pytest.mark.parametrize("kernel", [continuum_noises, continuum_gain])
+    def test_out_of_domain_array_element_rejected(self, kernel):
+        good_s, good_ta = np.array([0.5, 2.04, 3.0]), np.array([0.9, 0.71, 1.0])
+        kernel(good_s, good_ta)
+        for bad in (float("nan"), math.inf):
+            s = good_s.copy()
+            s[1] = bad
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                kernel(s, good_ta)
+        ta = good_ta.copy()
+        ta[1] = float("nan")
+        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+            kernel(good_s, ta)
+
 
 class TestAnalyticNoises:
     def test_zero_squeezing_limit(self):
