@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import NonPhysicalError
 from .gaussian import ChannelOp, GaussianState, apply_loss, bright_mean_photon
-from .source import SourceParams, converged_source
+from .source import SourceParams, _source_domain, converged_source
 
 BOUND_KINDS = (
     "pure_btmss",
@@ -95,32 +95,59 @@ def conjugate_factor(eta_c: float, s: float) -> float:
     return (2.0 * eta_c - 1.0) * (1.0 + 2.0 * sh2) / (1.0 + 2.0 * eta_c * sh2)
 
 
+def _mixing_rate(s, log_ta):
+    return np.sqrt(16.0 * s * s + log_ta * log_ta)
+
+
+def _distributed_norm(T_a, log_ta, xi):
+    return np.sqrt(T_a) * (
+        np.cosh(0.5 * xi) * (xi * xi + log_ta * log_ta)
+        - log_ta * (log_ta + 2.0 * xi * np.sinh(0.5 * xi))
+    )
+
+
+def _scalar_rates(s: float, T_a: float) -> tuple[float, float]:
+    """(xi, Gamma) at one validated (s, T_a), by the formulas the array helpers use."""
+    log_ta = np.log(T_a)
+    xi = float(_mixing_rate(s, log_ta))
+    return xi, float(_distributed_norm(T_a, log_ta, xi))
+
+
 def mixing_rate(s, T_a):
-    """Characteristic rate sqrt(16 s^2 + ln^2 T_a) of the distributed source.
+    """Characteristic rate xi = sqrt(16 s^2 + ln^2 T_a) of the distributed source.
 
     Four times the eigen-rate of the slice dynamics; the source moments are
     hyperbolic functions of a quarter of this rate.
     """
-    s = np.asarray(s, dtype=float)
-    ta = np.asarray(T_a, dtype=float)
-    if np.any(ta <= 0.0) or np.any(ta > 1.0):
-        raise ValueError("internal transmission T_a must lie in (0, 1]")
-    log_ta = np.log(ta)
-    out = np.sqrt(16.0 * s * s + log_ta * log_ta)
+    s, ta = _source_domain(s, T_a)
+    out = _mixing_rate(s, np.log(ta))
     return float(out) if out.ndim == 0 else out
 
 
 def distributed_norm(s, T_a):
-    """Normalization entering the distributed-loss bound denominators."""
-    s = np.asarray(s, dtype=float)
-    ta = np.asarray(T_a, dtype=float)
-    xi = mixing_rate(s, ta)
+    """Normalization Gamma entering the distributed-loss bound denominators."""
+    s, ta = _source_domain(s, T_a)
     log_ta = np.log(ta)
-    out = np.sqrt(ta) * (
-        np.cosh(0.5 * xi) * (xi * xi + log_ta * log_ta)
-        - log_ta * (log_ta + 2.0 * xi * np.sinh(0.5 * xi))
-    )
+    out = _distributed_norm(ta, log_ta, _mixing_rate(s, log_ta))
     return float(out) if out.ndim == 0 else out
+
+
+def _conjugate_factor(eta_c: float, T_a: float, xi: float, gamma: float) -> float:
+    xi2 = xi**2
+    root_ta = math.sqrt(T_a)
+    numerator = xi2 * (root_ta - 1.0) + gamma
+    denominator = xi2 * (1.0 + eta_c * (root_ta - 2.0)) + eta_c * gamma
+    if denominator == 0.0:
+        raise NonPhysicalError("degenerate conjugate factor denominator")
+    return (2.0 * eta_c - 1.0) * numerator / denominator
+
+
+def _reduction(s: float, T_a: float, xi: float, gamma: float) -> float:
+    root_ta = math.sqrt(T_a)
+    denominator = xi * xi * (root_ta - 1.0) + gamma
+    if denominator <= 0.0:
+        raise NonPhysicalError("non-physical parameter combination")
+    return 32.0 * s * s * root_ta * math.sinh(0.25 * xi) ** 2 / denominator
 
 
 def conjugate_factor_distributed(eta_c: float, s: float, T_a: float) -> float:
@@ -133,16 +160,10 @@ def conjugate_factor_distributed(eta_c: float, s: float, T_a: float) -> float:
     """
     if not (0.0 <= eta_c <= 1.0):
         raise ValueError("eta_c must lie in [0, 1]")
+    _source_domain(s, T_a)
     if s == 0.0 and T_a == 1.0:
         return 2.0 * eta_c - 1.0
-    xi2 = mixing_rate(s, T_a) ** 2
-    gamma = distributed_norm(s, T_a)
-    root_ta = math.sqrt(T_a)
-    numerator = xi2 * (root_ta - 1.0) + gamma
-    denominator = xi2 * (1.0 + eta_c * (root_ta - 2.0)) + eta_c * gamma
-    if denominator == 0.0:
-        raise NonPhysicalError("degenerate conjugate factor denominator")
-    return (2.0 * eta_c - 1.0) * numerator / denominator
+    return _conjugate_factor(eta_c, T_a, *_scalar_rates(s, T_a))
 
 
 def distributed_reduction(s: float, T_a: float) -> float:
@@ -151,15 +172,10 @@ def distributed_reduction(s: float, T_a: float) -> float:
     Plays the role of 1 - sech(2s) in the pure-source bound and reduces to
     it at T_a = 1; tends to 1 as s -> infinity.
     """
+    _source_domain(s, T_a)
     if s == 0.0:
         return 0.0
-    xi = mixing_rate(s, T_a)
-    gamma = distributed_norm(s, T_a)
-    root_ta = math.sqrt(T_a)
-    denominator = xi * xi * (root_ta - 1.0) + gamma
-    if denominator <= 0.0:
-        raise NonPhysicalError("non-physical parameter combination")
-    return 32.0 * s * s * root_ta * math.sinh(0.25 * xi) ** 2 / denominator
+    return _reduction(s, T_a, *_scalar_rates(s, T_a))
 
 
 def qcrb_coherent(T: float, n_r: float, eta_p: float) -> BoundPoint:
@@ -185,12 +201,15 @@ def qcrb_distributed(T: float, n_r: float, params: SourceParams, budget: LossBud
     if params.s == 0.0:
         var_n = T / budget.eta_p
     else:
+        # SourceParams and LossBudget hold validated values: evaluate the rates once
+        s, t_a = float(params.s), float(params.T_a)
+        xi, gamma = _scalar_rates(s, t_a)
         var_n = T / budget.eta_p - (
             T
             * T
             * budget.T_p
-            * conjugate_factor_distributed(budget.eta_c, params.s, params.T_a)
-            * distributed_reduction(params.s, params.T_a)
+            * _conjugate_factor(budget.eta_c, t_a, xi, gamma)
+            * _reduction(s, t_a, xi, gamma)
         )
     return BoundPoint(T=T, var_n=var_n, bound_kind="distributed_btmss", n_r=n_r)
 

@@ -17,6 +17,7 @@ FWHM of |H(f)|^2 for every filter kind here; this convention reproduces the
 """
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -190,6 +191,36 @@ _SNR_FIT_WINDOW = (0.2, 5.0)
 _MIN_WINDOW_BINS = 8
 
 
+def _line_fit(x: np.ndarray, y: np.ndarray):
+    """(slope, intercept) of `np.polyfit(x, y, 1)`, bit for bit, without its set-up.
+
+    polyfit solves the Vandermonde system [x, 1] with each column divided by
+    its norm and `lstsq(lhs, y, n * eps)`.  Its column norms come from an
+    axis-0 sum over an (n, 2) array, which adds row by row; `np.cumsum`
+    adds in the same order, and the norm of the ones column is sqrt(n).
+    x is first scaled by a power of two, which is exact, so every bit is
+    polyfit's wherever the squares of x neither underflow nor overflow, and
+    a ramp at tiny powers (~1e-169, whose squares underflow) is still solved.
+    """
+    _, exponent = math.frexp(float(x.max()))
+    x = np.ldexp(x, -exponent)
+    n = x.size
+    x_norm = math.sqrt(np.cumsum(x * x)[-1])
+    ones_norm = math.sqrt(n)
+    lhs = np.empty((n, 2))
+    lhs[:, 0] = x / x_norm
+    lhs[:, 1] = 1.0 / ones_norm
+    coef, _, rank, _ = np.linalg.lstsq(lhs, y, n * np.finfo(float).eps)
+    if rank != 2:
+        warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=2)
+    try:
+        slope = math.ldexp(coef[0] / x_norm, -exponent)
+    except OverflowError:
+        # x at subnormal magnitudes (below ~2e-308) can need a slope past float64
+        raise NonPhysicalError("line slope overflows float64 at these modulation powers") from None
+    return slope, float(coef[1] / ones_norm)
+
+
 def _iterated_line_fit(mod_power: np.ndarray, snr: np.ndarray):
     """Least-squares line through (modulation power, SNR), iterating the window.
 
@@ -199,20 +230,26 @@ def _iterated_line_fit(mod_power: np.ndarray, snr: np.ndarray):
     few-percent bias into the SNR = 1 crossing.  The window keeps bins whose
     *fitted* SNR lies in [0.2, 5], mirroring the usable region of a ramp
     trace between the noise floor and the pre-ramp settling segment.
+
+    Each pass is `_line_fit`, whose bits are those of `np.polyfit(x, y, 1)`.
+    The window still has no stopping rule: it stops when the mask repeats
+    the previous pass or after 10 passes, and may alternate between two
+    masks until then.
     """
-    mask = (mod_power > 0.0) & np.isfinite(snr)
+    usable = (mod_power > 0.0) & np.isfinite(snr)
+    mask = usable
     lo, hi = _SNR_FIT_WINDOW
     slope = intercept = float("nan")
     for _ in range(10):
         if np.count_nonzero(mask) < _MIN_WINDOW_BINS:
             raise NonPhysicalError("SNR=1 not bracketed: too few usable ramp bins")
-        slope, intercept = np.polyfit(mod_power[mask], snr[mask], 1)
+        slope, intercept = _line_fit(mod_power[mask], snr[mask])
         fitted = intercept + slope * mod_power
-        new_mask = (mod_power > 0.0) & np.isfinite(snr) & (fitted >= lo) & (fitted <= hi)
+        new_mask = usable & (fitted >= lo) & (fitted <= hi)
         if np.array_equal(new_mask, mask):
             break
         mask = new_mask
-    return float(slope), float(intercept)
+    return slope, intercept
 
 
 def snr_ramp_simulate(

@@ -43,28 +43,20 @@ class SourceParams:
     s: float
     T_a: float
     seed_photons: float | None = None
-    seed_flux: float | None = None
 
     def __post_init__(self):
         if not (self.s >= 0.0 and np.isfinite(self.s)):
             raise ValueError("squeezing parameter s must be finite and >= 0")
         if not (0.0 < self.T_a <= 1.0):
             raise ValueError("internal transmission T_a must lie in (0, 1]")
-        if self.seed_photons is not None and self.seed_flux is not None:
-            raise ValueError("give either seed_photons or seed_flux, not both")
-        for name in ("seed_photons", "seed_flux"):
-            value = getattr(self, name)
-            if value is not None and not (value >= 0.0 and np.isfinite(value)):
-                raise ValueError(f"{name} must be finite and >= 0")
+        photons = self.seed_photons
+        if photons is not None and not (photons >= 0.0 and np.isfinite(photons)):
+            raise ValueError("seed_photons must be finite and >= 0")
 
-    def effective_seed_photons(self, measurement_time: float | None = None) -> float:
+    def effective_seed_photons(self) -> float:
         """Probe seed photons per effective measurement window."""
         if self.seed_photons is not None:
             return float(self.seed_photons)
-        if self.seed_flux is not None:
-            if measurement_time is None:
-                raise ValueError("seed_flux needs a measurement time to give photons")
-            return float(self.seed_flux) * float(measurement_time)
         return DEFAULT_SEED_PHOTONS
 
 
@@ -207,13 +199,10 @@ def _sinhc(x: np.ndarray) -> np.ndarray:
     return np.where(small, 1.0 + x * x / 6.0, np.sinh(safe) / safe)
 
 
-def _slice_dynamics(s, T_a):
-    """Rates of the continuum slice dynamics in the amplitude (x) sector.
+def _source_domain(s, T_a):
+    """(s, T_a) as broadcast float arrays, rejecting values outside the model.
 
-    The mean-field pair (x_probe, x_conj) evolves along the stack with the
-    constant generator [[-g/2, s], [s, 0]], split as (-g/4) I + B with
-    g = -ln(T_a); B has eigenvalue rate q = sqrt(16 s^2 + g^2) / 4, which
-    sets every hyperbolic scale of the converged source.
+    s must be finite and >= 0 and T_a must lie in (0, 1]; NaN is rejected.
     """
     s = np.asarray(s, dtype=float)
     ta = np.asarray(T_a, dtype=float)
@@ -224,6 +213,18 @@ def _slice_dynamics(s, T_a):
         raise ValueError("squeezing parameter s must be finite and >= 0")
     if not ((ta > 0.0) & (ta <= 1.0)).all():
         raise ValueError("internal transmission T_a must lie in (0, 1]")
+    return s, ta
+
+
+def _slice_dynamics(s, T_a):
+    """Rates of the continuum slice dynamics in the amplitude (x) sector.
+
+    The mean-field pair (x_probe, x_conj) evolves along the stack with the
+    constant generator [[-g/2, s], [s, 0]], split as (-g/4) I + B with
+    g = -ln(T_a); B has eigenvalue rate q = sqrt(16 s^2 + g^2) / 4, which
+    sets every hyperbolic scale of the converged source.
+    """
+    s, ta = _source_domain(s, T_a)
     g = -np.log(ta)
     q = 0.25 * np.sqrt(16.0 * s * s + g * g)
     return s, g, q

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from qcrbench.errors import NonPhysicalError
+
 
 def _quadrature_effective_time(filt) -> float:
     """Reference t = 1 / (4 int_0^inf |H(f)|^2 df) by adaptive quadrature.
@@ -78,3 +80,82 @@ def _sequential_chi2_doubling(
 def sequential_chi2_doubling():
     """The contour oracle the batched bisection in `inference` is checked against."""
     return _sequential_chi2_doubling
+
+
+def _polyfit_iterated_line_fit(mod_power, snr):
+    """Reference SNR-window fit: one `np.polyfit(x, y, 1)` per window pass.
+
+    Same window rule, pass cap and errors as `detection._iterated_line_fit`,
+    which must return bit-identical (slope, intercept).
+    """
+    mask = (mod_power > 0.0) & np.isfinite(snr)
+    lo, hi = 0.2, 5.0
+    slope = intercept = float("nan")
+    for _ in range(10):
+        if np.count_nonzero(mask) < 8:
+            raise NonPhysicalError("SNR=1 not bracketed: too few usable ramp bins")
+        slope, intercept = np.polyfit(mod_power[mask], snr[mask], 1)
+        fitted = intercept + slope * mod_power
+        new_mask = (mod_power > 0.0) & np.isfinite(snr) & (fitted >= lo) & (fitted <= hi)
+        if np.array_equal(new_mask, mask):
+            break
+        mask = new_mask
+    return float(slope), float(intercept)
+
+
+@pytest.fixture
+def polyfit_iterated_line_fit():
+    """The line-fit oracle the degree-1 solve in `detection` is checked against."""
+    return _polyfit_iterated_line_fit
+
+
+def _array_mixing_rate(s, T_a):
+    s = np.asarray(s, dtype=float)
+    ta = np.asarray(T_a, dtype=float)
+    if np.any(ta <= 0.0) or np.any(ta > 1.0):
+        raise ValueError("internal transmission T_a must lie in (0, 1]")
+    log_ta = np.log(ta)
+    out = np.sqrt(16.0 * s * s + log_ta * log_ta)
+    return float(out) if out.ndim == 0 else out
+
+
+def _array_distributed_norm(s, T_a):
+    s = np.asarray(s, dtype=float)
+    ta = np.asarray(T_a, dtype=float)
+    xi = _array_mixing_rate(s, ta)
+    log_ta = np.log(ta)
+    out = np.sqrt(ta) * (
+        np.cosh(0.5 * xi) * (xi * xi + log_ta * log_ta)
+        - log_ta * (log_ta + 2.0 * xi * np.sinh(0.5 * xi))
+    )
+    return float(out) if out.ndim == 0 else out
+
+
+def _array_route_distributed_var_n(T, s, T_a, T_p, eta_p, eta_c):
+    """Reference `qcrb_distributed(...).var_n` by the array-helper route.
+
+    Each factor re-evaluates xi and Gamma through the 0-d array helpers:
+    four mixing-rate and two normalization evaluations per bound.
+    """
+    if s == 0.0:
+        return T / eta_p
+    xi2 = _array_mixing_rate(s, T_a) ** 2
+    gamma = _array_distributed_norm(s, T_a)
+    root_ta = math.sqrt(T_a)
+    denominator = xi2 * (1.0 + eta_c * (root_ta - 2.0)) + eta_c * gamma
+    if denominator == 0.0:
+        raise NonPhysicalError("degenerate conjugate factor denominator")
+    factor = (2.0 * eta_c - 1.0) * (xi2 * (root_ta - 1.0) + gamma) / denominator
+    xi = _array_mixing_rate(s, T_a)
+    gamma = _array_distributed_norm(s, T_a)
+    denominator = xi * xi * (root_ta - 1.0) + gamma
+    if denominator <= 0.0:
+        raise NonPhysicalError("non-physical parameter combination")
+    reduction = 32.0 * s * s * root_ta * math.sinh(0.25 * xi) ** 2 / denominator
+    return T / eta_p - T * T * T_p * factor * reduction
+
+
+@pytest.fixture
+def array_rate_oracle():
+    """(mixing rate, norm, distributed var_n) by re-evaluating the rates on 0-d arrays."""
+    return _array_mixing_rate, _array_distributed_norm, _array_route_distributed_var_n

@@ -130,8 +130,64 @@ class TestRates:
         with pytest.raises(ValueError):
             mixing_rate(1.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "s, T_a, message",
+        [
+            (1.0, math.nan, "T_a must lie"),
+            (1.0, math.inf, "T_a must lie"),
+            (math.nan, 0.5, "s must be finite"),
+            (math.inf, 0.5, "s must be finite"),
+            (-1.0, 0.5, "s must be finite"),
+        ],
+    )
+    def test_out_of_domain_rates_rejected(self, s, T_a, message):
+        helpers = (
+            mixing_rate,
+            distributed_norm,
+            distributed_reduction,
+            lambda s, T_a: conjugate_factor_distributed(0.9, s, T_a),
+        )
+        for helper in helpers:
+            with pytest.raises(ValueError, match=message):
+                helper(s, T_a)
+        # one bad entry rejects a whole array
+        for helper in (mixing_rate, distributed_norm):
+            with pytest.raises(ValueError, match=message):
+                helper(np.array([1.0, s]), np.array([0.5, T_a]))
+
+    def test_array_helpers_match_array_route(self, array_rate_oracle):
+        oracle_rate, oracle_norm, _ = array_rate_oracle
+        rng = np.random.default_rng(17)
+        s = rng.uniform(0.0, MAX_S, 400)
+        t_a = 10.0 ** rng.uniform(-300.0, 0.0, 400)
+        assert np.array_equal(mixing_rate(s, t_a), oracle_rate(s, t_a))
+        assert np.array_equal(distributed_norm(s, t_a), oracle_norm(s, t_a))
+        for x, y in zip(s[:50], t_a[:50]):
+            assert mixing_rate(float(x), float(y)) == oracle_rate(float(x), float(y))
+            assert distributed_norm(float(x), float(y)) == oracle_norm(float(x), float(y))
+
 
 class TestClosedFormBounds:
+    @pytest.mark.parametrize("s", [0.0, 1e-9, 2.04, MAX_S])
+    @pytest.mark.parametrize("t_a", [1e-300, 0.5, 0.71, 1.0])
+    @pytest.mark.parametrize("eta_c", [0.0, 0.5, 0.919, 1.0])
+    def test_distributed_equals_array_route(self, s, t_a, eta_c, array_rate_oracle):
+        *_, oracle_var_n = array_rate_oracle
+        params = SourceParams(s=s, T_a=t_a)
+        budget = LossBudget(T_p=0.973, eta_p=0.945, eta_c=eta_c)
+        for t in (1e-300, 0.5, 1.0):
+            expected = oracle_var_n(t, s, t_a, budget.T_p, budget.eta_p, eta_c)
+            assert qcrb_distributed(t, 1.0, params, budget).var_n == expected
+
+    def test_distributed_equals_array_route_over_random_points(self, array_rate_oracle):
+        *_, oracle_var_n = array_rate_oracle
+        rng = np.random.default_rng(23)
+        for _ in range(500):
+            s, t_a, eta_c, t = rng.uniform(0.0, MAX_S), rng.uniform(), rng.uniform(), rng.uniform()
+            budget = LossBudget(T_p=0.973, eta_p=0.945, eta_c=eta_c)
+            expected = oracle_var_n(t, s, t_a, budget.T_p, budget.eta_p, eta_c)
+            assert qcrb_distributed(t, 1.0, SourceParams(s=s, T_a=t_a), budget).var_n == expected
+
     def test_pure_at_zero_squeezing_equals_coherent_exactly(self):
         for t in GRID:
             pure = qcrb_pure_btmss(float(t), 1.0, 0.0, BUDGET)

@@ -236,6 +236,27 @@ class TestSimulateCommand:
         # variance ratio within 10% <=> amplitude within ~5% at 1e4 bins
         assert np.all(np.abs(rows[:, 1] / rows[:, 2] - 1.0) < 0.10)
 
+    def test_tiny_transmissions_simulate(self, tmp_path):
+        # modulation powers down to ~1e-299, whose squares underflow in a plain line fit
+        ratios = []
+        for t in ("1e-160", "1e-170", "1e-250", "1e-300"):
+            cfg = tmp_path / "cfg.txt"
+            cfg.write_text(f"T_grid = {t}\n")
+            out = tmp_path / f"sim{t}.csv"
+            args = ["simulate", "--config", str(cfg), "--trials", "1000", "--out", str(out)]
+            assert main(args) == 0
+            _, _, rows = read_csv(out)
+            ratios.append(rows[0, 1] / rows[0, 2])
+        # the same noise stream at every T: the ramp is the one at 1e-160, rescaled
+        np.testing.assert_allclose(ratios, ratios[0], rtol=1e-12)
+
+    def test_subnormal_transmission_exits_4(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("T_grid = 1e-310\n")
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--config", str(cfg), "--trials", "1000", "--out", str(out)]) == 4
+        assert "overflows float64" in capsys.readouterr().err
+
     def test_too_few_trials_exits_4(self, tmp_path):
         assert main(["simulate", "--trials", "10", "--out", str(tmp_path / "x.csv")]) == 4
 

@@ -1,12 +1,15 @@
 """Tests for the estimator, SNR-ramp Monte Carlo, and spectrum-analyzer model."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 from scipy import constants, integrate
 
+from qcrbench import detection
 from qcrbench.bounds import LossBudget, build_chain, qcrb_coherent, qcrb_numeric_gaussian
+from qcrbench.cli import main
 from qcrbench.detection import (
     MAX_POLES,
     PLANCK_H,
@@ -217,6 +220,111 @@ class TestSnrRamp:
     def test_plan_validation(self):
         with pytest.raises(ValueError):
             MeasurementPlan(filter=SYNC4, trials=0, rng_seed=1)
+
+
+@pytest.fixture
+def recorded_fits(monkeypatch):
+    """(mod_power, snr, result) of every `_iterated_line_fit` call a test makes."""
+    calls = []
+    fit = detection._iterated_line_fit
+
+    def record(mod_power, snr):
+        result = fit(mod_power, snr)
+        calls.append((mod_power.copy(), snr.copy(), result))
+        return result
+
+    monkeypatch.setattr(detection, "_iterated_line_fit", record)
+    return calls
+
+
+class TestLineFitMatchesPolyfit:
+    """`_iterated_line_fit` returns the bits of the `np.polyfit` loop kept as the oracle."""
+
+    def test_param_sweep_ramps(self, recorded_fits, polyfit_iterated_line_fit):
+        bins = 10_000
+        for s, t_a in ((2.04, 0.71), (0.4, 0.3), (3.3, 0.98)):
+            chain = build_chain(SourceParams(s=s, T_a=t_a), BUDGET)
+            for k, t in enumerate(np.linspace(0.01, 1.0, 100)[::10]):
+                var_t = transmission_variance(chain, float(t), 1.0)
+                plan = MeasurementPlan(
+                    filter=SYNC4,
+                    trials=bins,
+                    rng_seed=1000 * k + 7,
+                    ramp_duration=bins * effective_time(SYNC4),
+                )
+                profile = linear_ramp(5.0 * math.sqrt(var_t), plan.ramp_duration)
+                snr_ramp_simulate(plan, profile, var_t)
+        assert len(recorded_fits) == 30
+        for mod_power, snr, result in recorded_fits:
+            assert result == polyfit_iterated_line_fit(mod_power, snr)
+
+    def test_readme_simulate_grid(self, tmp_path, recorded_fits, polyfit_iterated_line_fit):
+        config = os.path.join(os.path.dirname(__file__), "..", "docs", "sample_config.txt")
+        out = tmp_path / "simulate.csv"
+        args = ["simulate", "--config", config, "--trials", "10000", "--seed", "7"]
+        assert main([*args, "--out", str(out)]) == 0
+        assert len(recorded_fits) == 16
+        for mod_power, snr, result in recorded_fits:
+            assert result == polyfit_iterated_line_fit(mod_power, snr)
+
+    def test_window_of_eight_bins(self, polyfit_iterated_line_fit):
+        mod_power = np.zeros(20)
+        mod_power[3:11] = np.linspace(0.5, 4.0, 8)
+        snr = 0.3 + 0.9 * mod_power + 0.05 * np.sin(np.arange(20.0))
+        result = detection._iterated_line_fit(mod_power, snr)
+        assert result == polyfit_iterated_line_fit(mod_power, snr)
+        mod_power[3] = 0.0
+        for fit in (detection._iterated_line_fit, polyfit_iterated_line_fit):
+            with pytest.raises(NonPhysicalError, match="too few usable"):
+                fit(mod_power, snr)
+
+    def test_ramp_at_pass_cap(self, monkeypatch, recorded_fits, polyfit_iterated_line_fit):
+        passes = []
+        line_fit = detection._line_fit
+
+        def counted(x, y):
+            passes.append(x.size)
+            return line_fit(x, y)
+
+        monkeypatch.setattr(detection, "_line_fit", counted)
+        var_t = 0.04
+        plan = MeasurementPlan(
+            filter=SYNC4, trials=10_000, rng_seed=0, ramp_duration=10_000 * effective_time(SYNC4)
+        )
+        snr_ramp_simulate(plan, linear_ramp(5.0 * math.sqrt(var_t), plan.ramp_duration), var_t)
+        # this window alternates between two masks until the 10-pass cap stops it
+        assert len(passes) == 10
+        ((mod_power, snr, result),) = recorded_fits
+        assert result == polyfit_iterated_line_fit(mod_power, snr)
+
+    def test_constant_power_window_warns_like_polyfit(self, polyfit_iterated_line_fit):
+        mod_power = np.full(50, 2.0)
+        snr = 1.0 + 0.1 * np.cos(np.arange(50.0))
+        with pytest.warns(np.exceptions.RankWarning):
+            result = detection._iterated_line_fit(mod_power, snr)
+        with pytest.warns(np.exceptions.RankWarning):
+            assert result == polyfit_iterated_line_fit(mod_power, snr)
+
+    def test_ramp_never_calls_polyfit(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.polyfit called")
+
+        monkeypatch.setattr(np, "polyfit", forbidden)
+        var_t = 0.04
+        plan = MeasurementPlan(
+            filter=SYNC4, trials=2_000, rng_seed=3, ramp_duration=2_000 * effective_time(SYNC4)
+        )
+        profile = linear_ramp(5.0 * math.sqrt(var_t), plan.ramp_duration)
+        assert snr_ramp_simulate(plan, profile, var_t).delta_T_at_snr1 > 0.0
+
+    def test_tiny_powers_fit_by_exact_rescaling(self):
+        # squares of ~1e-169 underflow; the fit scales x by a power of two instead
+        rng = np.random.default_rng(4)
+        mod_power = np.linspace(1.0, 30.0, 400)
+        snr = 0.1 + 0.2 * mod_power + rng.normal(0.0, 0.3, 400)
+        slope, intercept = detection._iterated_line_fit(mod_power, snr)
+        tiny_slope, tiny_intercept = detection._iterated_line_fit(mod_power * 2.0**-560, snr)
+        assert tiny_slope == slope * 2.0**560 and tiny_intercept == intercept
 
 
 class TestSpectrumAnalyzerChain:

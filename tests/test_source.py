@@ -120,19 +120,12 @@ class TestSourceParams:
             {"s": -0.1, "T_a": 0.9},
             {"s": 1.0, "T_a": 0.0},
             {"s": 1.0, "T_a": 1.2},
-            {"s": 1.0, "T_a": 0.9, "seed_photons": 10.0, "seed_flux": 5.0},
             {"s": float("inf"), "T_a": 0.9},
         ],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SourceParams(**kwargs)
-
-    def test_seed_flux_needs_time(self):
-        params = SourceParams(s=1.0, T_a=0.9, seed_flux=1e12)
-        with pytest.raises(ValueError):
-            params.effective_seed_photons()
-        assert params.effective_seed_photons(1e-6) == pytest.approx(1e6)
 
     def test_default_seed(self):
         assert SourceParams(s=1.0, T_a=0.9).effective_seed_photons() == 1e6
