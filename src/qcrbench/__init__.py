@@ -74,8 +74,8 @@ from .source import (
     analytic_noises,
     continuum_gain,
     continuum_noises,
+    continuum_state,
     converged_source,
-    gain,
     layered_source,
     noise_triple,
     squeezing_db,

@@ -27,16 +27,7 @@ import numpy as np
 
 from .errors import NonPhysicalError
 from .gaussian import ChannelOp, GaussianState, apply_loss, bright_mean_photon
-from .source import SourceParams, _source_domain, converged_source
-
-BOUND_KINDS = (
-    "pure_btmss",
-    "distributed_btmss",
-    "coherent",
-    "ultimate_ideal",
-    "ultimate_lossy",
-    "numeric_gaussian",
-)
+from .source import SourceParams, _source_domain, continuum_state
 
 
 @dataclass(frozen=True)
@@ -68,8 +59,6 @@ class BoundPoint:
     n_r: float = 1.0
 
     def __post_init__(self):
-        if self.bound_kind not in BOUND_KINDS:
-            raise ValueError(f"unknown bound kind {self.bound_kind!r}")
         if not np.isfinite(self.var_n):
             raise ValueError("bound value must be finite")
 
@@ -161,9 +150,11 @@ def conjugate_factor_distributed(eta_c: float, s: float, T_a: float) -> float:
     if not (0.0 <= eta_c <= 1.0):
         raise ValueError("eta_c must lie in [0, 1]")
     _source_domain(s, T_a)
-    if s == 0.0 and T_a == 1.0:
+    xi, gamma = _scalar_rates(s, T_a)
+    # xi = 0 only at T_a = 1 with 16 s^2 below the float range (s = 0 included)
+    if xi == 0.0:
         return 2.0 * eta_c - 1.0
-    return _conjugate_factor(eta_c, T_a, *_scalar_rates(s, T_a))
+    return _conjugate_factor(eta_c, T_a, xi, gamma)
 
 
 def distributed_reduction(s: float, T_a: float) -> float:
@@ -173,9 +164,10 @@ def distributed_reduction(s: float, T_a: float) -> float:
     it at T_a = 1; tends to 1 as s -> infinity.
     """
     _source_domain(s, T_a)
-    if s == 0.0:
+    xi, gamma = _scalar_rates(s, T_a)
+    if s == 0.0 or xi == 0.0:
         return 0.0
-    return _reduction(s, T_a, *_scalar_rates(s, T_a))
+    return _reduction(s, T_a, xi, gamma)
 
 
 def qcrb_coherent(T: float, n_r: float, eta_p: float) -> BoundPoint:
@@ -198,12 +190,13 @@ def qcrb_pure_btmss(T: float, n_r: float, s: float, budget: LossBudget) -> Bound
 def qcrb_distributed(T: float, n_r: float, params: SourceParams, budget: LossBudget) -> BoundPoint:
     """Bound for the source with loss distributed through the gain medium."""
     _check_t_nr(T, n_r)
-    if params.s == 0.0:
+    # SourceParams and LossBudget hold validated values: evaluate the rates once
+    s, t_a = float(params.s), float(params.T_a)
+    xi, gamma = _scalar_rates(s, t_a)
+    # xi = 0 only at T_a = 1 with 16 s^2 below the float range: no squeezing term
+    if s == 0.0 or xi == 0.0:
         var_n = T / budget.eta_p
     else:
-        # SourceParams and LossBudget hold validated values: evaluate the rates once
-        s, t_a = float(params.s), float(params.T_a)
-        xi, gamma = _scalar_rates(s, t_a)
         var_n = T / budget.eta_p - (
             T
             * T
@@ -265,17 +258,14 @@ class ProbeChain:
 
 
 def build_chain(
-    params: SourceParams,
-    budget: LossBudget,
-    rel_tol: float = 1e-9,
-    min_bright_photons: float = 1e4,
+    params: SourceParams, budget: LossBudget, min_bright_photons: float = 1e4
 ) -> ProbeChain:
-    """Converge the source model and wrap it with the external loss budget."""
+    """Wrap the closed-form source state with the external loss budget."""
     if params.effective_seed_photons() < min_bright_photons:
         raise ValueError(
             f"bright-limit chain needs a seed of at least {min_bright_photons:g} photons"
         )
-    return ProbeChain(source_state=converged_source(params, rel_tol=rel_tol).state, budget=budget)
+    return ProbeChain(source_state=continuum_state(params), budget=budget)
 
 
 _FD_MISMATCH_TOL = 1e-6
@@ -314,7 +304,6 @@ def qcrb_numeric_gaussian(
     params: SourceParams,
     budget: LossBudget,
     n_r: float = 1.0,
-    rel_tol: float = 1e-9,
     chain: ProbeChain | None = None,
 ) -> BoundPoint:
     """Bright-limit Gaussian bound computed from the full chain moments.
@@ -322,14 +311,14 @@ def qcrb_numeric_gaussian(
     Var(T) >= 1 / (dd^T sigma^{-1} dd) with dd the displacement derivative
     in this quadrature convention (the complex-form prefactor 2 is absorbed
     by the convention; the coherent chain reproduces T / (eta_p n_r)
-    exactly).  A pre-built `chain` may be passed to amortize the source
-    convergence over a transmission grid.
+    exactly).  A pre-built `chain` may be passed to share its source state
+    and T-independent stages over a transmission grid.
     """
     _check_t_nr(T, n_r)
     if T == 0.0:
         raise ValueError("the numeric bound needs T > 0")
     if chain is None:
-        chain = build_chain(params, budget, rel_tol=rel_tol)
+        chain = build_chain(params, budget)
     state = chain.state_at(T)
     derivative = _displacement_derivative(chain, T, state.d)
     # the Fisher product squares d/(2T) too; a power-of-two scale is exact, so

@@ -81,7 +81,6 @@ class DEResult:
     best_value: float
     generations: int
     spread: np.ndarray
-    history: list = field(repr=False)
     population: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
     discarded: int = 0
@@ -202,7 +201,6 @@ def differential_evolution(objective, config: DEConfig) -> DEResult:
     values = np.asarray(objective(pop), dtype=float)
     discarded = int(np.sum(~np.isfinite(values)))
     values = np.where(np.isfinite(values), values, np.inf)
-    history = []
     generation = 0
     spread = pop.std(axis=0)
     for generation in range(1, config.max_generations + 1):
@@ -228,9 +226,6 @@ def differential_evolution(objective, config: DEConfig) -> DEResult:
         pop[others[replace]] = candidates[replace]
         values[others[replace]] = cand_values[replace]
         spread = pop.std(axis=0)
-        history.append(
-            {"generation": generation, "best_value": float(values.min()), "spread": spread.copy()}
-        )
         if np.all(spread < config.spread_tol):
             break
     best = int(np.argmin(values))
@@ -239,7 +234,6 @@ def differential_evolution(objective, config: DEConfig) -> DEResult:
         best_value=float(values[best]),
         generations=generation,
         spread=spread,
-        history=history,
         population=pop,
         values=values,
         discarded=discarded,

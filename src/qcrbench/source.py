@@ -3,13 +3,18 @@
 The gain medium is treated as a stack of thin slices, each applying a small
 two-mode squeezing step to (probe, conjugate) interleaved with a small
 probe-only loss; the conjugate is assumed absorption-free.  The generated
-state is the infinite-slice limit of this stack.  Three routes to that limit
-live here:
+state is the infinite-slice limit of this stack, computed by one closed-form
+kernel: the depth-1 propagator M (`_propagator`) and the vacuum G injected
+by the distributed loss (`_vacuum_injection`) give the amplitude-sector
+covariance M M^T + G.  Every run-time route goes through it:
 
-* `layered_source`   - a finite stack of N slices (the discretized model);
-* `converged_source` - doubles N until the output moments stop changing;
-* `continuum_noises` - the exact N -> infinity limit in closed form, used
-  for fast parameter scans and as a cross-check on the stack.
+* `continuum_state`  - the two-mode Gaussian state (probe chains, bounds);
+* `continuum_noises` - the three normalized noises (fits, noise maps);
+* `continuum_gain`   - the probe photon gain.
+
+The finite stack stays as an independent audit of that limit:
+`layered_source` runs N slices and `converged_source` doubles N until the
+output moments stop changing.  Nothing at run time calls them.
 
 The model is parameterized by the total squeezing parameter ``s`` (sum of the
 slice squeezing steps) and the total internal probe transmission ``T_a``
@@ -192,13 +197,6 @@ def noise_triple(state: GaussianState, probe: int = 0, conj: int = 1) -> NoiseTr
     )
 
 
-def _sinhc(x: np.ndarray) -> np.ndarray:
-    """sinh(x)/x, stable at x = 0."""
-    small = np.abs(x) < 1e-6
-    safe = np.where(small, 1.0, x)
-    return np.where(small, 1.0 + x * x / 6.0, np.sinh(safe) / safe)
-
-
 def _source_domain(s, T_a):
     """(s, T_a) as broadcast float arrays, rejecting values outside the model.
 
@@ -230,16 +228,6 @@ def _slice_dynamics(s, T_a):
     return s, g, q
 
 
-def _propagator_column(s, g, q, z):
-    """First column (probe response) of the x-sector propagator at depth z."""
-    damp = np.exp(-0.25 * g * z)
-    stretch = z * _sinhc(q * z)  # sinh(q z)/q
-    return (
-        damp * (np.cosh(q * z) - 0.25 * g * stretch),
-        damp * (s * stretch),
-    )
-
-
 def _exprel(x: np.ndarray) -> np.ndarray:
     """(e^x - 1)/x with its limit 1 at x = 0, written over the array x."""
     zero = x == 0.0
@@ -256,11 +244,11 @@ def _vacuum_injection(s, g, q):
     a = (q - k)/2q = s^2/(2q(q + k)), b = (q + k)/2q and h = s/2q, so ab = h^2.
     Every entry of G is then a combination of E(x) = int_0^1 e^{xz} dz =
     exprel(x) at x = 2(q - k) = 2s^2/(q + k), x = -2k and x = -2(q + k).
-    G vanishes with g, so where g = 0 any finite q stands in for q (which is
-    zero at s = 0).  Each step writes into an array it owns, because on large
+    Only s = g = 0 has q = 0, and G vanishes with g, so there any finite q
+    stands in.  Each step writes into an array it owns, because on large
     batches every extra temporary adds 8 bytes per point to peak memory.
     """
-    q = np.where(g > 0.0, q, 1.0)
+    q = np.where(q > 0.0, q, 1.0)
     qk = 0.25 * g
     qk += q
     h = 0.5 * s
@@ -308,6 +296,81 @@ def _vacuum_injection(s, g, q):
     return g00, g01, g11
 
 
+def _propagator(s, g, q):
+    """Depth-1 x-sector propagator M = [[m11, m21], [m21, m22]] as (m11, m21, m22).
+
+    M = e^{-k} (cosh q I + sinh(q)/q [[-k, s], [s, k]]) with k = g/4.  Its
+    cosh - sinh form cancels where q ~ k (small s or tiny T_a), so it is
+    written in sums of positive terms: with a, b = 1 - a and h as in
+    `_vacuum_injection`, m11 = a e^{q-k} + b e^{-(q+k)} and m22 = b e^{q-k} +
+    a e^{-(q+k)}, where q - k = s^2/(q + k) and q + k = g/2 + (q - k).  The
+    off-diagonal m21 = h (e^{q-k} - e^{-(q+k)}) keeps about eps/q of relative
+    error, which matters only where s and g are both tiny and m21 ~ s is
+    negligible against m11 ~ m22 ~ 1.  Only s = g = 0 has q = 0; there any
+    q > 0 stands in, which gives a = h = 0 and M = I exactly.  Takes 1-d
+    arrays and writes each step into an array it owns.
+    """
+    q = np.where(q > 0.0, q, 1.0)
+    qk = 0.25 * g
+    qk += q
+    h = 0.5 * s
+    h /= q
+    a = h * s
+    a /= qk
+    e_up = s * s
+    e_up /= qk
+    # q + k = g/2 + (q - k), over the spent q + k; it is 0 at s = g = 0
+    e_down = np.multiply(g, -0.5, out=qk)
+    e_down -= e_up
+    np.exp(e_down, out=e_down)
+    np.exp(e_up, out=e_up)
+    m21 = e_up - e_down
+    m21 *= h
+    b = np.subtract(1.0, a, out=q)
+    m11 = np.multiply(a, e_up, out=h)
+    m22 = np.multiply(b, e_up, out=e_up)
+    a *= e_down
+    m22 += a
+    b *= e_down
+    m11 += b
+    return m11, m21, m22
+
+
+def _amplitude_sector(s, g, q):
+    """(m11, m21) of M and (s00, s01, s11) of sigma = M M^T + G, over 1-d arrays."""
+    m11, m21, m22 = _propagator(s, g, q)
+    s00, s01, s11 = _vacuum_injection(s, g, q)
+    # M is symmetric (m12 = m21)
+    s00 += m11 * m11 + m21 * m21
+    s01 += m21 * (m11 + m22)
+    s11 += m21 * m21 + m22 * m22
+    return m11, m21, s00, s01, s11
+
+
+def continuum_state(params: SourceParams) -> GaussianState:
+    """Exact infinite-slice state of a coherent probe seed and a vacuum conjugate.
+
+    In the (x_probe, p_probe, x_conj, p_conj) ordering the x sector holds
+    d = 2 sqrt(seed photons) (m11, m21) and sigma = M M^T + G.  The squeezer
+    acts on p with the sign of s flipped, so the p sector repeats the x
+    diagonal with the opposite cross-correlation, and x and p are
+    uncorrelated.
+    """
+    s, g, q = np.atleast_1d(*_slice_dynamics(params.s, params.T_a))
+    m11, m21, s00, s01, s11 = (float(x[0]) for x in _amplitude_sector(s, g, q))
+    amplitude = 2.0 * math.sqrt(params.effective_seed_photons())
+    d = np.array([amplitude * m11, 0.0, amplitude * m21, 0.0])
+    sigma = np.array(
+        [
+            [s00, 0.0, s01, 0.0],
+            [0.0, s00, 0.0, -s01],
+            [s01, 0.0, s11, 0.0],
+            [0.0, -s01, 0.0, s11],
+        ]
+    )
+    return GaussianState(d, sigma)
+
+
 def continuum_noises(s, T_a) -> NoiseTriple:
     """Exact infinite-slice normalized noises; accepts scalar or array input.
 
@@ -317,21 +380,7 @@ def continuum_noises(s, T_a) -> NoiseTriple:
     """
     s, g, q = _slice_dynamics(s, T_a)
     shape = s.shape
-    s, g, q = np.atleast_1d(s, g, q)
-    # the depth-1 propagator, with the operations of `_propagator_column`
-    damp = np.exp(-0.25 * g)
-    stretch = _sinhc(q)
-    ch = np.cosh(q)
-    shift = 0.25 * g * stretch
-    m11 = damp * (ch - shift)
-    m21 = damp * (s * stretch)
-    m22 = damp * (ch + shift)
-    del damp, stretch, ch, shift
-    s00, s01, s11 = _vacuum_injection(s, g, q)
-    # sigma = M M^T + G with symmetric M (m12 = m21)
-    s00 += m11 * m11 + m21 * m21
-    s01 += m21 * (m11 + m22)
-    s11 += m21 * m21 + m22 * m22
+    m11, m21, s00, s01, s11 = _amplitude_sector(*np.atleast_1d(s, g, q))
     w_p = m11 * m11
     w_c = m21 * m21
     diff = (w_p * s00 + w_c * s11 - 2.0 * m11 * m21 * s01) / (w_p + w_c)
@@ -343,8 +392,10 @@ def continuum_noises(s, T_a) -> NoiseTriple:
 def continuum_gain(s, T_a):
     """Exact infinite-slice probe photon gain <n_out>/<n_seed>."""
     s, g, q = _slice_dynamics(s, T_a)
-    m11, _ = _propagator_column(s, g, q, 1.0)
-    return m11 * m11
+    shape = s.shape
+    m11, _, _ = _propagator(*np.atleast_1d(s, g, q))
+    m11 *= m11
+    return m11.reshape(shape)[()]
 
 
 def analytic_noises(s, T_a, corrected_probe: bool = True) -> NoiseTriple:
@@ -397,13 +448,6 @@ def analytic_noises(s, T_a, corrected_probe: bool = True) -> NoiseTriple:
     if diff.ndim == 0:
         return NoiseTriple(diff=float(diff), probe=float(probe), conj=float(conj))
     return NoiseTriple(diff=diff, probe=probe, conj=conj)
-
-
-def gain(params: SourceParams, rel_tol: float = 1e-9) -> float:
-    """Probe photon gain of the converged source."""
-    if params.effective_seed_photons() <= 0.0:
-        raise ValueError("gain is undefined for a zero probe seed")
-    return converged_source(params, rel_tol=rel_tol).gain
 
 
 def squeezing_db(noise: float) -> float:

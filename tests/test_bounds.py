@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcrbench.bounds import (
     _FD_MISMATCH_TOL,
@@ -238,6 +240,15 @@ class TestClosedFormBounds:
         point = qcrb_distributed(0.5, 1.0, SourceParams(s=0.0, T_a=0.71), BUDGET)
         assert point.var_n == qcrb_coherent(0.5, 1.0, BUDGET.eta_p).var_n
 
+    @pytest.mark.parametrize("s", [0.0, 1e-170, 1e-300])
+    def test_squeezing_below_float_range_is_coherent(self, s):
+        # at T_a = 1, xi = 4s, whose square 16 s^2 underflows to 0 below s ~ 6e-163
+        params = SourceParams(s=s, T_a=1.0)
+        point = qcrb_distributed(0.5, 1.0, params, BUDGET)
+        assert point.var_n == qcrb_coherent(0.5, 1.0, BUDGET.eta_p).var_n
+        assert conjugate_factor_distributed(0.9, s, 1.0) == pytest.approx(0.8, rel=1e-15)
+        assert distributed_reduction(s, 1.0) == 0.0
+
     def test_distributed_approaches_lossy_ultimate_at_high_squeezing(self):
         budget = LossBudget(T_p=0.973, eta_p=0.945, eta_c=1.0)
         params = SourceParams(s=20.0, T_a=1.0)
@@ -304,6 +315,42 @@ class TestNumericGaussianBound:
     def test_zero_transmission_rejected(self):
         with pytest.raises(ValueError):
             qcrb_numeric_gaussian(0.0, PARAMS, BUDGET)
+
+
+def _log_uniform(lowest_exponent):
+    return st.floats(lowest_exponent, 0.0).map(lambda e: 10.0**e)
+
+
+_LOSSLESS = LossBudget(T_p=1.0, eta_p=1.0, eta_c=1.0)
+_BUDGETS = st.one_of(
+    st.just(_LOSSLESS),
+    st.builds(
+        LossBudget,
+        T_p=st.floats(0.05, 1.0),
+        eta_p=st.floats(0.05, 1.0),
+        eta_c=st.floats(0.0, 1.0),
+    ),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(
+    s=st.floats(0.0, MAX_S),
+    t_a=_log_uniform(-300.0),
+    t=_log_uniform(-300.0),
+    budget=_BUDGETS,
+)
+def test_numeric_matches_closed_form_over_config_box(s, t_a, t, budget):
+    # criterion 03 wherever a config is accepted, not only on the paper's grid
+    params = SourceParams(s=s, T_a=t_a)
+    numeric = qcrb_numeric_gaussian(t, params, budget).var_n
+    closed = qcrb_distributed(t, 1.0, params, budget).var_n
+    assert abs(numeric - closed) <= 1e-6 * abs(closed)
+    if budget.eta_c >= 0.5:
+        # below 1/2 the conjugate factor is negative and the squeezed bound
+        # rightly exceeds the coherent one
+        coherent = qcrb_coherent(t, 1.0, budget.eta_p).var_n
+        assert qcrb_ultimate(t, 1.0, budget).var_n <= closed <= coherent
 
 
 class TestPrecomputedChainStages:
@@ -390,10 +437,6 @@ class TestAdvantage:
 
 
 class TestBoundPoint:
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            BoundPoint(T=0.5, var_n=0.1, bound_kind="nonsense")
-
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             LossBudget(T_p=1.2, eta_p=0.9, eta_c=0.9)

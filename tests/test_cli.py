@@ -201,6 +201,23 @@ class TestBoundsCommand:
         np.testing.assert_allclose(numeric, closed, rtol=1e-6, atol=0.0)
 
 
+    def test_tiny_internal_transmission_runs(self, tmp_path):
+        # the source state is closed-form, so T_a = 1e-100 needs no slice ladder
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("s = 0.5\nT_a = 1e-100\n")
+        bnd = tmp_path / "bounds.csv"
+        sim = tmp_path / "sim.csv"
+        assert main(["bounds", "--config", str(cfg), "--out", str(bnd)]) == 0
+        assert main(["simulate", "--config", str(cfg), "--trials", "1000", "--out", str(sim)]) == 0
+        _, header, rows = read_csv(bnd)
+        assert np.all(np.isfinite(rows))
+        closed = rows[:, header.index("btmss_closed")]
+        numeric = rows[:, header.index("btmss_numeric")]
+        np.testing.assert_allclose(numeric, closed, rtol=1e-6, atol=0.0)
+        _, _, sim_rows = read_csv(sim)
+        assert np.all(np.isfinite(sim_rows)) and np.all(sim_rows[:, 1:] > 0.0)
+
+
 class TestSimulateCommand:
     def test_reproducible_and_close_to_bound(self, tmp_path):
         cfg = tmp_path / "cfg.txt"

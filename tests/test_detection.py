@@ -147,8 +147,9 @@ class TestTransmissionVariance:
         )
 
     def test_non_positive_variance_rejected(self):
-        # at s = 17.5 the ill-conditioned chain covariance cancels to -0.143
-        chain = build_chain(SourceParams(s=17.5, T_a=0.575), BUDGET)
+        # far above config.MAX_S the estimator variance of the chain cancels in
+        # float: at s = 20 it comes out as -47.4, where the closed form is 0.27
+        chain = build_chain(SourceParams(s=20.0, T_a=0.575), BUDGET)
         with pytest.raises(NonPhysicalError, match="not positive"):
             transmission_variance(chain, 0.85)
 

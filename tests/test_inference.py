@@ -232,10 +232,9 @@ class TestDifferentialEvolution:
         b = differential_evolution(bowl, config)
         assert np.array_equal(a.best_point, b.best_point)
         assert a.best_value == b.best_value
-        assert len(a.history) == len(b.history)
-        assert all(
-            np.array_equal(ha["spread"], hb["spread"]) for ha, hb in zip(a.history, b.history)
-        )
+        assert a.generations == b.generations
+        assert np.array_equal(a.population, b.population)
+        assert np.array_equal(a.values, b.values)
 
     def test_bounds_respected_on_every_evaluation(self):
         lo = np.array([0.0, 0.5])

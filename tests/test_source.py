@@ -1,23 +1,23 @@
 """Tests for the distributed-loss squeezer model and its closed forms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from qcrbench.config import MAX_S
 from qcrbench.errors import ConvergenceError
-from qcrbench.gaussian import ChannelOp, apply_loss, two_mode_squeezer
+from qcrbench.gaussian import ChannelOp, apply_loss, bright_mean_photon, two_mode_squeezer
 from qcrbench.source import (
     NoiseTriple,
     SourceParams,
-    _propagator_column,
-    _sinhc,
     _slice_dynamics,
     analytic_noises,
     continuum_gain,
     continuum_noises,
+    continuum_state,
     converged_source,
-    gain,
     layered_source,
     noise_triple,
     squeezing_db,
@@ -82,12 +82,34 @@ _GL_NODES = 0.5 * (_GL_NODES + 1.0)
 _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 
 
+def _sinhc(x: np.ndarray) -> np.ndarray:
+    """sinh(x)/x, stable at x = 0."""
+    small = np.abs(x) < 1e-6
+    safe = np.where(small, 1.0, x)
+    return np.where(small, 1.0 + x * x / 6.0, np.sinh(safe) / safe)
+
+
+def _propagator_column(s, g, q, z):
+    """Probe column of the x-sector propagator at depth z, in the cosh/sinh form.
+
+    e^{-kz} (cosh(qz) - k sinh(qz)/q, s sinh(qz)/q) with k = g/4: the direct
+    form that the source kernel rewrites in positive terms.  It cancels where
+    q ~ k, so the oracle is compared only where q is not close to k.
+    """
+    damp = np.exp(-0.25 * g * z)
+    stretch = z * _sinhc(q * z)  # sinh(q z)/q
+    return (
+        damp * (np.cosh(q * z) - 0.25 * g * stretch),
+        damp * (s * stretch),
+    )
+
+
 def gauss_legendre_noises(s, T_a) -> NoiseTriple:
     """Continuum noises with the vacuum integral G by 64-node Gauss-Legendre.
 
-    An independent route to the closed-form G of `continuum_noises`: the
-    integrands are smooth exponentials, so the quadrature is exact to
-    rounding.
+    An independent route to the closed forms of `continuum_noises`: M comes
+    from the cosh/sinh form of the propagator and G from quadrature, whose
+    integrands are smooth exponentials, so it is exact to rounding.
     """
     s, g, q = _slice_dynamics(s, T_a)
     m11, m21 = _propagator_column(s, g, q, 1.0)
@@ -222,17 +244,22 @@ class TestConvergedSource:
 
 
 class TestContinuumNoises:
-    def test_shot_noise_at_zero_squeezing(self):
-        triple = continuum_noises(0.0, 0.73)
+    @pytest.mark.parametrize("ta", [0.73, 1.0])
+    def test_shot_noise_at_zero_squeezing(self, ta):
+        # pure probe loss: coherent noises and gain T_a (unity without pumping)
+        triple = continuum_noises(0.0, ta)
         assert float(triple.diff) == pytest.approx(1.0, abs=1e-12)
         assert float(triple.probe) == pytest.approx(1.0, abs=1e-12)
         assert float(triple.conj) == pytest.approx(1.0, abs=1e-12)
+        assert float(continuum_gain(0.0, ta)) == pytest.approx(ta, rel=1e-12, abs=0.0)
 
-    def test_lossless_reductions(self):
-        triple = continuum_noises(1.0, 1.0)
-        assert float(triple.diff) == pytest.approx(1.0 / math.cosh(2.0), rel=1e-12)
-        assert float(triple.probe) == pytest.approx(math.cosh(2.0), rel=1e-12)
-        assert float(triple.conj) == pytest.approx(math.cosh(2.0), rel=1e-12)
+    @pytest.mark.parametrize("s", [1.0, 2.04])
+    def test_lossless_reductions(self, s):
+        triple = continuum_noises(s, 1.0)
+        assert float(triple.diff) == pytest.approx(1.0 / math.cosh(2.0 * s), rel=1e-12)
+        assert float(triple.probe) == pytest.approx(math.cosh(2.0 * s), rel=1e-12)
+        assert float(triple.conj) == pytest.approx(math.cosh(2.0 * s), rel=1e-12)
+        assert float(continuum_gain(s, 1.0)) == pytest.approx(math.cosh(s) ** 2, rel=1e-12)
 
     def test_lossless_limit_of_difference_noise(self):
         for s in (0.4, 1.1, 2.0):
@@ -329,6 +356,97 @@ class TestContinuumNoises:
             kernel(good_s, ta)
 
 
+    def test_lossless_strong_squeezing_stays_finite(self):
+        # at T_a = 1 the vacuum term vanishes; its rates must not overflow there
+        s = 20.0
+        triple = continuum_noises(s, 1.0)
+        assert float(triple.probe) == pytest.approx(math.cosh(2.0 * s), rel=1e-12)
+        assert float(triple.conj) == pytest.approx(math.cosh(2.0 * s), rel=1e-12)
+        assert math.isfinite(float(triple.diff))
+        assert float(continuum_gain(s, 1.0)) == pytest.approx(math.cosh(s) ** 2, rel=1e-12)
+
+
+TINY_TRANSMISSIONS = [1e-30, 1e-100, 1e-300]
+
+
+class TestSmallInternalTransmission:
+    """The kernel at T_a far below 1, where the cosh - sinh form of M cancels."""
+
+    @pytest.mark.parametrize("ta", TINY_TRANSMISSIONS)
+    @pytest.mark.parametrize("s", [0.0, 1e-9, 0.1])
+    def test_finite_without_warnings(self, s, ta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gain = continuum_gain(s, ta)
+            triple = continuum_noises(s, ta)
+        values = (gain, triple.diff, triple.probe, triple.conj)
+        assert all(math.isfinite(float(v)) and float(v) > 0.0 for v in values)
+
+    @pytest.mark.parametrize("ta", TINY_TRANSMISSIONS)
+    def test_pure_loss_limit(self, ta):
+        assert float(continuum_gain(0.0, ta)) == pytest.approx(ta, rel=1e-12, abs=0.0)
+        triple = continuum_noises(0.0, ta)
+        for value in (triple.diff, triple.probe, triple.conj):
+            assert float(value) == pytest.approx(1.0, abs=1e-12)
+
+    def test_array_matches_scalar(self):
+        s, ta = np.meshgrid([0.0, 1e-9, 0.1], TINY_TRANSMISSIONS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gains = continuum_gain(s, ta)
+            triple = continuum_noises(s, ta)
+        assert gains.shape == triple.diff.shape == s.shape
+        for idx in np.ndindex(s.shape):
+            assert gains[idx] == continuum_gain(s[idx], ta[idx])
+            single = continuum_noises(s[idx], ta[idx])
+            assert (triple.diff[idx], triple.probe[idx], triple.conj[idx]) == (
+                single.diff,
+                single.probe,
+                single.conj,
+            )
+        assert np.allclose(gains[:, 0], TINY_TRANSMISSIONS, rtol=1e-12, atol=0.0)
+
+
+def _state_oracle_points():
+    rng = np.random.default_rng(np.random.SeedSequence([2026, 8]))
+    box = zip(rng.uniform(0.0, MAX_S, 20), rng.uniform(0.05, 1.0, 20))
+    return [(float(s), float(ta)) for s, ta in box] + [(0.0, 1.0), (MAX_S, 1.0), (1e-9, 0.71)]
+
+
+class TestContinuumState:
+    @pytest.mark.parametrize("s, ta", _state_oracle_points())
+    def test_matches_slice_ladder(self, s, ta):
+        params = SourceParams(s=s, T_a=ta)
+        state = continuum_state(params)
+        ladder = converged_source(params).state
+        d_scale = np.max(np.abs(ladder.d))
+        sigma_scale = np.max(np.abs(ladder.sigma))
+        assert np.max(np.abs(state.d - ladder.d)) <= 1e-8 * d_scale
+        assert np.max(np.abs(state.sigma - ladder.sigma)) <= 1e-8 * sigma_scale
+
+    def test_unpumped_lossless_source_is_the_seed(self):
+        state = continuum_state(SourceParams(s=0.0, T_a=1.0, seed_photons=1e6))
+        assert np.array_equal(state.d, [2e3, 0.0, 0.0, 0.0])
+        assert np.array_equal(state.sigma, np.eye(4))
+
+    def test_lossless_source_is_one_squeezer(self):
+        squeezer = two_mode_squeezer(1.3).S
+        state = continuum_state(SourceParams(s=1.3, T_a=1.0, seed_photons=4.0))
+        assert np.allclose(state.sigma, squeezer @ squeezer.T, rtol=1e-13, atol=1e-13)
+        assert np.allclose(state.d, 4.0 * squeezer[:, 0], rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("s, ta", [(0.3, 0.95), (2.04, 0.71), (3.0, 0.5), (0.1, 1e-100)])
+    def test_noises_and_gain_match_the_kernels(self, s, ta):
+        state = continuum_state(SourceParams(s=s, T_a=ta, seed_photons=1e6))
+        triple = noise_triple(state)
+        exact = continuum_noises(s, ta)
+        assert triple.diff == pytest.approx(float(exact.diff), rel=1e-10)
+        assert triple.probe == pytest.approx(float(exact.probe), rel=1e-12)
+        assert triple.conj == pytest.approx(float(exact.conj), rel=1e-12)
+        gain = bright_mean_photon(state, 0) / 1e6
+        assert gain == pytest.approx(float(continuum_gain(s, ta)), rel=1e-12, abs=0.0)
+
+
 class TestAnalyticNoises:
     def test_zero_squeezing_limit(self):
         triple = analytic_noises(0.0, 0.8)
@@ -418,18 +536,6 @@ class TestAnalyticNoises:
 
 
 class TestGainAndDecibels:
-    def test_unity_gain_without_pumping(self):
-        assert gain(SourceParams(s=0.0, T_a=1.0)) == pytest.approx(1.0, rel=1e-12)
-
-    def test_lossless_gain_is_cosh_squared(self):
-        assert gain(SourceParams(s=2.04, T_a=1.0)) == pytest.approx(
-            math.cosh(2.04) ** 2, rel=1e-10
-        )
-
-    def test_zero_seed_rejected(self):
-        with pytest.raises(ValueError):
-            gain(SourceParams(s=1.0, T_a=0.9, seed_photons=0.0))
-
     def test_decibel_conversion(self):
         assert squeezing_db(0.1585) == pytest.approx(8.0, abs=2e-3)
         with pytest.raises(ValueError):
