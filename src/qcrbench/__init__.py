@@ -11,9 +11,7 @@ from .bounds import (
     build_chain,
     conjugate_factor,
     conjugate_factor_distributed,
-    distributed_norm,
     distributed_reduction,
-    mixing_rate,
     qcrb_coherent,
     qcrb_distributed,
     qcrb_numeric_gaussian,

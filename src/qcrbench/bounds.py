@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import NonPhysicalError
 from .gaussian import ChannelOp, GaussianState, apply_loss, bright_mean_photon
-from .source import SourceParams, _source_domain, continuum_state
+from .source import SourceParams, _slice_rates, _source_domain, continuum_state
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,6 @@ class BoundPoint:
 
     T: float
     var_n: float
-    bound_kind: str
     n_r: float = 1.0
 
     def __post_init__(self):
@@ -84,59 +83,44 @@ def conjugate_factor(eta_c: float, s: float) -> float:
     return (2.0 * eta_c - 1.0) * (1.0 + 2.0 * sh2) / (1.0 + 2.0 * eta_c * sh2)
 
 
-def _mixing_rate(s, log_ta):
-    return np.sqrt(16.0 * s * s + log_ta * log_ta)
+def _distributed_rates(s, T_a):
+    """(xi, Gamma) of the distributed source at an (s, T_a) in the domain.
 
-
-def _distributed_norm(T_a, log_ta, xi):
-    return np.sqrt(T_a) * (
-        np.cosh(0.5 * xi) * (xi * xi + log_ta * log_ta)
-        - log_ta * (log_ta + 2.0 * xi * np.sinh(0.5 * xi))
-    )
-
-
-def _scalar_rates(s: float, T_a: float) -> tuple[float, float]:
-    """(xi, Gamma) at one validated (s, T_a), by the formulas the array helpers use."""
-    log_ta = np.log(T_a)
-    xi = float(_mixing_rate(s, log_ta))
-    return xi, float(_distributed_norm(T_a, log_ta, xi))
-
-
-def mixing_rate(s, T_a):
-    """Characteristic rate xi = sqrt(16 s^2 + ln^2 T_a) of the distributed source.
-
-    Four times the eigen-rate of the slice dynamics; the source moments are
-    hyperbolic functions of a quarter of this rate.
+    xi = sqrt(16 s^2 + ln^2 T_a) is four times the eigen-rate q of the slice
+    dynamics, and ln T_a = -g, so Gamma = sqrt(T_a) [cosh(xi/2) (xi^2 + g^2)
+    + g (2 xi sinh(xi/2) - g)] enters the bound denominators.  Scalars or
+    arrays.
     """
-    s, ta = _source_domain(s, T_a)
-    out = _mixing_rate(s, np.log(ta))
-    return float(out) if out.ndim == 0 else out
+    g, q = _slice_rates(s, T_a)
+    xi = 4.0 * q
+    half = 0.5 * xi
+    gamma = np.sqrt(T_a) * (np.cosh(half) * (xi * xi + g * g) + g * (2.0 * xi * np.sinh(half) - g))
+    return xi, gamma
 
 
-def distributed_norm(s, T_a):
-    """Normalization Gamma entering the distributed-loss bound denominators."""
-    s, ta = _source_domain(s, T_a)
-    log_ta = np.log(ta)
-    out = _distributed_norm(ta, log_ta, _mixing_rate(s, log_ta))
-    return float(out) if out.ndim == 0 else out
+def _distributed_terms(eta_c: float, s: float, T_a: float) -> tuple[float, float]:
+    """(conjugate factor, reduction) of the distributed source at validated values.
 
-
-def _conjugate_factor(eta_c: float, T_a: float, xi: float, gamma: float) -> float:
+    The reduction is 0 at s = 0.  xi = 0 only at T_a = 1 with 16 s^2 below
+    the float range (s = 0 included), where the squeezing term cannot move a
+    float and the s = 0 values are returned.
+    """
+    xi, gamma = (float(x) for x in _distributed_rates(s, T_a))
+    if xi == 0.0:
+        return 2.0 * eta_c - 1.0, 0.0
     xi2 = xi**2
     root_ta = math.sqrt(T_a)
     numerator = xi2 * (root_ta - 1.0) + gamma
     denominator = xi2 * (1.0 + eta_c * (root_ta - 2.0)) + eta_c * gamma
     if denominator == 0.0:
         raise NonPhysicalError("degenerate conjugate factor denominator")
-    return (2.0 * eta_c - 1.0) * numerator / denominator
-
-
-def _reduction(s: float, T_a: float, xi: float, gamma: float) -> float:
-    root_ta = math.sqrt(T_a)
+    factor = (2.0 * eta_c - 1.0) * numerator / denominator
+    if s == 0.0:
+        return factor, 0.0
     denominator = xi * xi * (root_ta - 1.0) + gamma
     if denominator <= 0.0:
         raise NonPhysicalError("non-physical parameter combination")
-    return 32.0 * s * s * root_ta * math.sinh(0.25 * xi) ** 2 / denominator
+    return factor, 32.0 * s * s * root_ta * math.sinh(0.25 * xi) ** 2 / denominator
 
 
 def conjugate_factor_distributed(eta_c: float, s: float, T_a: float) -> float:
@@ -150,11 +134,7 @@ def conjugate_factor_distributed(eta_c: float, s: float, T_a: float) -> float:
     if not (0.0 <= eta_c <= 1.0):
         raise ValueError("eta_c must lie in [0, 1]")
     _source_domain(s, T_a)
-    xi, gamma = _scalar_rates(s, T_a)
-    # xi = 0 only at T_a = 1 with 16 s^2 below the float range (s = 0 included)
-    if xi == 0.0:
-        return 2.0 * eta_c - 1.0
-    return _conjugate_factor(eta_c, T_a, xi, gamma)
+    return _distributed_terms(eta_c, s, T_a)[0]
 
 
 def distributed_reduction(s: float, T_a: float) -> float:
@@ -164,10 +144,8 @@ def distributed_reduction(s: float, T_a: float) -> float:
     it at T_a = 1; tends to 1 as s -> infinity.
     """
     _source_domain(s, T_a)
-    xi, gamma = _scalar_rates(s, T_a)
-    if s == 0.0 or xi == 0.0:
-        return 0.0
-    return _reduction(s, T_a, xi, gamma)
+    # the reduction does not depend on eta_c; 1/2 keeps the factor's denominator positive
+    return _distributed_terms(0.5, s, T_a)[1]
 
 
 def qcrb_coherent(T: float, n_r: float, eta_p: float) -> BoundPoint:
@@ -175,7 +153,7 @@ def qcrb_coherent(T: float, n_r: float, eta_p: float) -> BoundPoint:
     _check_t_nr(T, n_r)
     if not (0.0 < eta_p <= 1.0):
         raise ValueError("eta_p must lie in (0, 1]")
-    return BoundPoint(T=T, var_n=T / eta_p, bound_kind="coherent", n_r=n_r)
+    return BoundPoint(T=T, var_n=T / eta_p, n_r=n_r)
 
 
 def qcrb_pure_btmss(T: float, n_r: float, s: float, budget: LossBudget) -> BoundPoint:
@@ -184,27 +162,16 @@ def qcrb_pure_btmss(T: float, n_r: float, s: float, budget: LossBudget) -> Bound
     var_n = T / budget.eta_p - T * T * budget.T_p * conjugate_factor(budget.eta_c, s) * (
         1.0 - 1.0 / math.cosh(2.0 * s)
     )
-    return BoundPoint(T=T, var_n=var_n, bound_kind="pure_btmss", n_r=n_r)
+    return BoundPoint(T=T, var_n=var_n, n_r=n_r)
 
 
 def qcrb_distributed(T: float, n_r: float, params: SourceParams, budget: LossBudget) -> BoundPoint:
     """Bound for the source with loss distributed through the gain medium."""
     _check_t_nr(T, n_r)
-    # SourceParams and LossBudget hold validated values: evaluate the rates once
-    s, t_a = float(params.s), float(params.T_a)
-    xi, gamma = _scalar_rates(s, t_a)
-    # xi = 0 only at T_a = 1 with 16 s^2 below the float range: no squeezing term
-    if s == 0.0 or xi == 0.0:
-        var_n = T / budget.eta_p
-    else:
-        var_n = T / budget.eta_p - (
-            T
-            * T
-            * budget.T_p
-            * _conjugate_factor(budget.eta_c, t_a, xi, gamma)
-            * _reduction(s, t_a, xi, gamma)
-        )
-    return BoundPoint(T=T, var_n=var_n, bound_kind="distributed_btmss", n_r=n_r)
+    # SourceParams and LossBudget hold validated values
+    factor, reduction = _distributed_terms(budget.eta_c, float(params.s), float(params.T_a))
+    var_n = T / budget.eta_p - T * T * budget.T_p * factor * reduction
+    return BoundPoint(T=T, var_n=var_n, n_r=n_r)
 
 
 def qcrb_ultimate(T: float, n_r: float, budget: LossBudget, lossless: bool = False) -> BoundPoint:
@@ -212,8 +179,7 @@ def qcrb_ultimate(T: float, n_r: float, budget: LossBudget, lossless: bool = Fal
     _check_t_nr(T, n_r)
     t_p, eta_p = (1.0, 1.0) if lossless else (budget.T_p, budget.eta_p)
     var_n = T / eta_p - T * T * t_p
-    kind = "ultimate_ideal" if lossless else "ultimate_lossy"
-    return BoundPoint(T=T, var_n=var_n, bound_kind=kind, n_r=n_r)
+    return BoundPoint(T=T, var_n=var_n, n_r=n_r)
 
 
 @dataclass(frozen=True)
@@ -333,7 +299,7 @@ def qcrb_numeric_gaussian(
     if fisher <= 0.0:
         raise NonPhysicalError("non-positive Fisher information")
     var_n = math.ldexp(chain.n_input, -2 * exponent) / fisher
-    return BoundPoint(T=T, var_n=var_n, bound_kind="numeric_gaussian", n_r=n_r)
+    return BoundPoint(T=T, var_n=var_n, n_r=n_r)
 
 
 def advantage_ratio(T: float, params: SourceParams, budget: LossBudget) -> float:

@@ -22,6 +22,12 @@ EXIT_IO = 2
 EXIT_SCHEMA = 3
 EXIT_DOMAIN = 4
 
+#: most trials `simulate` runs per transmission, checked before any ramp is
+#: built.  A ramp peaks at about 113 bytes per trial (tracemalloc, 10^4 to
+#: 10^6 trials), so the cap holds one ramp near 1.1 GB; it covers the paper's
+#: 14 s ramp at 51 kHz RBW, about 1.6e6 bins.
+MAX_TRIALS = 10_000_000
+
 
 def _fmt(value: float) -> str:
     return repr(float(value))
@@ -87,6 +93,8 @@ def cmd_simulate(config: WorkbenchConfig, trials: int, out: str | None, fmt: str
     """Monte Carlo SNR-ramp runs across the grid, next to the analytic bound."""
     if trials < 100:
         raise WorkbenchError("need at least 100 trials per transmission")
+    if trials > MAX_TRIALS:
+        raise WorkbenchError(f"at most {MAX_TRIALS} trials per transmission")
     chain = bounds.build_chain(config.source, config.budget)
     t_bin = detection.effective_time(config.filter)
     simulated = []
@@ -161,14 +169,7 @@ def cmd_fit(
     result = inference.fit_source(measurements, de_config, noise_model=noise_model)
     payload = {
         "fit": result.to_dict(),
-        "de_config": {
-            "population": de_config.population,
-            "bounds": [list(b) for b in de_config.bounds],
-            "acceptance_prob": de_config.acceptance_prob,
-            "spread_tol": de_config.spread_tol,
-            "max_generations": de_config.max_generations,
-            "rng_seed": de_config.rng_seed,
-        },
+        "de_config": dataclasses.asdict(de_config),
         "input": noise_file,
     }
     body = json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -15,7 +15,7 @@ for dim states are deliberately out of scope.
 """
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -73,28 +73,22 @@ class GaussianState:
 
 @dataclass(frozen=True, eq=False)
 class SymplecticOp:
-    """Linear quadrature map; symplectic when it preserves Omega.
+    """Linear quadrature map, checked to preserve Omega.
 
-    ``check=False`` skips the symplectic-condition test so the same carrier
-    can hold composite mean-field maps that include loss (those contract
-    phase space and are not symplectic).  ``tol`` is relative: S Omega S^T
-    has entries of order max|S|^2, so the test allows tol * max(1, max|S|^2).
+    The check is relative: S Omega S^T has entries of order max|S|^2, so it
+    allows SYMPLECTIC_TOL * max(1, max|S|^2).
     """
 
     S: Array
-    label: str = ""
-    check: InitVar[bool] = True
-    tol: InitVar[float] = SYMPLECTIC_TOL
 
-    def __post_init__(self, check: bool, tol: float):
+    def __post_init__(self):
         S = np.asarray(self.S, dtype=float)
         if S.ndim != 2 or S.shape[0] != S.shape[1] or S.shape[0] % 2 != 0:
             raise ValueError("map must be a square 2M x 2M matrix")
-        if check:
-            omega = symplectic_form(S.shape[0] // 2)
-            atol = tol * max(1.0, float(np.max(np.abs(S))) ** 2)
-            if not np.allclose(S @ omega @ S.T, omega, rtol=0.0, atol=atol):
-                raise ValueError(f"matrix is not symplectic within relative {tol}")
+        omega = symplectic_form(S.shape[0] // 2)
+        atol = SYMPLECTIC_TOL * max(1.0, float(np.max(np.abs(S))) ** 2)
+        if not np.allclose(S @ omega @ S.T, omega, rtol=0.0, atol=atol):
+            raise ValueError(f"matrix is not symplectic within relative {SYMPLECTIC_TOL}")
         object.__setattr__(self, "S", S)
 
     @property
@@ -156,16 +150,14 @@ def two_mode_squeezer(r: float) -> SymplecticOp:
             [0.0, -s, 0.0, c],
         ]
     )
-    return SymplecticOp(S, label=f"two_mode_squeezer(r={r!r})")
+    return SymplecticOp(S)
 
 
 def compose(second: SymplecticOp, first: SymplecticOp) -> SymplecticOp:
     """Symplectic map equal to `first` followed by `second`."""
     if second.modes != first.modes:
         raise ValueError("mode counts do not match")
-    return SymplecticOp(
-        second.S @ first.S, label=f"{second.label or 'op'} after {first.label or 'op'}"
-    )
+    return SymplecticOp(second.S @ first.S)
 
 
 def apply_symplectic(state: GaussianState, op: SymplecticOp) -> GaussianState:

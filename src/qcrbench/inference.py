@@ -54,6 +54,12 @@ class NoiseMeasurement:
             raise NonPhysicalError("path transmission eta must lie in (0, 1]")
 
 
+#: largest DE population, checked before any population is drawn.  A fit
+#: peaks at about 187 bytes per member (tracemalloc, 10^4 and 10^5 members),
+#: so the cap holds a fit near 190 MB.
+MAX_POPULATION = 1_000_000
+
+
 @dataclass
 class DEConfig:
     """Differential-evolution settings; bounds default to the source box."""
@@ -68,6 +74,8 @@ class DEConfig:
     def __post_init__(self):
         if self.population < 4:
             raise ValueError("population must be at least 4")
+        if self.population > MAX_POPULATION:
+            raise ValueError(f"population must be at most {MAX_POPULATION}")
         for lo, hi in self.bounds:
             if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
                 raise ValueError("each bound must be a finite (lo, hi) with lo < hi")

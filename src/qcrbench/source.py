@@ -30,7 +30,6 @@ import numpy as np
 from .errors import ConvergenceError
 from .gaussian import (
     GaussianState,
-    SymplecticOp,
     bright_mean_photon,
     number_covariance_bright,
     number_variance_bright,
@@ -50,10 +49,7 @@ class SourceParams:
     seed_photons: float | None = None
 
     def __post_init__(self):
-        if not (self.s >= 0.0 and np.isfinite(self.s)):
-            raise ValueError("squeezing parameter s must be finite and >= 0")
-        if not (0.0 < self.T_a <= 1.0):
-            raise ValueError("internal transmission T_a must lie in (0, 1]")
+        _source_domain(self.s, self.T_a)
         photons = self.seed_photons
         if photons is not None and not (photons >= 0.0 and np.isfinite(photons)):
             raise ValueError("seed_photons must be finite and >= 0")
@@ -67,10 +63,9 @@ class SourceParams:
 
 @dataclass(frozen=True)
 class SourceOutput:
-    """Generated two-mode state plus the total mean-field map and gain."""
+    """Generated two-mode state, the slice count that produced it, and the gain."""
 
     state: GaussianState
-    transfer: SymplecticOp
     layers_used: int
     gain: float
 
@@ -145,8 +140,7 @@ def layered_source(params: SourceParams, layers: int, splitting: str = "strang")
     state = GaussianState(total_l @ d0, total_l @ total_l.T + total_c)
     out_photons = bright_mean_photon(state, 0)
     gain = out_photons / photons if photons > 0.0 else float("nan")
-    transfer = SymplecticOp(total_l, label=f"layered_fwm(N={layers})", check=False)
-    return SourceOutput(state=state, transfer=transfer, layers_used=layers, gain=gain)
+    return SourceOutput(state=state, layers_used=layers, gain=gain)
 
 
 def converged_source(
@@ -214,18 +208,24 @@ def _source_domain(s, T_a):
     return s, ta
 
 
-def _slice_dynamics(s, T_a):
-    """Rates of the continuum slice dynamics in the amplitude (x) sector.
+def _slice_rates(s, T_a):
+    """Rates (g, q) of the continuum slice dynamics at an (s, T_a) in the domain.
 
     The mean-field pair (x_probe, x_conj) evolves along the stack with the
     constant generator [[-g/2, s], [s, 0]], split as (-g/4) I + B with
     g = -ln(T_a); B has eigenvalue rate q = sqrt(16 s^2 + g^2) / 4, which
-    sets every hyperbolic scale of the converged source.
+    sets every hyperbolic scale of the converged source.  Scalars or arrays;
+    the caller has checked them with `_source_domain`.
     """
-    s, ta = _source_domain(s, T_a)
-    g = -np.log(ta)
+    g = -np.log(T_a)
     q = 0.25 * np.sqrt(16.0 * s * s + g * g)
-    return s, g, q
+    return g, q
+
+
+def _slice_dynamics(s, T_a):
+    """(s, g, q) as float arrays, after checking (s, T_a) with `_source_domain`."""
+    s, ta = _source_domain(s, T_a)
+    return (s, *_slice_rates(s, ta))
 
 
 def _exprel(x: np.ndarray) -> np.ndarray:

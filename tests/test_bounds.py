@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qcrbench.bounds import (
     _FD_MISMATCH_TOL,
+    _distributed_rates,
     BoundPoint,
     LossBudget,
     ProbeChain,
@@ -16,9 +17,7 @@ from qcrbench.bounds import (
     build_chain,
     conjugate_factor,
     conjugate_factor_distributed,
-    distributed_norm,
     distributed_reduction,
-    mixing_rate,
     qcrb_coherent,
     qcrb_distributed,
     qcrb_numeric_gaussian,
@@ -28,8 +27,8 @@ from qcrbench.bounds import (
 from qcrbench.config import MAX_S
 from qcrbench.detection import transmission_variance
 from qcrbench.errors import NonPhysicalError
-from qcrbench.gaussian import ChannelOp, apply_loss
-from qcrbench.source import SourceParams
+from qcrbench.gaussian import ChannelOp, apply_loss, symplectic_eigenvalues
+from qcrbench.source import SourceParams, _slice_dynamics, continuum_state
 
 PARAMS = SourceParams(s=2.04, T_a=0.71)
 BUDGET = LossBudget(T_p=0.973, eta_p=0.945, eta_c=0.919)
@@ -110,16 +109,17 @@ class TestConjugateFactor:
 
 class TestRates:
     def test_lossless_mixing_rate(self):
-        assert mixing_rate(1.2, 1.0) == pytest.approx(4.8, rel=1e-14)
+        xi, _ = _distributed_rates(1.2, 1.0)
+        assert xi == pytest.approx(4.8, rel=1e-14)
 
     def test_lossless_norm(self):
         s = 0.9
-        assert distributed_norm(s, 1.0) == pytest.approx(
-            16.0 * s * s * math.cosh(2.0 * s), rel=1e-12
-        )
+        _, gamma = _distributed_rates(s, 1.0)
+        assert gamma == pytest.approx(16.0 * s * s * math.cosh(2.0 * s), rel=1e-12)
 
     def test_mixing_rate_includes_absorption(self):
-        assert mixing_rate(0.0, 0.5) == pytest.approx(abs(math.log(0.5)), rel=1e-14)
+        xi, _ = _distributed_rates(0.0, 0.5)
+        assert xi == pytest.approx(abs(math.log(0.5)), rel=1e-14)
 
     def test_reduction_limits(self):
         assert distributed_reduction(0.0, 0.8) == 0.0
@@ -128,13 +128,10 @@ class TestRates:
                 1.0 - 1.0 / math.cosh(2.0 * s), rel=1e-12
             )
 
-    def test_bad_internal_transmission_rejected(self):
-        with pytest.raises(ValueError):
-            mixing_rate(1.0, 0.0)
-
     @pytest.mark.parametrize(
         "s, T_a, message",
         [
+            (1.0, 0.0, "T_a must lie"),
             (1.0, math.nan, "T_a must lie"),
             (1.0, math.inf, "T_a must lie"),
             (math.nan, 0.5, "s must be finite"),
@@ -144,8 +141,8 @@ class TestRates:
     )
     def test_out_of_domain_rates_rejected(self, s, T_a, message):
         helpers = (
-            mixing_rate,
-            distributed_norm,
+            _slice_dynamics,
+            lambda s, T_a: SourceParams(s=s, T_a=T_a),
             distributed_reduction,
             lambda s, T_a: conjugate_factor_distributed(0.9, s, T_a),
         )
@@ -153,20 +150,21 @@ class TestRates:
             with pytest.raises(ValueError, match=message):
                 helper(s, T_a)
         # one bad entry rejects a whole array
-        for helper in (mixing_rate, distributed_norm):
-            with pytest.raises(ValueError, match=message):
-                helper(np.array([1.0, s]), np.array([0.5, T_a]))
+        with pytest.raises(ValueError, match=message):
+            _slice_dynamics(np.array([1.0, s]), np.array([0.5, T_a]))
 
     def test_array_helpers_match_array_route(self, array_rate_oracle):
         oracle_rate, oracle_norm, _ = array_rate_oracle
         rng = np.random.default_rng(17)
         s = rng.uniform(0.0, MAX_S, 400)
         t_a = 10.0 ** rng.uniform(-300.0, 0.0, 400)
-        assert np.array_equal(mixing_rate(s, t_a), oracle_rate(s, t_a))
-        assert np.array_equal(distributed_norm(s, t_a), oracle_norm(s, t_a))
+        xi, gamma = _distributed_rates(s, t_a)
+        assert np.array_equal(xi, oracle_rate(s, t_a))
+        assert np.array_equal(gamma, oracle_norm(s, t_a))
         for x, y in zip(s[:50], t_a[:50]):
-            assert mixing_rate(float(x), float(y)) == oracle_rate(float(x), float(y))
-            assert distributed_norm(float(x), float(y)) == oracle_norm(float(x), float(y))
+            xi, gamma = _distributed_rates(float(x), float(y))
+            assert xi == oracle_rate(float(x), float(y))
+            assert gamma == oracle_norm(float(x), float(y))
 
 
 class TestClosedFormBounds:
@@ -351,6 +349,26 @@ def test_numeric_matches_closed_form_over_config_box(s, t_a, t, budget):
         # rightly exceeds the coherent one
         coherent = qcrb_coherent(t, 1.0, budget.eta_p).var_n
         assert qcrb_ultimate(t, 1.0, budget).var_n <= closed <= coherent
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(
+    s=st.floats(0.0, MAX_S),
+    t_a=_log_uniform(-300.0),
+    t=_log_uniform(-300.0),
+    budget=_BUDGETS,
+)
+def test_states_are_physical_over_config_box(s, t_a, t, budget):
+    # the uncertainty principle: every symplectic eigenvalue is >= 1.  They come
+    # from the eigenvalues of the non-normal i Omega sigma, whose rounding grows
+    # with the squeezing; on 10^4 random and edge points of this box the worst
+    # nu - 1 was -1.5e-13 max|sigma| (-2.8e-11 at s = MAX_S, T_a = 1, where
+    # max|sigma| = cosh(2 MAX_S) = 548), so 1e-12 max|sigma| bounds the rounding
+    # while any lost vacuum term, of order 1, still fails
+    params = SourceParams(s=s, T_a=t_a)
+    for state in (continuum_state(params), build_chain(params, budget).state_at(t)):
+        scale = max(1.0, float(np.max(np.abs(state.sigma))))
+        assert symplectic_eigenvalues(state).min() >= 1.0 - 1e-12 * scale
 
 
 class TestPrecomputedChainStages:

@@ -1,5 +1,6 @@
 """Tests for the CLI, config parsing, and file emission contracts."""
 
+import dataclasses
 import json
 import math
 import os
@@ -8,12 +9,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcrbench
-from qcrbench.cli import main
+from qcrbench.cli import MAX_TRIALS, main
 from qcrbench.config import MAX_GRID_POINTS, MAX_S, load_config, parse_config_text
+from qcrbench.detection import MAX_POLES
 from qcrbench.errors import ConfigError
-from qcrbench.inference import synthetic_noise_measurements
+from qcrbench.inference import MAX_POPULATION, synthetic_noise_measurements
 
 ETAS = {"diff": 0.919, "probe": 0.973 * 0.945, "conj": 0.919}
 
@@ -88,6 +92,56 @@ class TestConfigParsing:
         assert again.source.s == config.source.s
         assert again.filter.rbw == config.filter.rbw
         assert np.array_equal(again.T_grid, config.T_grid)
+
+
+def _log_uniform(lowest_exponent):
+    return st.floats(lowest_exponent, 0.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _config_texts(draw):
+    """A valid config body that sets every key: range or list grid, either filter kind."""
+    if draw(st.booleans()):
+        start = draw(st.floats(1e-3, 0.5))
+        step = draw(st.floats(1e-3, 0.05))
+        stop = start + step * draw(st.integers(0, 9))
+        grid = f"{start!r}:{stop!r}:{step!r}"
+    else:
+        points = draw(st.lists(_log_uniform(-300.0), min_size=1, max_size=8, unique=True))
+        grid = ",".join(repr(t) for t in sorted(points))
+    sync = st.integers(1, MAX_POLES).map(lambda poles: f"sync{poles}")
+    unit = st.floats(0.0, 1.0)
+    values = {
+        "s": draw(st.floats(0.0, MAX_S)),
+        "T_a": draw(_log_uniform(-300.0)),
+        "seed_photons": draw(st.floats(0.0, 1e12)),
+        "T_p": draw(unit),
+        "eta_p": draw(unit),
+        "eta_c": draw(unit),
+        "n_r": draw(st.floats(1e-6, 1e12)),
+        "filter_kind": draw(st.one_of(st.just("gaussian"), sync)),
+        "rbw_hz": draw(st.floats(1.0, 1e8)),
+        "T_grid": grid,
+        "seed": draw(st.integers(-(2**63), 2**63)),
+        "out_dir": draw(st.text("abcXYZ019_-./", min_size=1, max_size=12)),
+        "format": draw(st.sampled_from(["csv", "json"])),
+    }
+    return "\n".join(
+        f"{key} = {value if isinstance(value, str) else repr(value)}"
+        for key, value in values.items()
+    )
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(text=_config_texts())
+def test_echo_roundtrips_for_any_valid_config(text):
+    config = parse_config_text(text)
+    items = config.resolved_items()
+    again = parse_config_text("\n".join(f"{key} = {value}" for key, value in items))
+    assert again.resolved_items() == items
+    # the echo loses nothing: the re-parsed config holds the same values
+    assert np.array_equal(again.T_grid, config.T_grid)
+    assert dataclasses.replace(again, T_grid=None) == dataclasses.replace(config, T_grid=None)
 
 
 class TestBoundsCommand:
@@ -277,6 +331,16 @@ class TestSimulateCommand:
     def test_too_few_trials_exits_4(self, tmp_path):
         assert main(["simulate", "--trials", "10", "--out", str(tmp_path / "x.csv")]) == 4
 
+    def test_too_many_trials_exits_4_before_any_ramp(self, tmp_path, capsys, monkeypatch):
+        def no_ramp(*args, **kwargs):
+            raise AssertionError("a ramp was built past the trial cap")
+
+        monkeypatch.setattr(qcrbench.detection, "snr_ramp_simulate", no_ramp)
+        argv = ["simulate", "--trials", str(MAX_TRIALS + 1), "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 4
+        assert str(MAX_TRIALS) in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestFitCommand:
     def write_noise_file(self, path, s=2.04, ta=0.71, rel=0.012):
@@ -344,6 +408,16 @@ class TestFitCommand:
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["fit", str(tmp_path / "absent.json")]) == 2
+
+    def test_too_large_population_exits_4_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit ran past the population cap")
+
+        monkeypatch.setattr(qcrbench.inference, "fit_source", no_fit)
+        noise = tmp_path / "noises.json"
+        self.write_noise_file(noise)
+        assert main(["fit", str(noise), "--population", str(MAX_POPULATION + 1)]) == 4
+        assert str(MAX_POPULATION) in capsys.readouterr().err
 
 
 class TestSaTimeCommand:

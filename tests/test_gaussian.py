@@ -245,7 +245,3 @@ class TestValidation:
     def test_scaled_squeezer_rejected(self, r):
         with pytest.raises(ValueError, match="not symplectic"):
             SymplecticOp(1.001 * two_mode_squeezer(r).S)
-
-    def test_check_flag_skips_validation(self):
-        op = SymplecticOp(np.diag([0.5, 0.5, 1.0, 1.0]), check=False)
-        assert op.modes == 2

@@ -12,6 +12,8 @@ from qcrbench.gaussian import ChannelOp, apply_loss, bright_mean_photon, two_mod
 from qcrbench.source import (
     NoiseTriple,
     SourceParams,
+    _affine_power,
+    _layer_affine,
     _slice_dynamics,
     analytic_noises,
     continuum_gain,
@@ -158,7 +160,10 @@ class TestLayeredSource:
     @pytest.mark.parametrize("splitting", ["plain", "strang"])
     def test_lossless_stack_is_one_squeezer(self, layers, splitting):
         out = layered_source(SourceParams(s=0.9, T_a=1.0), layers, splitting=splitting)
-        assert np.allclose(out.transfer.S, two_mode_squeezer(0.9).S, atol=1e-10)
+        squeezer = two_mode_squeezer(0.9).S
+        # the default seed is 10^6 photons, d = (2e3, 0, 0, 0)
+        assert np.allclose(out.state.d, 2e3 * squeezer[:, 0], rtol=1e-12, atol=1e-12)
+        assert np.allclose(out.state.sigma, squeezer @ squeezer.T, rtol=0.0, atol=1e-10)
 
     def test_pure_loss_gain(self):
         out = layered_source(SourceParams(s=0.0, T_a=0.37), 13)
@@ -171,10 +176,14 @@ class TestLayeredSource:
     def test_conjugate_sees_no_loss(self):
         # with the squeezer off, the stack is pure probe loss: the conjugate
         # quadratures pass through exactly untouched
-        out = layered_source(SourceParams(s=0.0, T_a=0.5), 64)
-        assert np.allclose(out.transfer.S[2:, 2:], np.eye(2), atol=1e-14)
+        params = SourceParams(s=0.0, T_a=0.5)
+        out = layered_source(params, 64)
         assert np.allclose(out.state.sigma[2:, 2:], np.eye(2), atol=1e-14)
-        assert np.allclose(out.transfer.S[:2, :2], math.sqrt(0.5) * np.eye(2), atol=1e-12)
+        # loss on a vacuum conjugate leaves its moments unchanged, so read the
+        # stack's mean-field map itself
+        stack_map, _ = _affine_power(*_layer_affine(params, 64, "strang"), 64)
+        assert np.allclose(stack_map[2:, 2:], np.eye(2), atol=1e-14)
+        assert np.allclose(stack_map[:2, :2], math.sqrt(0.5) * np.eye(2), atol=1e-12)
 
     def test_plain_and_strang_agree_in_the_limit(self):
         fine = layered_source(REFERENCE, 2**17, splitting="plain")
