@@ -26,8 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonPhysicalError
-from .gaussian import ChannelOp, GaussianState, apply_loss, bright_mean_photon
-from .source import SourceParams, _slice_rates, _source_domain, continuum_state
+from .gaussian import GaussianState, bright_mean_photon
+from .source import SourceParams, _mirrored_moments, _slice_rates, _source_domain, continuum_state
+
+MIN_BRIGHT_PHOTONS = 1e4  # smallest seed (photons per window) of the bright-limit chain
 
 
 @dataclass(frozen=True)
@@ -73,14 +75,23 @@ def _check_t_nr(T: float, n_r: float):
         raise ValueError("probing photon number must be positive")
 
 
+def _finite(value: float, s: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"closed-form bound overflows double precision at s = {s:g}")
+    return value
+
+
 def conjugate_factor(eta_c: float, s: float) -> float:
     """Conjugate-arm efficiency factor gating the squeezed-probe advantage.
 
     Equals 1 for a lossless conjugate, 0 at eta_c = 1/2 (the reference arm
     carries no usable correlation), and is negative below that.
     """
-    sh2 = math.sinh(s) ** 2
-    return (2.0 * eta_c - 1.0) * (1.0 + 2.0 * sh2) / (1.0 + 2.0 * eta_c * sh2)
+    try:
+        sh2 = math.sinh(s) ** 2
+    except OverflowError:
+        sh2 = math.inf
+    return _finite((2.0 * eta_c - 1.0) * (1.0 + 2.0 * sh2) / (1.0 + 2.0 * eta_c * sh2), s)
 
 
 def _distributed_rates(s, T_a):
@@ -89,13 +100,14 @@ def _distributed_rates(s, T_a):
     xi = sqrt(16 s^2 + ln^2 T_a) is four times the eigen-rate q of the slice
     dynamics, and ln T_a = -g, so Gamma = sqrt(T_a) [cosh(xi/2) (xi^2 + g^2)
     + g (2 xi sinh(xi/2) - g)] enters the bound denominators.  Scalars or
-    arrays.
+    arrays; above s ~ 294-348 (by T_a) Gamma is inf or NaN, without a numpy warning.
     """
     g, q = _slice_rates(s, T_a)
     xi = 4.0 * q
     half = 0.5 * xi
-    gamma = np.sqrt(T_a) * (np.cosh(half) * (xi * xi + g * g) + g * (2.0 * xi * np.sinh(half) - g))
-    return xi, gamma
+    with np.errstate(over="ignore", invalid="ignore"):
+        bracket = np.cosh(half) * (xi * xi + g * g) + g * (2.0 * xi * np.sinh(half) - g)
+    return xi, np.sqrt(T_a) * bracket
 
 
 def _distributed_terms(eta_c: float, s: float, T_a: float) -> tuple[float, float]:
@@ -106,6 +118,7 @@ def _distributed_terms(eta_c: float, s: float, T_a: float) -> tuple[float, float
     float and the s = 0 values are returned.
     """
     xi, gamma = (float(x) for x in _distributed_rates(s, T_a))
+    _finite(gamma, s)
     if xi == 0.0:
         return 2.0 * eta_c - 1.0, 0.0
     xi2 = xi**2
@@ -159,9 +172,9 @@ def qcrb_coherent(T: float, n_r: float, eta_p: float) -> BoundPoint:
 def qcrb_pure_btmss(T: float, n_r: float, s: float, budget: LossBudget) -> BoundPoint:
     """Bound for a pure bright two-mode squeezed probe with external losses."""
     _check_t_nr(T, n_r)
-    var_n = T / budget.eta_p - T * T * budget.T_p * conjugate_factor(budget.eta_c, s) * (
-        1.0 - 1.0 / math.cosh(2.0 * s)
-    )
+    # the factor rejects every s where 2 sinh^2 s, that is cosh(2 s) - 1, overflows
+    factor = conjugate_factor(budget.eta_c, s)
+    var_n = T / budget.eta_p - T * T * budget.T_p * factor * (1.0 - 1.0 / math.cosh(2.0 * s))
     return BoundPoint(T=T, var_n=var_n, n_r=n_r)
 
 
@@ -182,54 +195,57 @@ def qcrb_ultimate(T: float, n_r: float, budget: LossBudget, lossless: bool = Fal
     return BoundPoint(T=T, var_n=var_n, n_r=n_r)
 
 
+def _loss_stage(sector, x_p: float, x_c: float):
+    """`gaussian.apply_loss` of amplitude transmissions (x_p, x_c) on an x sector, bit for bit."""
+    d_p, d_c, s_pp, s_pc, s_cc = sector
+    p, c = x_p * x_p, x_c * x_c
+    return x_p * d_p, x_c * d_c, s_pp * p + (1.0 - p), s_pc * (x_p * x_c), s_cc * c + (1.0 - c)
+
+
 @dataclass(frozen=True)
 class ProbeChain:
     """Source output propagated through the external loss budget.
 
-    The T-independent stages are built once per chain: ``incident`` is the
-    source state after T_p (the light incident on the system), and
-    ``detection`` is the channel ChannelOp([eta_p, eta_c]) applied after T.
-    ``state_at(T)`` therefore runs two loss stages, and
-    ``displacement_at(T)`` gives the same displacement without building a
-    covariance.  ``n_input`` counts the bright probe photons incident on the
-    system (after T_p, before T); all var_n products are normalized to it.
+    Pure loss keeps the source's mirrored form (`source._mirrored_moments`),
+    so the chain carries the x sector (d_p, d_c, sigma_pp, sigma_pc, sigma_cc):
+    ``incident`` after T_p, built once, and ``sector_at(T)`` after the T and
+    then the (eta_p, eta_c) stage.  ``state_at(T)`` expands it to the state.
+    ``n_input`` counts the bright probe photons incident on the system (after
+    T_p, before T); all var_n products are normalized to it.
     """
 
     source_state: GaussianState
     budget: LossBudget
-    incident: GaussianState = field(init=False, repr=False)
-    detection: ChannelOp = field(init=False, repr=False)
+    incident: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        incident = apply_loss(self.source_state, ChannelOp([self.budget.T_p, 1.0]))
-        object.__setattr__(self, "incident", incident)
-        detection = ChannelOp([self.budget.eta_p, self.budget.eta_c])
-        object.__setattr__(self, "detection", detection)
+        d, sigma = self.source_state.d, self.source_state.sigma
+        # index -2 is the conjugate x of two modes; other mode counts fail the shape test
+        sector = (*d[[0, -2]].tolist(), *sigma[[0, 0, -2], [0, -2, -2]].tolist())
+        if not all(map(np.array_equal, (d, sigma), _mirrored_moments(*sector))):
+            raise ValueError("probe chain needs a two-mode source state in mirrored x-sector form")
+        object.__setattr__(self, "incident", _loss_stage(sector, math.sqrt(self.budget.T_p), 1.0))
+
+    def sector_at(self, T: float) -> tuple:
+        """Detected x sector (d_p, d_c, sigma_pp, sigma_pc, sigma_cc) at T."""
+        if not (0.0 <= T <= 1.0):
+            raise ValueError("transmission T must lie in [0, 1]")
+        sector = _loss_stage(self.incident, math.sqrt(T), 1.0)
+        return _loss_stage(sector, math.sqrt(self.budget.eta_p), math.sqrt(self.budget.eta_c))
 
     def state_at(self, T: float) -> GaussianState:
-        if not (0.0 <= T <= 1.0):
-            raise ValueError("transmission T must lie in [0, 1]")
-        return apply_loss(apply_loss(self.incident, ChannelOp([T, 1.0])), self.detection)
-
-    def displacement_at(self, T: float) -> np.ndarray:
-        """``state_at(T).d``, by the same products as `apply_loss`."""
-        if not (0.0 <= T <= 1.0):
-            raise ValueError("transmission T must lie in [0, 1]")
-        d = np.repeat(np.sqrt(np.array([T, 1.0])), 2) * self.incident.d
-        return np.repeat(np.sqrt(self.detection.eta_per_mode), 2) * d
+        return GaussianState(*_mirrored_moments(*self.sector_at(T)))
 
     @property
     def n_input(self) -> float:
         return self.budget.T_p * bright_mean_photon(self.source_state, 0)
 
 
-def build_chain(
-    params: SourceParams, budget: LossBudget, min_bright_photons: float = 1e4
-) -> ProbeChain:
+def build_chain(params: SourceParams, budget: LossBudget) -> ProbeChain:
     """Wrap the closed-form source state with the external loss budget."""
-    if params.effective_seed_photons() < min_bright_photons:
+    if params.effective_seed_photons() < MIN_BRIGHT_PHOTONS:
         raise ValueError(
-            f"bright-limit chain needs a seed of at least {min_bright_photons:g} photons"
+            f"bright-limit chain needs a seed of at least {MIN_BRIGHT_PHOTONS:g} photons"
         )
     return ProbeChain(source_state=continuum_state(params), budget=budget)
 
@@ -237,32 +253,29 @@ def build_chain(
 _FD_MISMATCH_TOL = 1e-6
 
 
-def _displacement_derivative(chain: ProbeChain, T: float, d: np.ndarray) -> np.ndarray:
-    """d(displacement)/dT of the chain output `d` at T, with a finite-difference audit.
+def _probe_derivative(chain: ProbeChain, T: float, d_p: float) -> float:
+    """d(d_p)/dT of the detected probe displacement d_p at T, with a finite-difference audit.
 
     The probe displacement scales exactly as sqrt(T), so the derivative is
-    d_probe / (2 T) and the conjugate entries are T-independent.  A central
+    d_p / (2 T); the conjugate displacement is T-independent.  A central
     difference (step 1e-6 * T, so it stays inside (0, 1] at any T > 0, shifted
     off T = 1 if needed) must agree to 1e-6 relative or the evaluation is
     rejected.
     """
-    derivative = np.zeros_like(d)
-    derivative[:2] = d[:2] / (2.0 * T)
     step = 1e-6 * T
     center = T if T + step <= 1.0 else T - step
-    plus = chain.displacement_at(center + step)[:2]
-    minus = chain.displacement_at(center - step)[:2]
+    plus = chain.sector_at(center + step)[0]
+    minus = chain.sector_at(center - step)[0]
     fd = (plus - minus) / (2.0 * step)
-    at_center = d if center == T else chain.displacement_at(center)
-    reference = at_center[:2] / (2.0 * center)
-    # hypot, not the norm of the squares: d/(2T) ~ T^-1/2 squares past 1e308 near T = 1e-300
-    mismatch = np.hypot(*(fd - reference)) / np.hypot(*reference)
-    if mismatch > _FD_MISMATCH_TOL:
+    at_center = d_p if center == T else chain.sector_at(center)[0]
+    reference = at_center / (2.0 * center)
+    # a product, not a ratio: with no probe light both are 0 and the Fisher check rejects T
+    if abs(fd - reference) > _FD_MISMATCH_TOL * abs(reference):
         raise NonPhysicalError(
             f"analytic and finite-difference displacement derivatives disagree "
-            f"({mismatch:.3e} relative)"
+            f"({abs(fd - reference) / abs(reference):.3e} relative)"
         )
-    return derivative
+    return d_p / (2.0 * T)
 
 
 def qcrb_numeric_gaussian(
@@ -277,22 +290,22 @@ def qcrb_numeric_gaussian(
     Var(T) >= 1 / (dd^T sigma^{-1} dd) with dd the displacement derivative
     in this quadrature convention (the complex-form prefactor 2 is absorbed
     by the convention; the coherent chain reproduces T / (eta_p n_r)
-    exactly).  A pre-built `chain` may be passed to share its source state
-    and T-independent stages over a transmission grid.
+    exactly); dd has a probe-x entry only, so the 2x2 x sector suffices.  A
+    pre-built `chain` shares its source state and T_p stage over a T grid.
     """
     _check_t_nr(T, n_r)
     if T == 0.0:
         raise ValueError("the numeric bound needs T > 0")
     if chain is None:
         chain = build_chain(params, budget)
-    state = chain.state_at(T)
-    derivative = _displacement_derivative(chain, T, state.d)
+    d_p, _, s_pp, s_pc, s_cc = chain.sector_at(T)
+    derivative = _probe_derivative(chain, T, d_p)
     # the Fisher product squares d/(2T) too; a power-of-two scale is exact, so
     # var_n keeps the bits of the unscaled product wherever that one is finite
-    _, exponent = math.frexp(float(np.max(np.abs(derivative))))
-    derivative = np.ldexp(derivative, -exponent)
+    _, exponent = math.frexp(abs(derivative))
+    derivative = np.array([math.ldexp(derivative, -exponent), 0.0])
     try:
-        solved = np.linalg.solve(state.sigma, derivative)
+        solved = np.linalg.solve(np.array([[s_pp, s_pc], [s_pc, s_cc]]), derivative)
     except np.linalg.LinAlgError as exc:
         raise NonPhysicalError("chain covariance matrix is singular") from exc
     fisher = float(derivative @ solved)

@@ -359,7 +359,12 @@ def continuum_state(params: SourceParams) -> GaussianState:
     s, g, q = np.atleast_1d(*_slice_dynamics(params.s, params.T_a))
     m11, m21, s00, s01, s11 = (float(x[0]) for x in _amplitude_sector(s, g, q))
     amplitude = 2.0 * math.sqrt(params.effective_seed_photons())
-    d = np.array([amplitude * m11, 0.0, amplitude * m21, 0.0])
+    return GaussianState(*_mirrored_moments(amplitude * m11, amplitude * m21, s00, s01, s11))
+
+
+def _mirrored_moments(d_p, d_c, s00, s01, s11) -> tuple[np.ndarray, np.ndarray]:
+    """(d, sigma) of x sector (d_p, d_c), [[s00, s01], [s01, s11]] in the layout above."""
+    d = np.array([d_p, 0.0, d_c, 0.0])
     sigma = np.array(
         [
             [s00, 0.0, s01, 0.0],
@@ -368,7 +373,7 @@ def continuum_state(params: SourceParams) -> GaussianState:
             [0.0, -s01, 0.0, s11],
         ]
     )
-    return GaussianState(d, sigma)
+    return d, sigma
 
 
 def continuum_noises(s, T_a) -> NoiseTriple:

@@ -27,11 +27,19 @@ from qcrbench.bounds import (
 from qcrbench.config import MAX_S
 from qcrbench.detection import transmission_variance
 from qcrbench.errors import NonPhysicalError
-from qcrbench.gaussian import ChannelOp, apply_loss, symplectic_eigenvalues
+from qcrbench.gaussian import (
+    ChannelOp,
+    GaussianState,
+    apply_loss,
+    coherent_state,
+    symplectic_eigenvalues,
+    vacuum_state,
+)
 from qcrbench.source import SourceParams, _slice_dynamics, continuum_state
 
 PARAMS = SourceParams(s=2.04, T_a=0.71)
 BUDGET = LossBudget(T_p=0.973, eta_p=0.945, eta_c=0.919)
+_LOSSLESS = LossBudget(T_p=1.0, eta_p=1.0, eta_c=1.0)
 GRID = np.round(0.10 + 0.05 * np.arange(16), 12)
 
 
@@ -74,7 +82,15 @@ def six_state_numeric_var_n(chain: ProbeChain, T: float) -> float:
     return chain.n_input / fisher
 
 
-ORACLE_SOURCES = [(2.04, 0.71), (1e-9, 0.71), (2.04, 1.0), (MAX_S, 0.71), (MAX_S, 1.0)]
+ORACLE_SOURCES = [
+    (2.04, 0.71),
+    (1e-9, 0.71),
+    (2.04, 1.0),
+    (2.04, 1e-300),
+    (MAX_S, 0.71),
+    (MAX_S, 1.0),
+]
+ORACLE_BUDGETS = [BUDGET, _LOSSLESS]
 ORACLE_T = [1e-300, 0.01, 0.1, 0.3, 0.5, 0.84, 0.99, 1.0 - 1e-7, 1.0]
 
 
@@ -238,6 +254,24 @@ class TestClosedFormBounds:
         point = qcrb_distributed(0.5, 1.0, SourceParams(s=0.0, T_a=0.71), BUDGET)
         assert point.var_n == qcrb_coherent(0.5, 1.0, BUDGET.eta_p).var_n
 
+    @pytest.mark.parametrize("s", [355.4, 400.0])
+    @pytest.mark.parametrize("t_a", [1e-300, 0.5, 1.0])
+    @pytest.mark.parametrize("eta_c", [0.0, 0.5, 0.919])
+    def test_overflow_is_a_domain_error(self, s, t_a, eta_c):
+        # at s = 355.4, 2 sinh^2 s overflows but sinh^2 s does not; numpy's
+        # overflow warnings fail this suite, so the error must come first
+        budget = LossBudget(T_p=0.973, eta_p=0.945, eta_c=eta_c)
+        calls = (
+            lambda: conjugate_factor(eta_c, s),
+            lambda: qcrb_pure_btmss(0.5, 1.0, s, budget),
+            lambda: conjugate_factor_distributed(eta_c, s, t_a),
+            lambda: distributed_reduction(s, t_a),
+            lambda: qcrb_distributed(0.5, 1.0, SourceParams(s=s, T_a=t_a), budget),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="overflows double precision"):
+                call()
+
     @pytest.mark.parametrize("s", [0.0, 1e-170, 1e-300])
     def test_squeezing_below_float_range_is_coherent(self, s):
         # at T_a = 1, xi = 4s, whose square 16 s^2 underflows to 0 below s ~ 6e-163
@@ -307,8 +341,34 @@ class TestNumericGaussianBound:
         assert one.variance == pytest.approx(2.0 * two.variance, rel=1e-12)
 
     def test_dim_seed_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least 10000 photons"):
             build_chain(SourceParams(s=1.0, T_a=0.9, seed_photons=100.0), BUDGET)
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            coherent_state([10.0]),
+            vacuum_state(3),
+            coherent_state([10.0 + 1.0j, 0.0]),
+            GaussianState(np.zeros(4), np.diag([2.0, 1.0, 1.0, 1.0])),
+            GaussianState(np.zeros(4), np.eye(4) + 0.1 * (np.eye(4, k=1) + np.eye(4, k=-1))),
+        ],
+        ids=["one mode", "three modes", "p displacement", "p sector unlike x", "x-p correlation"],
+    )
+    def test_chain_rejects_source_outside_mirrored_form(self, state):
+        with pytest.raises(ValueError, match="probe chain needs"):
+            ProbeChain(state, BUDGET)
+
+    def test_chain_accepts_coherent_source(self):
+        # a coherent probe beside a vacuum conjugate has the mirrored form too
+        assert ProbeChain(coherent_state([10.0, 0.0]), BUDGET).n_input == 0.973 * 100.0
+
+    @pytest.mark.parametrize("t", [0.5, 1.0])
+    def test_no_probe_light_rejected(self, t):
+        # the audit sees 0 against 0 and passes the point to the Fisher check
+        chain = build_chain(PARAMS, LossBudget(T_p=0.0, eta_p=0.945, eta_c=0.919))
+        with pytest.raises(NonPhysicalError, match="non-positive Fisher information"):
+            qcrb_numeric_gaussian(t, PARAMS, chain.budget, chain=chain)
 
     def test_zero_transmission_rejected(self):
         with pytest.raises(ValueError):
@@ -319,7 +379,6 @@ def _log_uniform(lowest_exponent):
     return st.floats(lowest_exponent, 0.0).map(lambda e: 10.0**e)
 
 
-_LOSSLESS = LossBudget(T_p=1.0, eta_p=1.0, eta_c=1.0)
 _BUDGETS = st.one_of(
     st.just(_LOSSLESS),
     st.builds(
@@ -376,9 +435,9 @@ class TestPrecomputedChainStages:
     def source(self, request):
         return SourceParams(*request.param)
 
-    @pytest.fixture(scope="class")
-    def chain(self, source):
-        return build_chain(source, BUDGET)
+    @pytest.fixture(scope="class", params=ORACLE_BUDGETS, ids=("paper", "lossless"))
+    def chain(self, source, request):
+        return build_chain(source, request.param)
 
     @pytest.mark.parametrize("t", ORACLE_T)
     def test_numeric_bound_equals_six_state_route(self, source, chain, t):
@@ -399,34 +458,38 @@ class TestPrecomputedChainStages:
         assert transmission_variance(chain, t) == oracle
 
     @pytest.mark.parametrize("t", [0.0, *ORACLE_T])
-    def test_state_and_displacement_equal_three_stage_route(self, chain, t):
-        assert np.array_equal(chain.displacement_at(t), chain.state_at(t).d)
+    def test_state_and_sector_equal_three_stage_route(self, chain, t):
+        oracle = three_stage_state(chain, t)
+        sector = (oracle.d[0], oracle.d[2], *oracle.sigma[[0, 0, 2], [0, 2, 2]])
+        assert chain.sector_at(t) == sector
+        assert np.array_equal(chain.state_at(t).d, oracle.d)
         assert np.array_equal(chain.state_at(t).sigma, three_stage_state(chain, t).sigma)
 
     @pytest.mark.parametrize("t", [-1e-12, 1.0 + 1e-12, float("nan")])
-    def test_displacement_rejects_transmission_outside_unit_interval(self, chain, t):
-        with pytest.raises(ValueError):
-            chain.displacement_at(t)
+    def test_sector_rejects_transmission_outside_unit_interval(self, chain, t):
+        for method in (chain.sector_at, chain.state_at):
+            with pytest.raises(ValueError):
+                method(t)
 
     @pytest.mark.parametrize("t", [0.5, 1.0])
     def test_audit_rejects_disagreeing_finite_difference(self, chain, t, monkeypatch):
         # t = 1 moves the audit center off T, so the center is read from
-        # displacement_at too and is left unscaled
-        original = ProbeChain.displacement_at
+        # sector_at too and is left unscaled
+        original = ProbeChain.sector_at
         step = 1e-6 * t
         center = t if t + step <= 1.0 else t - step
 
         def skewed(self, at):
-            d = original(self, at)
+            d_p, *rest = original(self, at)
             if at != center:
-                d[:2] *= 1.0 + 1e-5
-            return d
+                d_p *= 1.0 + 1e-5
+            return (d_p, *rest)
 
-        monkeypatch.setattr(ProbeChain, "displacement_at", skewed)
+        monkeypatch.setattr(ProbeChain, "sector_at", skewed)
         with pytest.raises(NonPhysicalError, match="finite-difference"):
             qcrb_numeric_gaussian(t, PARAMS, BUDGET, chain=chain)
 
-    def test_one_state_per_bound_and_per_variance(self, chain, monkeypatch):
+    def test_no_state_per_bound_and_one_per_variance(self, chain, monkeypatch):
         calls = []
         original = ProbeChain.state_at
 
@@ -437,9 +500,9 @@ class TestPrecomputedChainStages:
         monkeypatch.setattr(ProbeChain, "state_at", counted)
         for t in (0.5, 1.0):
             qcrb_numeric_gaussian(t, PARAMS, BUDGET, chain=chain)
-            assert calls == [t]
+            assert calls == []
             transmission_variance(chain, t)
-            assert calls == [t, t]
+            assert calls == [t]
             calls.clear()
 
 
