@@ -125,31 +125,32 @@ def cmd_simulate(config: WorkbenchConfig, trials: int, out: str | None, fmt: str
 
 
 def _load_noise_file(path: str) -> list:
+    """Noise measurements of a JSON noise file; any malformed content is a `SchemaError`."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"noise file is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or "channels" not in payload:
+        except ValueError as exc:
+            # JSONDecodeError and UnicodeDecodeError (a file that is not UTF-8)
+            raise SchemaError(f"noise file is not valid UTF-8 JSON: {exc}") from exc
+    channels = payload.get("channels") if isinstance(payload, dict) else None
+    if not isinstance(channels, list):
         raise SchemaError('noise file must be an object with a "channels" list')
     measurements = []
-    for entry in payload["channels"]:
+    for entry in channels:
         if not isinstance(entry, dict):
             raise SchemaError("each channel entry must be an object")
         unknown = set(entry) - {"channel", "value", "variance", "eta"}
         if unknown:
             raise SchemaError(f"unknown channel fields: {sorted(unknown)}")
         try:
-            measurements.append(
-                inference.NoiseMeasurement(
-                    channel=entry["channel"],
-                    value=float(entry["value"]),
-                    variance=float(entry["variance"]),
-                    eta=float(entry.get("eta", 1.0)),
-                )
-            )
+            channel = entry["channel"]
+            value, variance = float(entry["value"]), float(entry["variance"])
+            eta = float(entry.get("eta", 1.0))
         except KeyError as exc:
             raise SchemaError(f"channel entry is missing field {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise SchemaError(f"value, variance and eta must be numbers: {exc}") from exc
+        measurements.append(inference.NoiseMeasurement(channel, value, variance, eta))
     return measurements
 
 

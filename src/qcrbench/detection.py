@@ -17,18 +17,14 @@ FWHM of |H(f)|^2 for every filter kind here; this convention reproduces the
 """
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BrightLimitError, NonPhysicalError
-from .gaussian import (
-    GaussianState,
-    bright_mean_photon,
-    number_covariance_bright,
-    number_variance_bright,
-)
+from .gaussian import GaussianState, number_covariance_bright, number_variance_bright
 
 #: exact SI values (2019 redefinition) for the photon energy h c / lambda
 PLANCK_H = 6.62607015e-34
@@ -153,23 +149,49 @@ def transmission_variance(chain, T: float, n_r: float = 1.0, g: float | None = N
     the derivative equals <n_p>/T at the detector.  With g = None the
     optimal gain is used.
 
-    `chain` is any chain builder exposing ``state_at(T)`` and ``n_input``
-    (e.g. `bounds.ProbeChain`); the result is rescaled from the chain's
-    native photon number to n_r probing photons.
+    `chain` is any chain builder exposing ``sector_at(T)``, the detected x
+    sector (d_p, d_c, sigma_pp, sigma_pc, sigma_cc), and ``n_input`` (e.g.
+    `bounds.ProbeChain`).  The displacement has x entries only, so the
+    bright-limit counts are the sector products n_p = d_p^2 / 4,
+    Var(n_i) = d_i sigma_ii d_i / 4 and Cov = d_p sigma_pc d_c / 4: the
+    nonzero products of `optimal_gain` and `estimator_variance` on
+    ``state_at(T)``, with the same bits and errors.  The result is rescaled
+    from the chain's native photon number to n_r probing photons.
     """
     if not (0.0 < T <= 1.0):
         raise ValueError("transmission T must lie in (0, 1]")
     if not n_r > 0.0:
         raise ValueError("probing photon number must be positive")
-    state = chain.state_at(T)
-    n_detected = bright_mean_photon(state, 0)
+    d_p, d_c, s_pp, s_pc, s_cc = chain.sector_at(T)
+    n_detected = d_p * d_p / 4.0
     if n_detected == 0.0:
         raise BrightLimitError("no probe light reaches the detector")
-    if g is None:
-        g = optimal_gain(state)
+    estimator = d_p * s_pp * d_p / 4.0
+    if d_c * d_c == 0.0:
+        # a dark conjugate carries no usable correlation: g* = 0
+        if g is not None and g != 0.0:
+            raise BrightLimitError("bright-limit approximation invalid: mode 1 has zero mean field")
+    else:
+        var_c = d_c * s_cc * d_c / 4.0
+        cov = d_p * s_pc * d_c / 4.0
+        if g is None:
+            if var_c == 0.0:
+                raise NonPhysicalError("conjugate photocurrent has zero variance")
+            g = cov / var_c
+        if g != 0.0:
+            estimator = estimator + g * g * var_c - 2.0 * g * cov
     derivative = n_detected / T
-    var_native = estimator_variance(state, g) / derivative**2
-    variance = var_native * chain.n_input / n_r
+    square = derivative**2
+    if square >= sys.float_info.min:
+        var_n = estimator / square * chain.n_input
+    else:
+        # the square underflows (s = 0 at tiny T_a): split an exact power-of-two
+        # scale between the two factors, so that neither leaves the float range
+        _, exponent = math.frexp(derivative)
+        scaled = math.ldexp(derivative, -exponent)
+        var_n = math.ldexp(estimator / (scaled * scaled), -exponent)
+        var_n *= math.ldexp(chain.n_input, -exponent)
+    variance = var_n / n_r
     if not (variance > 0.0 and math.isfinite(variance)):
         # an ill-conditioned chain covariance (very large s) can cancel below zero
         raise NonPhysicalError(f"transmission variance {variance:.6g} at T = {T} is not positive")
@@ -221,6 +243,32 @@ def _line_fit(x: np.ndarray, y: np.ndarray):
     return slope, float(coef[1] / ones_norm)
 
 
+def _centred_line_fit(x: np.ndarray, y: np.ndarray):
+    """(slope, intercept) of the least-squares line from centred sums.
+
+    x is scaled by the power of two `_line_fit` uses; then t = x - mean(x),
+    slope = sum(t y) / sum(t^2) and intercept = mean(y) - slope mean(x)
+    (Press et al., Numerical Recipes, section 15.2).  A few reductions
+    replace the SVD; the line differs from `_line_fit`'s by rounding only.
+    Where sum(t^2) is within rounding of a rank-1 system, the pass is
+    `_line_fit`, which warns as `np.polyfit` does.
+    """
+    _, exponent = math.frexp(float(x.max()))
+    scaled = np.ldexp(x, -exponent)
+    x_mean = scaled.mean()
+    t = scaled - x_mean
+    t_square = float(t @ t)
+    rank_cut = 4.0 * x.size * np.finfo(float).eps
+    if not t_square > rank_cut * rank_cut * float(scaled @ scaled):
+        return _line_fit(x, y)
+    slope = float(t @ y) / t_square
+    intercept = float(y.mean() - slope * x_mean)
+    try:
+        return math.ldexp(slope, -exponent), intercept
+    except OverflowError:
+        raise NonPhysicalError("line slope overflows float64 at these modulation powers") from None
+
+
 def _iterated_line_fit(mod_power: np.ndarray, snr: np.ndarray):
     """Least-squares line through (modulation power, SNR), iterating the window.
 
@@ -231,25 +279,27 @@ def _iterated_line_fit(mod_power: np.ndarray, snr: np.ndarray):
     *fitted* SNR lies in [0.2, 5], mirroring the usable region of a ramp
     trace between the noise floor and the pre-ramp settling segment.
 
-    Each pass is `_line_fit`, whose bits are those of `np.polyfit(x, y, 1)`.
-    The window still has no stopping rule: it stops when the mask repeats
-    the previous pass or after 10 passes, and may alternate between two
-    masks until then.
+    The windows are chosen by `_centred_line_fit` passes: the first pass
+    fits every usable bin, and each next window keeps the bins whose SNR on
+    the previous line lies in [0.2, 5].  The window still has no stopping
+    rule: it stops when a window repeats the previous one or after 10
+    passes, and may alternate between two windows until then.  The returned
+    line is one `_line_fit` on the last window fitted, so its bits are those
+    of `np.polyfit(x, y, 1)` there.
     """
     usable = (mod_power > 0.0) & np.isfinite(snr)
-    mask = usable
+    window = usable
     lo, hi = _SNR_FIT_WINDOW
-    slope = intercept = float("nan")
     for _ in range(10):
-        if np.count_nonzero(mask) < _MIN_WINDOW_BINS:
+        if np.count_nonzero(window) < _MIN_WINDOW_BINS:
             raise NonPhysicalError("SNR=1 not bracketed: too few usable ramp bins")
-        slope, intercept = _line_fit(mod_power[mask], snr[mask])
+        fitted_window = window
+        slope, intercept = _centred_line_fit(mod_power[window], snr[window])
         fitted = intercept + slope * mod_power
-        new_mask = usable & (fitted >= lo) & (fitted <= hi)
-        if np.array_equal(new_mask, mask):
+        window = usable & (fitted >= lo) & (fitted <= hi)
+        if np.array_equal(window, fitted_window):
             break
-        mask = new_mask
-    return slope, intercept
+    return _line_fit(mod_power[fitted_window], snr[fitted_window])
 
 
 def snr_ramp_simulate(

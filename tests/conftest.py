@@ -82,25 +82,37 @@ def sequential_chi2_doubling():
     return _sequential_chi2_doubling
 
 
-def _polyfit_iterated_line_fit(mod_power, snr):
+def _polyfit_windows(mod_power, snr):
     """Reference SNR-window fit: one `np.polyfit(x, y, 1)` per window pass.
 
-    Same window rule, pass cap and errors as `detection._iterated_line_fit`,
-    which must return bit-identical (slope, intercept).
+    Returns the window (bin mask) of every pass and the last line.  Same
+    window rule, pass cap and errors as `detection._iterated_line_fit`, which
+    must fit the same windows and return bit-identical (slope, intercept).
     """
     mask = (mod_power > 0.0) & np.isfinite(snr)
     lo, hi = 0.2, 5.0
-    slope = intercept = float("nan")
+    windows = []
     for _ in range(10):
         if np.count_nonzero(mask) < 8:
             raise NonPhysicalError("SNR=1 not bracketed: too few usable ramp bins")
+        windows.append(mask)
         slope, intercept = np.polyfit(mod_power[mask], snr[mask], 1)
         fitted = intercept + slope * mod_power
         new_mask = (mod_power > 0.0) & np.isfinite(snr) & (fitted >= lo) & (fitted <= hi)
         if np.array_equal(new_mask, mask):
             break
         mask = new_mask
-    return float(slope), float(intercept)
+    return windows, (float(slope), float(intercept))
+
+
+def _polyfit_iterated_line_fit(mod_power, snr):
+    return _polyfit_windows(mod_power, snr)[1]
+
+
+@pytest.fixture
+def polyfit_windows():
+    """The window oracle: bin masks of the `np.polyfit` loop, pass by pass."""
+    return _polyfit_windows
 
 
 @pytest.fixture

@@ -328,6 +328,18 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg), "--trials", "1000", "--out", str(out)]) == 4
         assert "overflows float64" in capsys.readouterr().err
 
+    def test_unsqueezed_source_at_tiny_internal_transmission(self, tmp_path):
+        # (n_p / T)^2 underflows here; the exactly rescaled variance is T / eta_p
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("s = 0\nT_a = 1e-300\n")
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--config", str(cfg), "--trials", "10000", "--out", str(out)]) == 0
+        config, header, rows = read_csv(out)
+        analytic = rows[:, header.index("var_n_analytic")]
+        expected = rows[:, header.index("T")] / float(config["eta_p"])
+        np.testing.assert_allclose(analytic, expected, rtol=1e-14, atol=0.0)
+        assert np.all(np.isfinite(rows)) and np.all(rows[:, 1] > 0.0)
+
     def test_too_few_trials_exits_4(self, tmp_path):
         assert main(["simulate", "--trials", "10", "--out", str(tmp_path / "x.csv")]) == 4
 
@@ -405,6 +417,26 @@ class TestFitCommand:
         noise = tmp_path / "broken.json"
         noise.write_text("{not json")
         assert main(["fit", str(noise)]) == 3
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b'{"channels": null}',
+            b'{"channels": 3}',
+            b'[1, 2]',
+            b'{"channels": [{"channel": "diff", "value": [0.15], "variance": 1e-6}]}',
+            b'{"channels": [{"channel": "diff", "value": "abc", "variance": 1e-6}]}',
+            b'{"channels": [{"channel": "diff", "value": 0.15, "variance": 1e-6, "eta": null}]}',
+            b'{"channels": [{"channel": "diff", "value": 1' + b"0" * 400 + b', "variance": 1}]}',
+            b'{"channels": [{"channel": "diff\xff", "value": 0.15, "variance": 1e-6}]}',
+        ],
+        ids=["null", "number", "list", "list-value", "text-value", "null-eta", "huge-int", "utf8"],
+    )
+    def test_malformed_noise_file_exits_3(self, tmp_path, capsys, body):
+        noise = tmp_path / "bad.json"
+        noise.write_bytes(body)
+        assert main(["fit", str(noise), "--population", "16", "--max-generations", "5"]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["fit", str(tmp_path / "absent.json")]) == 2

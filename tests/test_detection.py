@@ -238,35 +238,67 @@ def recorded_fits(monkeypatch):
     return calls
 
 
+def run_param_sweep_ramps():
+    """The 30 ramps of three `param_sweep`-style grids at 10^4 bins."""
+    bins = 10_000
+    for s, t_a in ((2.04, 0.71), (0.4, 0.3), (3.3, 0.98)):
+        chain = build_chain(SourceParams(s=s, T_a=t_a), BUDGET)
+        for k, t in enumerate(np.linspace(0.01, 1.0, 100)[::10]):
+            var_t = transmission_variance(chain, float(t), 1.0)
+            plan = MeasurementPlan(
+                filter=SYNC4,
+                trials=bins,
+                rng_seed=1000 * k + 7,
+                ramp_duration=bins * effective_time(SYNC4),
+            )
+            profile = linear_ramp(5.0 * math.sqrt(var_t), plan.ramp_duration)
+            snr_ramp_simulate(plan, profile, var_t)
+
+
+def run_readme_simulate(tmp_path):
+    config = os.path.join(os.path.dirname(__file__), "..", "docs", "sample_config.txt")
+    out = tmp_path / "simulate.csv"
+    args = ["simulate", "--config", config, "--trials", "10000", "--seed", "7"]
+    assert main([*args, "--out", str(out)]) == 0
+
+
 class TestLineFitMatchesPolyfit:
     """`_iterated_line_fit` returns the bits of the `np.polyfit` loop kept as the oracle."""
 
     def test_param_sweep_ramps(self, recorded_fits, polyfit_iterated_line_fit):
-        bins = 10_000
-        for s, t_a in ((2.04, 0.71), (0.4, 0.3), (3.3, 0.98)):
-            chain = build_chain(SourceParams(s=s, T_a=t_a), BUDGET)
-            for k, t in enumerate(np.linspace(0.01, 1.0, 100)[::10]):
-                var_t = transmission_variance(chain, float(t), 1.0)
-                plan = MeasurementPlan(
-                    filter=SYNC4,
-                    trials=bins,
-                    rng_seed=1000 * k + 7,
-                    ramp_duration=bins * effective_time(SYNC4),
-                )
-                profile = linear_ramp(5.0 * math.sqrt(var_t), plan.ramp_duration)
-                snr_ramp_simulate(plan, profile, var_t)
+        run_param_sweep_ramps()
         assert len(recorded_fits) == 30
         for mod_power, snr, result in recorded_fits:
             assert result == polyfit_iterated_line_fit(mod_power, snr)
 
     def test_readme_simulate_grid(self, tmp_path, recorded_fits, polyfit_iterated_line_fit):
-        config = os.path.join(os.path.dirname(__file__), "..", "docs", "sample_config.txt")
-        out = tmp_path / "simulate.csv"
-        args = ["simulate", "--config", config, "--trials", "10000", "--seed", "7"]
-        assert main([*args, "--out", str(out)]) == 0
+        run_readme_simulate(tmp_path)
         assert len(recorded_fits) == 16
         for mod_power, snr, result in recorded_fits:
             assert result == polyfit_iterated_line_fit(mod_power, snr)
+
+    def test_centred_sum_windows_follow_polyfit(
+        self, tmp_path, monkeypatch, recorded_fits, polyfit_windows
+    ):
+        # the centred-sum passes choose every window the polyfit loop chooses
+        passes = []
+        window_fit = detection._centred_line_fit
+
+        def recorded(x, y):
+            passes.append(x.copy())
+            return window_fit(x, y)
+
+        monkeypatch.setattr(detection, "_centred_line_fit", recorded)
+        run_param_sweep_ramps()
+        run_readme_simulate(tmp_path)
+        assert len(recorded_fits) == 46
+        expected = []
+        for mod_power, snr, _ in recorded_fits:
+            windows, _ = polyfit_windows(mod_power, snr)
+            expected.extend(mod_power[window] for window in windows)
+        assert len(passes) == len(expected)
+        for got, want in zip(passes, expected):
+            assert np.array_equal(got, want)
 
     def test_window_of_eight_bins(self, polyfit_iterated_line_fit):
         mod_power = np.zeros(20)
@@ -281,13 +313,13 @@ class TestLineFitMatchesPolyfit:
 
     def test_ramp_at_pass_cap(self, monkeypatch, recorded_fits, polyfit_iterated_line_fit):
         passes = []
-        line_fit = detection._line_fit
+        window_fit = detection._centred_line_fit
 
         def counted(x, y):
             passes.append(x.size)
-            return line_fit(x, y)
+            return window_fit(x, y)
 
-        monkeypatch.setattr(detection, "_line_fit", counted)
+        monkeypatch.setattr(detection, "_centred_line_fit", counted)
         var_t = 0.04
         plan = MeasurementPlan(
             filter=SYNC4, trials=10_000, rng_seed=0, ramp_duration=10_000 * effective_time(SYNC4)
@@ -298,9 +330,14 @@ class TestLineFitMatchesPolyfit:
         ((mod_power, snr, result),) = recorded_fits
         assert result == polyfit_iterated_line_fit(mod_power, snr)
 
-    def test_constant_power_window_warns_like_polyfit(self, polyfit_iterated_line_fit):
-        mod_power = np.full(50, 2.0)
-        snr = 1.0 + 0.1 * np.cos(np.arange(50.0))
+    @pytest.mark.parametrize("power, level", [(2.0, 1.0), (0.1, 4.0)])
+    def test_constant_power_window_warns_like_polyfit(
+        self, polyfit_iterated_line_fit, power, level
+    ):
+        # centred sums of 50 copies of 0.1 leave sum(t^2) = 2.5e-30, not 0; a
+        # line from them puts every fitted SNR near 2 * 4, outside [0.2, 5]
+        mod_power = np.full(50, power)
+        snr = level + 0.1 * np.cos(np.arange(50.0))
         with pytest.warns(np.exceptions.RankWarning):
             result = detection._iterated_line_fit(mod_power, snr)
         with pytest.warns(np.exceptions.RankWarning):
