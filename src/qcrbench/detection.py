@@ -189,12 +189,18 @@ def transmission_variance(chain, T: float, n_r: float = 1.0, g: float | None = N
         # scale between the two factors, so that neither leaves the float range
         _, exponent = math.frexp(derivative)
         scaled = math.ldexp(derivative, -exponent)
-        var_n = math.ldexp(estimator / (scaled * scaled), -exponent)
-        var_n *= math.ldexp(chain.n_input, -exponent)
+        try:
+            var_n = math.ldexp(estimator / (scaled * scaled), -exponent)
+            var_n *= math.ldexp(chain.n_input, -exponent)
+        except OverflowError:
+            # a subnormal eta_p puts T / eta_p itself past the float range
+            var_n = math.inf
     variance = var_n / n_r
     if not (variance > 0.0 and math.isfinite(variance)):
         # an ill-conditioned chain covariance (very large s) can cancel below zero
-        raise NonPhysicalError(f"transmission variance {variance:.6g} at T = {T} is not positive")
+        raise NonPhysicalError(
+            f"transmission variance {variance:.6g} at T = {T} is not positive and finite"
+        )
     return variance
 
 

@@ -340,6 +340,14 @@ class TestSimulateCommand:
         np.testing.assert_allclose(analytic, expected, rtol=1e-14, atol=0.0)
         assert np.all(np.isfinite(rows)) and np.all(rows[:, 1] > 0.0)
 
+    def test_subnormal_detection_efficiency_exits_4(self, tmp_path, capsys):
+        # T / eta_p is past the float range, and (n_p / T)^2 underflows
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("eta_p = 1e-310\n")
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--config", str(cfg), "--trials", "1000", "--out", str(out)]) == 4
+        assert "not positive and finite" in capsys.readouterr().err
+
     def test_too_few_trials_exits_4(self, tmp_path):
         assert main(["simulate", "--trials", "10", "--out", str(tmp_path / "x.csv")]) == 4
 
