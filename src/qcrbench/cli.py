@@ -125,7 +125,7 @@ def cmd_simulate(config: WorkbenchConfig, trials: int, out: str | None, fmt: str
 
 
 def _load_noise_file(path: str) -> list:
-    """Noise measurements of a JSON noise file; any malformed content is a `SchemaError`."""
+    """Noise measurements of a JSON noise file; content off the schema raises `SchemaError`."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
