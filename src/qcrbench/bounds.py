@@ -21,13 +21,13 @@ conjugate only sees eta_c.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonPhysicalError
-from .gaussian import GaussianState, bright_mean_photon
-from .source import SourceParams, _mirrored_moments, _slice_rates, _source_domain, continuum_state
+from .gaussian import GaussianState
+from .source import SourceParams, _mirrored_moments, _slice_rates, _source_domain, continuum_sector
 
 MIN_BRIGHT_PHOTONS = 1e4  # smallest seed (photons per window) of the bright-limit chain
 
@@ -207,24 +207,18 @@ class ProbeChain:
     """Source output propagated through the external loss budget.
 
     Pure loss keeps the source's mirrored form (`source._mirrored_moments`),
-    so the chain carries the x sector (d_p, d_c, sigma_pp, sigma_pc, sigma_cc):
-    ``incident`` after T_p, built once, and ``sector_at(T)`` after the T and
-    then the (eta_p, eta_c) stage.  ``state_at(T)`` expands it to the state.
-    ``n_input`` counts the bright probe photons incident on the system (after
-    T_p, before T); all var_n products are normalized to it.
+    so the chain carries the x sector (d_p, d_c, sigma_pp, sigma_pc,
+    sigma_cc) of `source.continuum_sector`: ``incident`` after T_p, and
+    ``sector_at(T)`` after the T and then the (eta_p, eta_c) stage.
+    ``state_at(T)`` expands it to the state.  ``n_input`` counts the bright
+    probe photons incident on the system (after T_p, before T); all var_n
+    products are normalized to it.  `build_chain` makes the chain.
     """
 
-    source_state: GaussianState
+    params: SourceParams
     budget: LossBudget
-    incident: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        d, sigma = self.source_state.d, self.source_state.sigma
-        # index -2 is the conjugate x of two modes; other mode counts fail the shape test
-        sector = (*d[[0, -2]].tolist(), *sigma[[0, 0, -2], [0, -2, -2]].tolist())
-        if not all(map(np.array_equal, (d, sigma), _mirrored_moments(*sector))):
-            raise ValueError("probe chain needs a two-mode source state in mirrored x-sector form")
-        object.__setattr__(self, "incident", _loss_stage(sector, math.sqrt(self.budget.T_p), 1.0))
+    incident: tuple
+    n_input: float
 
     def sector_at(self, T: float) -> tuple:
         """Detected x sector (d_p, d_c, sigma_pp, sigma_pc, sigma_cc) at T."""
@@ -236,18 +230,18 @@ class ProbeChain:
     def state_at(self, T: float) -> GaussianState:
         return GaussianState(*_mirrored_moments(*self.sector_at(T)))
 
-    @property
-    def n_input(self) -> float:
-        return self.budget.T_p * bright_mean_photon(self.source_state, 0)
-
 
 def build_chain(params: SourceParams, budget: LossBudget) -> ProbeChain:
-    """Wrap the closed-form source state with the external loss budget."""
-    if params.effective_seed_photons() < MIN_BRIGHT_PHOTONS:
+    """Pass the closed-form source sector through the T_p stage of the loss budget."""
+    if params.seed_photons < MIN_BRIGHT_PHOTONS:
         raise ValueError(
             f"bright-limit chain needs a seed of at least {MIN_BRIGHT_PHOTONS:g} photons"
         )
-    return ProbeChain(source_state=continuum_state(params), budget=budget)
+    sector = continuum_sector(params)
+    # the bright probe photons d_p^2 / 4 of the source, times T_p
+    n_input = budget.T_p * (sector[0] * sector[0] / 4.0)
+    incident = _loss_stage(sector, math.sqrt(budget.T_p), 1.0)
+    return ProbeChain(params=params, budget=budget, incident=incident, n_input=n_input)
 
 
 _FD_MISMATCH_TOL = 1e-6
@@ -291,13 +285,16 @@ def qcrb_numeric_gaussian(
     in this quadrature convention (the complex-form prefactor 2 is absorbed
     by the convention; the coherent chain reproduces T / (eta_p n_r)
     exactly); dd has a probe-x entry only, so the 2x2 x sector suffices.  A
-    pre-built `chain` shares its source state and T_p stage over a T grid.
+    pre-built `chain` shares its source sector and T_p stage over a T grid;
+    it must have been built from ``params`` and ``budget``.
     """
     _check_t_nr(T, n_r)
     if T == 0.0:
         raise ValueError("the numeric bound needs T > 0")
     if chain is None:
         chain = build_chain(params, budget)
+    elif (chain.params, chain.budget) != (params, budget):
+        raise ValueError("the chain was built from other source parameters or loss budget")
     d_p, _, s_pp, s_pc, s_cc = chain.sector_at(T)
     derivative = _probe_derivative(chain, T, d_p)
     # the Fisher product squares d/(2T) too; a power-of-two scale is exact, so

@@ -144,10 +144,14 @@ def _load_noise_file(path: str) -> list:
             raise SchemaError(f"unknown channel fields: {sorted(unknown)}")
         try:
             channel = entry["channel"]
-            value, variance = float(entry["value"]), float(entry["variance"])
-            eta = float(entry.get("eta", 1.0))
+            numbers = (entry["value"], entry["variance"], entry.get("eta", 1.0))
         except KeyError as exc:
             raise SchemaError(f"channel entry is missing field {exc}") from exc
+        # float() reads JSON true and false as 1.0 and 0.0
+        if any(isinstance(number, bool) for number in numbers):
+            raise SchemaError("value, variance and eta must be numbers, not true or false")
+        try:
+            value, variance, eta = map(float, numbers)
         except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"value, variance and eta must be numbers: {exc}") from exc
         measurements.append(inference.NoiseMeasurement(channel, value, variance, eta))

@@ -66,7 +66,7 @@ class WorkbenchConfig:
         values = {
             "s": format(self.source.s, ".17g"),
             "T_a": format(self.source.T_a, ".17g"),
-            "seed_photons": format(self.source.effective_seed_photons(), ".17g"),
+            "seed_photons": format(self.source.seed_photons, ".17g"),
             "T_p": format(self.budget.T_p, ".17g"),
             "eta_p": format(self.budget.eta_p, ".17g"),
             "eta_c": format(self.budget.eta_c, ".17g"),

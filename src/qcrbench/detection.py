@@ -96,7 +96,6 @@ class MeasurementPlan:
     trials: int
     rng_seed: int
     ramp_duration: float = 14.0
-    modulation_freq: float = 1.5e6
 
     def __post_init__(self):
         if self.trials < 1:
@@ -110,8 +109,6 @@ class RampResult:
     """Outcome of one simulated modulation ramp."""
 
     delta_T_at_snr1: float
-    fit_slope: float
-    fit_intercept: float
     snr_trace: np.ndarray
     amplitudes: np.ndarray = field(repr=False, default=None)
 
@@ -335,8 +332,6 @@ def snr_ramp_simulate(
         # noiseless limit: any modulation is resolved, the crossing sits at zero
         return RampResult(
             delta_T_at_snr1=0.0,
-            fit_slope=float("inf"),
-            fit_intercept=0.0,
             snr_trace=np.full(n_bins, np.inf),
             amplitudes=amplitudes,
         )
@@ -356,8 +351,6 @@ def snr_ramp_simulate(
         raise NonPhysicalError("SNR=1 not bracketed by the modulation ramp")
     return RampResult(
         delta_T_at_snr1=float(math.sqrt(crossing_power)),
-        fit_slope=slope,
-        fit_intercept=intercept,
         snr_trace=snr,
         amplitudes=amplitudes,
     )

@@ -5,16 +5,18 @@ two-mode squeezing step to (probe, conjugate) interleaved with a small
 probe-only loss; the conjugate is assumed absorption-free.  The generated
 state is the infinite-slice limit of this stack, computed by one closed-form
 kernel: the depth-1 propagator M (`_propagator`) and the vacuum G injected
-by the distributed loss (`_vacuum_injection`) give the amplitude-sector
-covariance M M^T + G.  Every run-time route goes through it:
+by the distributed loss (`_vacuum_injection`), from one `_coefficients`
+pass, give the amplitude-sector covariance M M^T + G.  Every run-time route
+goes through it:
 
-* `continuum_state`  - the two-mode Gaussian state (probe chains, bounds);
+* `continuum_sector` - the x sector of the probe chains (bounds, detection);
 * `continuum_noises` - the three normalized noises (fits, noise maps);
 * `continuum_gain`   - the probe photon gain.
 
 The finite stack stays as an independent audit of that limit:
 `layered_source` runs N slices and `converged_source` doubles N until the
-output moments stop changing.  Nothing at run time calls them.
+output moments stop changing; `continuum_state` expands the sector to the
+two-mode state they are compared with.  Nothing at run time calls them.
 
 The model is parameterized by the total squeezing parameter ``s`` (sum of the
 slice squeezing steps) and the total internal probe transmission ``T_a``
@@ -46,19 +48,12 @@ class SourceParams:
 
     s: float
     T_a: float
-    seed_photons: float | None = None
+    seed_photons: float = DEFAULT_SEED_PHOTONS
 
     def __post_init__(self):
         _source_domain(self.s, self.T_a)
-        photons = self.seed_photons
-        if photons is not None and not (photons >= 0.0 and np.isfinite(photons)):
+        if not (self.seed_photons >= 0.0 and np.isfinite(self.seed_photons)):
             raise ValueError("seed_photons must be finite and >= 0")
-
-    def effective_seed_photons(self) -> float:
-        """Probe seed photons per effective measurement window."""
-        if self.seed_photons is not None:
-            return float(self.seed_photons)
-        return DEFAULT_SEED_PHOTONS
 
 
 @dataclass(frozen=True)
@@ -124,7 +119,7 @@ def _affine_power(lin: np.ndarray, add: np.ndarray, count: int):
 
 
 def _seed_state(params: SourceParams) -> tuple[np.ndarray, float]:
-    photons = params.effective_seed_photons()
+    photons = float(params.seed_photons)
     alpha = math.sqrt(photons)
     d0 = np.array([2.0 * alpha, 0.0, 0.0, 0.0])
     return d0, photons
@@ -146,7 +141,6 @@ def layered_source(params: SourceParams, layers: int, splitting: str = "strang")
 def converged_source(
     params: SourceParams,
     rel_tol: float = 1e-9,
-    max_layers: int = MAX_LAYERS,
     splitting: str = "strang",
 ) -> SourceOutput:
     """Double the slice count until all output moments change by < rel_tol.
@@ -159,7 +153,7 @@ def converged_source(
         raise ValueError("rel_tol must be positive")
     previous = layered_source(params, 1, splitting)
     layers = 2
-    while layers <= max_layers:
+    while layers <= MAX_LAYERS:
         current = layered_source(params, layers, splitting)
         d_scale = max(1.0, float(np.max(np.abs(current.state.d))))
         s_scale = max(1.0, float(np.max(np.abs(current.state.sigma))))
@@ -173,7 +167,7 @@ def converged_source(
         previous = current
         layers *= 2
     raise ConvergenceError(
-        f"layer doubling did not converge to rel_tol={rel_tol} within {max_layers} layers"
+        f"layer doubling did not converge to rel_tol={rel_tol} within {MAX_LAYERS} layers"
     )
 
 
@@ -236,34 +230,40 @@ def _exprel(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _vacuum_injection(s, g, q):
-    """Vacuum G = g * int_0^1 c(z) c(z)^T dz injected by the distributed loss.
+def _coefficients(s, g, q):
+    """(q, q + k, h, a) with k = g/4, shared by `_vacuum_injection` and `_propagator`.
 
-    With k = g/4 the probe column of the depth-z propagator is
-    c(z) = e^{-kz} (a e^{qz} + b e^{-qz}, h (e^{qz} - e^{-qz})), where
-    a = (q - k)/2q = s^2/(2q(q + k)), b = (q + k)/2q and h = s/2q, so ab = h^2.
-    Every entry of G is then a combination of E(x) = int_0^1 e^{xz} dz =
-    exprel(x) at x = 2(q - k) = 2s^2/(q + k), x = -2k and x = -2(q + k).
-    Only s = g = 0 has q = 0, and G vanishes with g, so there any finite q
-    stands in.  Each step writes into an array it owns, because on large
-    batches every extra temporary adds 8 bytes per point to peak memory.
+    The probe column of the depth-z propagator is c(z) = e^{-kz} (a e^{qz} +
+    b e^{-qz}, h (e^{qz} - e^{-qz})), with a = (q - k)/2q = s^2/(2q(q + k)),
+    b = 1 - a = (q + k)/2q and h = s/2q, so ab = h^2.  Only s = g = 0 has
+    q = 0; any q > 0 stands in there, giving a = h = 0, G = 0 and M = I.
     """
     q = np.where(q > 0.0, q, 1.0)
     qk = 0.25 * g
     qk += q
     h = 0.5 * s
     h /= q
-    b = 0.5 * qk
-    b /= q
-    del q
     a = h * s
     a /= qk
+    return q, qk, h, a
+
+
+def _vacuum_injection(s, g, q, qk, h, a):
+    """Vacuum G = g * int_0^1 c(z) c(z)^T dz injected by the distributed loss.
+
+    With c(z) as in `_coefficients`, every entry of G is a combination of
+    E(x) = int_0^1 e^{xz} dz = exprel(x) at x = 2(q - k) = 2s^2/(q + k),
+    x = -2k and x = -2(q + k).  The coefficients are left intact.  Each step
+    writes into an array it owns, because on large batches every extra
+    temporary adds 8 bytes per point to peak memory.
+    """
+    b = 0.5 * qk
+    b /= q
     e_up = s * s
     e_up *= 2.0
     e_up /= qk
     e_up = _exprel(e_up)
-    qk *= -2.0
-    e_down = _exprel(qk)
+    e_down = _exprel(-2.0 * qk)
     e_mid = _exprel(-0.5 * g)
     # G00 = g (a^2 E+ + 2 h^2 E0 + b^2 E-)
     g00 = a * a
@@ -296,27 +296,19 @@ def _vacuum_injection(s, g, q):
     return g00, g01, g11
 
 
-def _propagator(s, g, q):
+def _propagator(s, g, q, qk, h, a):
     """Depth-1 x-sector propagator M = [[m11, m21], [m21, m22]] as (m11, m21, m22).
 
     M = e^{-k} (cosh q I + sinh(q)/q [[-k, s], [s, k]]) with k = g/4.  Its
     cosh - sinh form cancels where q ~ k (small s or tiny T_a), so it is
-    written in sums of positive terms: with a, b = 1 - a and h as in
-    `_vacuum_injection`, m11 = a e^{q-k} + b e^{-(q+k)} and m22 = b e^{q-k} +
+    written in sums of positive terms: with the coefficients of
+    `_coefficients`, m11 = a e^{q-k} + b e^{-(q+k)} and m22 = b e^{q-k} +
     a e^{-(q+k)}, where q - k = s^2/(q + k) and q + k = g/2 + (q - k).  The
     off-diagonal m21 = h (e^{q-k} - e^{-(q+k)}) keeps about eps/q of relative
     error, which matters only where s and g are both tiny and m21 ~ s is
-    negligible against m11 ~ m22 ~ 1.  Only s = g = 0 has q = 0; there any
-    q > 0 stands in, which gives a = h = 0 and M = I exactly.  Takes 1-d
-    arrays and writes each step into an array it owns.
+    negligible against m11 ~ m22 ~ 1.  Writes each step into the coefficient
+    arrays, which it spends, or into an array it owns.
     """
-    q = np.where(q > 0.0, q, 1.0)
-    qk = 0.25 * g
-    qk += q
-    h = 0.5 * s
-    h /= q
-    a = h * s
-    a /= qk
     e_up = s * s
     e_up /= qk
     # q + k = g/2 + (q - k), over the spent q + k; it is 0 at s = g = 0
@@ -338,8 +330,11 @@ def _propagator(s, g, q):
 
 def _amplitude_sector(s, g, q):
     """(m11, m21) of M and (s00, s01, s11) of sigma = M M^T + G, over 1-d arrays."""
-    m11, m21, m22 = _propagator(s, g, q)
-    s00, s01, s11 = _vacuum_injection(s, g, q)
+    coefficients = _coefficients(s, g, q)
+    s00, s01, s11 = _vacuum_injection(s, g, *coefficients)
+    m11, m21, m22 = _propagator(s, g, *coefficients)
+    # drop the spent scratch before the products below, which hold peak memory
+    del coefficients
     # M is symmetric (m12 = m21)
     s00 += m11 * m11 + m21 * m21
     s01 += m21 * (m11 + m22)
@@ -347,23 +342,29 @@ def _amplitude_sector(s, g, q):
     return m11, m21, s00, s01, s11
 
 
-def continuum_state(params: SourceParams) -> GaussianState:
-    """Exact infinite-slice state of a coherent probe seed and a vacuum conjugate.
+def continuum_sector(params: SourceParams) -> tuple:
+    """Exact infinite-slice x sector of a coherent probe seed and a vacuum conjugate.
 
-    In the (x_probe, p_probe, x_conj, p_conj) ordering the x sector holds
-    d = 2 sqrt(seed photons) (m11, m21) and sigma = M M^T + G.  The squeezer
-    acts on p with the sign of s flipped, so the p sector repeats the x
-    diagonal with the opposite cross-correlation, and x and p are
-    uncorrelated.
+    Floats (d_p, d_c, sigma_pp, sigma_pc, sigma_cc): d = 2 sqrt(seed photons)
+    (m11, m21) and sigma = M M^T + G of (x_probe, x_conj).
     """
     s, g, q = np.atleast_1d(*_slice_dynamics(params.s, params.T_a))
     m11, m21, s00, s01, s11 = (float(x[0]) for x in _amplitude_sector(s, g, q))
-    amplitude = 2.0 * math.sqrt(params.effective_seed_photons())
-    return GaussianState(*_mirrored_moments(amplitude * m11, amplitude * m21, s00, s01, s11))
+    amplitude = 2.0 * math.sqrt(params.seed_photons)
+    return amplitude * m11, amplitude * m21, s00, s01, s11
+
+
+def continuum_state(params: SourceParams) -> GaussianState:
+    """Two-mode Gaussian state of `continuum_sector`, for the audits and tests.
+
+    The squeezer acts on p with the sign of s flipped, so the p sector
+    repeats the x diagonal with the opposite cross-correlation.
+    """
+    return GaussianState(*_mirrored_moments(*continuum_sector(params)))
 
 
 def _mirrored_moments(d_p, d_c, s00, s01, s11) -> tuple[np.ndarray, np.ndarray]:
-    """(d, sigma) of x sector (d_p, d_c), [[s00, s01], [s01, s11]] in the layout above."""
+    """(d, sigma) of x sector (d_p, d_c), [[s00, s01], [s01, s11]] over (x_p, p_p, x_c, p_c)."""
     d = np.array([d_p, 0.0, d_c, 0.0])
     sigma = np.array(
         [
@@ -398,7 +399,8 @@ def continuum_gain(s, T_a):
     """Exact infinite-slice probe photon gain <n_out>/<n_seed>."""
     s, g, q = _slice_dynamics(s, T_a)
     shape = s.shape
-    m11, _, _ = _propagator(*np.atleast_1d(s, g, q))
+    s, g, q = np.atleast_1d(s, g, q)
+    m11, _, _ = _propagator(s, g, *_coefficients(s, g, q))
     m11 *= m11
     return m11.reshape(shape)[()]
 

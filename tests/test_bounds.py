@@ -35,7 +35,6 @@ from qcrbench.gaussian import (
     bright_mean_photon,
     coherent_state,
     symplectic_eigenvalues,
-    vacuum_state,
 )
 from qcrbench.source import SourceParams, _slice_dynamics, continuum_state
 
@@ -47,7 +46,7 @@ GRID = np.round(0.10 + 0.05 * np.arange(16), 12)
 
 def three_stage_state(chain: ProbeChain, T: float):
     """Chain output at T with all three loss stages applied from the source state."""
-    state = apply_loss(chain.source_state, ChannelOp([chain.budget.T_p, 1.0]))
+    state = apply_loss(continuum_state(chain.params), ChannelOp([chain.budget.T_p, 1.0]))
     state = apply_loss(state, ChannelOp([T, 1.0]))
     return apply_loss(state, ChannelOp([chain.budget.eta_p, chain.budget.eta_c]))
 
@@ -358,24 +357,30 @@ class TestNumericGaussianBound:
         with pytest.raises(ValueError, match="at least 10000 photons"):
             build_chain(SourceParams(s=1.0, T_a=0.9, seed_photons=100.0), BUDGET)
 
-    @pytest.mark.parametrize(
-        "state",
-        [
-            coherent_state([10.0]),
-            vacuum_state(3),
-            coherent_state([10.0 + 1.0j, 0.0]),
-            GaussianState(np.zeros(4), np.diag([2.0, 1.0, 1.0, 1.0])),
-            GaussianState(np.zeros(4), np.eye(4) + 0.1 * (np.eye(4, k=1) + np.eye(4, k=-1))),
-        ],
-        ids=["one mode", "three modes", "p displacement", "p sector unlike x", "x-p correlation"],
-    )
-    def test_chain_rejects_source_outside_mirrored_form(self, state):
-        with pytest.raises(ValueError, match="probe chain needs"):
-            ProbeChain(state, BUDGET)
-
     def test_chain_accepts_coherent_source(self):
-        # a coherent probe beside a vacuum conjugate has the mirrored form too
-        assert ProbeChain(coherent_state([10.0, 0.0]), BUDGET).n_input == 0.973 * 100.0
+        # at s = 0 and T_a = 1 the source passes a coherent seed beside a vacuum conjugate
+        chain = build_chain(SourceParams(s=0.0, T_a=1.0, seed_photons=1e4), BUDGET)
+        assert chain.n_input == 0.973 * 1e4
+        coherent = apply_loss(coherent_state([100.0, 0.0]), ChannelOp([0.973, 1.0]))
+        for t in (0.3, 1.0):
+            oracle = apply_loss(coherent, ChannelOp([t, 1.0]))
+            oracle = apply_loss(oracle, ChannelOp([BUDGET.eta_p, BUDGET.eta_c]))
+            assert np.array_equal(chain.state_at(t).d, oracle.d)
+            assert np.array_equal(chain.state_at(t).sigma, oracle.sigma)
+
+    @pytest.mark.parametrize(
+        "params, budget",
+        [
+            (SourceParams(s=2.0, T_a=0.71), BUDGET),
+            (SourceParams(s=2.04, T_a=0.71, seed_photons=4e8), BUDGET),
+            (PARAMS, _LOSSLESS),
+        ],
+        ids=["other s", "other seed", "other budget"],
+    )
+    def test_chain_of_other_source_or_budget_rejected(self, params, budget):
+        chain = build_chain(PARAMS, BUDGET)
+        with pytest.raises(ValueError, match="other source parameters or loss budget"):
+            qcrb_numeric_gaussian(0.5, params, budget, chain=chain)
 
     @pytest.mark.parametrize("t", [0.5, 1.0])
     def test_no_probe_light_rejected(self, t):
@@ -478,9 +483,13 @@ class TestPrecomputedChainStages:
     def chain(self, source, request):
         return build_chain(source, request.param)
 
+    def test_n_input_equals_source_state_photons(self, source, chain):
+        state = continuum_state(source)
+        assert chain.n_input == chain.budget.T_p * bright_mean_photon(state, 0)
+
     @pytest.mark.parametrize("t", ORACLE_T)
     def test_numeric_bound_equals_six_state_route(self, source, chain, t):
-        numeric = qcrb_numeric_gaussian(t, PARAMS, BUDGET, chain=chain).var_n
+        numeric = qcrb_numeric_gaussian(t, chain.params, chain.budget, chain=chain).var_n
         try:
             expected = six_state_numeric_var_n(chain, t)
         except RuntimeWarning:
@@ -525,22 +534,27 @@ class TestPrecomputedChainStages:
 
         monkeypatch.setattr(ProbeChain, "sector_at", skewed)
         with pytest.raises(NonPhysicalError, match="finite-difference"):
-            qcrb_numeric_gaussian(t, PARAMS, BUDGET, chain=chain)
+            qcrb_numeric_gaussian(t, chain.params, chain.budget, chain=chain)
 
     def test_no_state_per_bound_or_variance(self, chain, monkeypatch):
+        # neither the chain nor what reads it builds a two-mode state
         calls = []
-        original = ProbeChain.state_at
+        original = GaussianState.__post_init__
 
-        def counted(self, at):
-            calls.append(at)
-            return original(self, at)
+        def counted(self):
+            calls.append(self)
+            original(self)
 
-        monkeypatch.setattr(ProbeChain, "state_at", counted)
+        monkeypatch.setattr(GaussianState, "__post_init__", counted)
+        assert build_chain(chain.params, chain.budget) == chain
+        assert calls == []
         for t in (0.5, 1.0):
-            qcrb_numeric_gaussian(t, PARAMS, BUDGET, chain=chain)
+            qcrb_numeric_gaussian(t, chain.params, chain.budget, chain=chain)
             assert calls == []
             transmission_variance(chain, t)
             assert calls == []
+        chain.state_at(0.5)
+        assert len(calls) == 1
 
 
 class TestAdvantage:

@@ -20,6 +20,13 @@ from qcrbench.errors import ConfigError
 from qcrbench.inference import MAX_POPULATION, synthetic_noise_measurements
 
 ETAS = {"diff": 0.919, "probe": 0.973 * 0.945, "conj": 0.919}
+# the three channels of docs/sample_noises.json, which `fit` accepts
+_SAMPLE_NOISES = (
+    b'{"channels": ['
+    b'{"channel": "diff", "value": 0.1534014078, "variance": 3.38861e-06, "eta": 0.919}, '
+    b'{"channel": "probe", "value": 23.1872425073, "variance": 0.0774213, "eta": 0.919485}, '
+    b'{"channel": "conj", "value": 24.8913836392, "variance": 0.0892197, "eta": 0.919}]}'
+)
 
 
 def read_csv(path):
@@ -53,7 +60,7 @@ class TestConfigParsing:
         config = parse_config_text("s = 1.1\nT_a = 0.8\nseed_photons = 5e6\n")
         assert config.source.s == 1.1
         assert config.source.T_a == 0.8
-        assert config.source.effective_seed_photons() == 5e6
+        assert config.source.seed_photons == 5e6
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -426,6 +433,12 @@ class TestFitCommand:
         noise.write_text("{not json")
         assert main(["fit", str(noise)]) == 3
 
+    def test_sample_noises_fit(self, tmp_path):
+        # the base of the true and false cases below is itself accepted
+        noise = tmp_path / "sample.json"
+        noise.write_bytes(_SAMPLE_NOISES)
+        assert main(["fit", str(noise), "--population", "16", "--max-generations", "5"]) == 0
+
     @pytest.mark.parametrize(
         "body",
         [
@@ -437,8 +450,23 @@ class TestFitCommand:
             b'{"channels": [{"channel": "diff", "value": 0.15, "variance": 1e-6, "eta": null}]}',
             b'{"channels": [{"channel": "diff", "value": 1' + b"0" * 400 + b', "variance": 1}]}',
             b'{"channels": [{"channel": "diff\xff", "value": 0.15, "variance": 1e-6}]}',
+            _SAMPLE_NOISES.replace(b'"value": 0.1534014078', b'"value": true'),
+            _SAMPLE_NOISES.replace(b'"variance": 0.0774213', b'"variance": false'),
+            _SAMPLE_NOISES.replace(b'"eta": 0.919485', b'"eta": true'),
         ],
-        ids=["null", "number", "list", "list-value", "text-value", "null-eta", "huge-int", "utf8"],
+        ids=[
+            "null",
+            "number",
+            "list",
+            "list-value",
+            "text-value",
+            "null-eta",
+            "huge-int",
+            "utf8",
+            "true-value",
+            "false-variance",
+            "true-eta",
+        ],
     )
     def test_malformed_noise_file_exits_3(self, tmp_path, capsys, body):
         noise = tmp_path / "bad.json"
@@ -496,14 +524,40 @@ class TestSaTimeCommand:
         assert "RBW" in capsys.readouterr().err
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_loads_no_scipy(tmp_path):
+    # the run-time path is numpy-only: neither the import nor the README
+    # commands, whose lazy imports an import-only probe would miss, may load
+    # a test dependency
     src = os.path.dirname(os.path.dirname(qcrbench.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, qcrbench.cli; print('scipy' in sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    config = os.path.join(os.path.dirname(src), "docs", "sample_config.txt")
+    noises = os.path.join(os.path.dirname(src), "docs", "sample_noises.json")
+    commands = [
+        ["bounds", "--config", config, "--out", str(tmp_path / "bounds.csv")],
+        ["simulate", "--config", config, "--trials", "10000", "--seed", "7",
+         "--out", str(tmp_path / "simulate.csv")],
+        ["fit", noises, "--population", "500", "--seed", "5", "--out", str(tmp_path / "fit.json")],
+        ["sa-time", "--filter", "sync4", "--rbw", "51e3"],
+    ]
+    probe = (
+        "import json, sys, qcrbench.cli\n"
+        "def loaded():\n"
+        "    return [name for name in ('scipy', 'hypothesis') if name in sys.modules]\n"
+        "after_import = loaded()\n"
+        "codes = [qcrbench.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([after_import, codes, loaded()]))\n"
     )
-    assert result.stdout.strip() == "False"
+    result = subprocess.run(
+        [sys.executable, "-c", probe, json.dumps(commands)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    after_import, codes, after_commands = json.loads(result.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0, 0]
+    assert after_import == []
+    assert after_commands == []
 
 
 class TestLoadConfig:

@@ -145,6 +145,9 @@ class TestSourceParams:
             {"s": 1.0, "T_a": 0.0},
             {"s": 1.0, "T_a": 1.2},
             {"s": float("inf"), "T_a": 0.9},
+            {"s": 1.0, "T_a": 0.9, "seed_photons": -1.0},
+            {"s": 1.0, "T_a": 0.9, "seed_photons": float("nan")},
+            {"s": 1.0, "T_a": 0.9, "seed_photons": float("inf")},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -152,7 +155,7 @@ class TestSourceParams:
             SourceParams(**kwargs)
 
     def test_default_seed(self):
-        assert SourceParams(s=1.0, T_a=0.9).effective_seed_photons() == 1e6
+        assert SourceParams(s=1.0, T_a=0.9).seed_photons == 1e6
 
 
 class TestLayeredSource:
