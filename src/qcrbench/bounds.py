@@ -21,7 +21,7 @@ conjugate only sees eta_c.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -217,8 +217,14 @@ class ProbeChain:
 
     params: SourceParams
     budget: LossBudget
-    incident: tuple
-    n_input: float
+    incident: tuple = field(init=False, repr=False)
+    n_input: float = field(init=False)
+
+    def __post_init__(self):
+        sector = continuum_sector(self.params)
+        # the bright probe photons d_p^2 / 4 of the source, times T_p
+        object.__setattr__(self, "n_input", self.budget.T_p * (sector[0] * sector[0] / 4.0))
+        object.__setattr__(self, "incident", _loss_stage(sector, math.sqrt(self.budget.T_p), 1.0))
 
     def sector_at(self, T: float) -> tuple:
         """Detected x sector (d_p, d_c, sigma_pp, sigma_pc, sigma_cc) at T."""
@@ -237,11 +243,7 @@ def build_chain(params: SourceParams, budget: LossBudget) -> ProbeChain:
         raise ValueError(
             f"bright-limit chain needs a seed of at least {MIN_BRIGHT_PHOTONS:g} photons"
         )
-    sector = continuum_sector(params)
-    # the bright probe photons d_p^2 / 4 of the source, times T_p
-    n_input = budget.T_p * (sector[0] * sector[0] / 4.0)
-    incident = _loss_stage(sector, math.sqrt(budget.T_p), 1.0)
-    return ProbeChain(params=params, budget=budget, incident=incident, n_input=n_input)
+    return ProbeChain(params, budget)
 
 
 _FD_MISMATCH_TOL = 1e-6
