@@ -373,7 +373,8 @@ def synthetic_noise_measurements(
     T_a: float,
     etas: dict,
     rel_sigma: float = 1e-3,
-    rng: np.random.Generator | None = None,
+    # quoted so that importing this module does not load numpy.random
+    rng: "np.random.Generator | None" = None,
 ) -> list:
     """Forward-model a measurement triple for round-trip and coverage studies.
 

@@ -13,6 +13,10 @@ goes through it:
 * `continuum_noises` - the three normalized noises (fits, noise maps);
 * `continuum_gain`   - the probe photon gain.
 
+Every kernel step is elementwise, so `_in_blocks` runs the last two over
+batches larger than `_BLOCK` points one cache-sized block at a time, with
+the bits of a single whole-batch pass.
+
 The finite stack stays as an independent audit of that limit:
 `layered_source` runs N slices and `converged_source` doubles N until the
 output moments stop changing; `continuum_state` expands the sector to the
@@ -40,6 +44,9 @@ from .gaussian import (
 
 DEFAULT_SEED_PHOTONS = 1e6
 MAX_LAYERS = 2**20
+# points per pass of the closed-form kernel: its ~15 live arrays of 64 KB
+# each stay in a 2 MB L2, where whole 256 x 256 maps would not
+_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -51,6 +58,11 @@ class SourceParams:
     seed_photons: float = DEFAULT_SEED_PHOTONS
 
     def __post_init__(self):
+        # an array field would broadcast through the kernel and the chain
+        # would read only its first element
+        for name in ("s", "T_a", "seed_photons"):
+            if np.ndim(getattr(self, name)) != 0:
+                raise ValueError(f"{name} must be a scalar")
         _source_domain(self.s, self.T_a)
         if not (self.seed_photons >= 0.0 and np.isfinite(self.seed_photons)):
             raise ValueError("seed_photons must be finite and >= 0")
@@ -254,8 +266,8 @@ def _vacuum_injection(s, g, q, qk, h, a):
     With c(z) as in `_coefficients`, every entry of G is a combination of
     E(x) = int_0^1 e^{xz} dz = exprel(x) at x = 2(q - k) = 2s^2/(q + k),
     x = -2k and x = -2(q + k).  The coefficients are left intact.  Each step
-    writes into an array it owns, because on large batches every extra
-    temporary adds 8 bytes per point to peak memory.
+    writes into an array it owns, because every extra temporary adds 8 bytes
+    per point of the block to peak memory and to the cache working set.
     """
     b = 0.5 * qk
     b /= q
@@ -307,7 +319,8 @@ def _propagator(s, g, q, qk, h, a):
     off-diagonal m21 = h (e^{q-k} - e^{-(q+k)}) keeps about eps/q of relative
     error, which matters only where s and g are both tiny and m21 ~ s is
     negligible against m11 ~ m22 ~ 1.  Writes each step into the coefficient
-    arrays, which it spends, or into an array it owns.
+    arrays, which it spends, or into an array it owns, so a block holds no
+    more arrays than it needs.
     """
     e_up = s * s
     e_up /= qk
@@ -329,7 +342,11 @@ def _propagator(s, g, q, qk, h, a):
 
 
 def _amplitude_sector(s, g, q):
-    """(m11, m21) of M and (s00, s01, s11) of sigma = M M^T + G, over 1-d arrays."""
+    """(m11, m21) of M and (s00, s01, s11) of sigma = M M^T + G, over 1-d arrays.
+
+    Called on one block of points at a time (see `_in_blocks`), so its peak
+    is about 15 block-sized arrays however large the batch.
+    """
     coefficients = _coefficients(s, g, q)
     s00, s01, s11 = _vacuum_injection(s, g, *coefficients)
     m11, m21, m22 = _propagator(s, g, *coefficients)
@@ -377,6 +394,47 @@ def _mirrored_moments(d_p, d_c, s00, s01, s11) -> tuple[np.ndarray, np.ndarray]:
     return d, sigma
 
 
+def _in_blocks(kernel, outputs: int, s, T_a) -> tuple:
+    """`kernel` over the checked, flattened points of (s, T_a), one block at a time.
+
+    `kernel(s, g, q)` maps 1-d arrays to `outputs` arrays of the same length
+    by elementwise steps only, so splitting the points changes no bit.  A
+    batch of at most `_BLOCK` points returns the kernel's own arrays; a
+    larger one fills outputs allocated once, so the kernel's temporaries stay
+    block-sized and in cache.  Outputs take the broadcast shape of the input;
+    scalar input gives scalars.
+    """
+    s, ta = _source_domain(s, T_a)
+    shape = s.shape
+    s, ta = s.ravel(), ta.ravel()
+    if s.size <= _BLOCK:
+        results = kernel(s, *_slice_rates(s, ta))
+    else:
+        results = tuple(np.empty(s.size) for _ in range(outputs))
+        for start in range(0, s.size, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            parts = kernel(s[block], *_slice_rates(s[block], ta[block]))
+            for out, part in zip(results, parts):
+                out[block] = part
+    return tuple(x.reshape(shape)[()] for x in results)
+
+
+def _noise_kernel(s, g, q) -> tuple:
+    """(diff, probe, conj) noises over 1-d arrays, from the amplitude sector."""
+    m11, m21, s00, s01, s11 = _amplitude_sector(s, g, q)
+    w_p = m11 * m11
+    w_c = m21 * m21
+    diff = (w_p * s00 + w_c * s11 - 2.0 * m11 * m21 * s01) / (w_p + w_c)
+    return diff, s00, s11
+
+
+def _gain_kernel(s, g, q) -> tuple:
+    """(m11^2,) over 1-d arrays: the probe photon gain."""
+    m11, _, _ = _propagator(s, g, *_coefficients(s, g, q))
+    m11 *= m11
+    return (m11,)
+
+
 def continuum_noises(s, T_a) -> NoiseTriple:
     """Exact infinite-slice normalized noises; accepts scalar or array input.
 
@@ -384,25 +442,14 @@ def continuum_noises(s, T_a) -> NoiseTriple:
     propagator and G the vacuum injected by the distributed probe loss, both
     in closed form.  Array input keeps its shape; scalar input gives scalars.
     """
-    s, g, q = _slice_dynamics(s, T_a)
-    shape = s.shape
-    m11, m21, s00, s01, s11 = _amplitude_sector(*np.atleast_1d(s, g, q))
-    w_p = m11 * m11
-    w_c = m21 * m21
-    diff = (w_p * s00 + w_c * s11 - 2.0 * m11 * m21 * s01) / (w_p + w_c)
-    return NoiseTriple(
-        diff=diff.reshape(shape)[()], probe=s00.reshape(shape)[()], conj=s11.reshape(shape)[()]
-    )
+    diff, probe, conj = _in_blocks(_noise_kernel, 3, s, T_a)
+    return NoiseTriple(diff=diff, probe=probe, conj=conj)
 
 
 def continuum_gain(s, T_a):
     """Exact infinite-slice probe photon gain <n_out>/<n_seed>."""
-    s, g, q = _slice_dynamics(s, T_a)
-    shape = s.shape
-    s, g, q = np.atleast_1d(s, g, q)
-    m11, _, _ = _propagator(s, g, *_coefficients(s, g, q))
-    m11 *= m11
-    return m11.reshape(shape)[()]
+    (gain,) = _in_blocks(_gain_kernel, 1, s, T_a)
+    return gain
 
 
 def analytic_noises(s, T_a, corrected_probe: bool = True) -> NoiseTriple:

@@ -556,6 +556,28 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert after_commands == []
 
 
+def test_cli_import_loads_no_numpy_random():
+    # bounds and sa-time never draw, so importing the CLI must not pay for
+    # numpy.random; simulate and fit load it when they do.  numpy 1.x loads
+    # it with numpy itself, so the probe compares against bare numpy.
+    src = os.path.dirname(os.path.dirname(qcrbench.__file__))
+    probe = (
+        "import sys, numpy\n"
+        "before = 'numpy.random' in sys.modules\n"
+        "import qcrbench.cli\n"
+        "print(before, 'numpy.random' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    before, after = result.stdout.split()
+    assert after == before
+
+
 class TestLoadConfig:
     def test_load_default(self):
         config = load_config(None)

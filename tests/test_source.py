@@ -1,6 +1,7 @@
 """Tests for the distributed-loss squeezer model and its closed forms."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from qcrbench.config import MAX_S
 from qcrbench.errors import ConvergenceError
 from qcrbench.gaussian import ChannelOp, apply_loss, bright_mean_photon, two_mode_squeezer
 from qcrbench.source import (
+    _BLOCK,
     NoiseTriple,
     SourceParams,
     _affine_power,
@@ -18,6 +20,7 @@ from qcrbench.source import (
     analytic_noises,
     continuum_gain,
     continuum_noises,
+    continuum_sector,
     continuum_state,
     converged_source,
     layered_source,
@@ -156,6 +159,26 @@ class TestSourceParams:
 
     def test_default_seed(self):
         assert SourceParams(s=1.0, T_a=0.9).seed_photons == 1e6
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"s": [1.0, 2.0], "T_a": 0.5},
+            {"s": np.array([1.0]), "T_a": 0.5},
+            {"s": 1.0, "T_a": (0.5, 0.6)},
+            {"s": 1.0, "T_a": np.array([[0.5]])},
+            {"s": 1.0, "T_a": 0.5, "seed_photons": np.array([1e6])},
+        ],
+    )
+    def test_array_fields_rejected(self, kwargs):
+        # one element would otherwise stand in for the whole array downstream
+        with pytest.raises(ValueError, match="must be a scalar"):
+            SourceParams(**kwargs)
+
+    @pytest.mark.parametrize("cast", [float, np.float64, np.array])
+    def test_scalar_types_accepted(self, cast):
+        params = SourceParams(s=cast(1.0), T_a=cast(0.5), seed_photons=cast(1e6))
+        assert continuum_sector(params) == continuum_sector(SourceParams(1.0, 0.5))
 
 
 class TestLayeredSource:
@@ -376,6 +399,82 @@ class TestContinuumNoises:
         assert float(triple.conj) == pytest.approx(math.cosh(2.0 * s), rel=1e-12)
         assert math.isfinite(float(triple.diff))
         assert float(continuum_gain(s, 1.0)) == pytest.approx(math.cosh(s) ** 2, rel=1e-12)
+
+
+def _block_inputs():
+    rng = np.random.default_rng(20261018)
+    n = 3 * _BLOCK + 1234
+    return {
+        "three_blocks_and_a_remainder": (
+            rng.uniform(0.0, MAX_S, n),
+            10.0 ** rng.uniform(-300.0, 0.0, n),
+        ),
+        # a column of s against a row of T_a, spanning two blocks and a part
+        "broadcast_2d": (
+            rng.uniform(0.0, MAX_S, (_BLOCK // 64 + 5, 1)),
+            rng.uniform(0.05, 1.0, 131),
+        ),
+        "empty": (np.empty(0), np.empty(0)),
+    }
+
+
+BLOCK_INPUTS = _block_inputs()
+
+
+def _bits(value) -> np.ndarray:
+    return np.asarray(value, dtype=float).view(np.uint64)
+
+
+def _kernel_outputs(s, ta) -> tuple:
+    triple = continuum_noises(s, ta)
+    return triple.diff, triple.probe, triple.conj, continuum_gain(s, ta)
+
+
+class TestBlockEvaluation:
+    """Batches larger than one block are cut into blocks with the same bits."""
+
+    @pytest.mark.parametrize("case", sorted(BLOCK_INPUTS))
+    def test_blocks_match_slices_and_scalars(self, case):
+        s, ta = BLOCK_INPUTS[case]
+        s_before, ta_before = s.copy(), ta.copy()
+        outputs = _kernel_outputs(s, ta)
+        assert np.array_equal(s, s_before) and np.array_equal(ta, ta_before)
+        shape = np.broadcast_shapes(s.shape, ta.shape)
+        for value in outputs:
+            assert isinstance(value, np.ndarray) and value.shape == shape and value.dtype == float
+        flat_s, flat_ta = (np.broadcast_to(x, shape).ravel() for x in (s, ta))
+        # single-block calls over slices that straddle the block edges
+        step = _BLOCK // 3 + 7
+        pieces = [
+            _kernel_outputs(flat_s[start : start + step], flat_ta[start : start + step])
+            for start in range(0, flat_s.size, step)
+        ]
+        for index, value in enumerate(outputs):
+            joined = np.concatenate([piece[index] for piece in pieces] or [np.empty(0)])
+            assert np.array_equal(_bits(value.ravel()), _bits(joined))
+        # scalar calls at the block edges and at random points
+        picks = [0, _BLOCK - 1, _BLOCK, flat_s.size - 1]
+        picks += list(np.random.default_rng(0).integers(0, flat_s.size + 1, 16))
+        for j in (j for j in picks if 0 <= j < flat_s.size):
+            single = _kernel_outputs(float(flat_s[j]), float(flat_ta[j]))
+            for value, scalar in zip(outputs, single):
+                assert _bits(value.flat[j]) == _bits(scalar)
+
+    def test_peak_memory_is_block_sized(self):
+        n = 2**16
+        rng = np.random.default_rng(7)
+        s, ta = rng.uniform(0.0, MAX_S, n), rng.uniform(0.05, 1.0, n)
+        continuum_noises(s[:8], ta[:8])
+        tracemalloc.start()
+        try:
+            triple = continuum_noises(s, ta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert triple.diff.shape == (n,)
+        # the three outputs plus the kernel's block-sized temporaries, about
+        # 15 of them, with margin
+        assert peak < 3 * 8 * n + 24 * 8 * _BLOCK
 
 
 TINY_TRANSMISSIONS = [1e-30, 1e-100, 1e-300]
