@@ -23,8 +23,8 @@ EXIT_SCHEMA = 3
 EXIT_DOMAIN = 4
 
 #: most trials `simulate` runs per transmission, checked before any ramp is
-#: built.  A ramp peaks at about 113 bytes per trial (tracemalloc, 10^4 to
-#: 10^6 trials), so the cap holds one ramp near 1.1 GB; it covers the paper's
+#: built.  A ramp peaks at about 45 bytes per trial (tracemalloc, 10^4 to
+#: 10^6 trials), so the cap holds one ramp near 450 MB; it covers the paper's
 #: 14 s ramp at 51 kHz RBW, about 1.6e6 bins.
 MAX_TRIALS = 10_000_000
 

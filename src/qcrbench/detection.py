@@ -16,6 +16,7 @@ FWHM of |H(f)|^2 for every filter kind here; this convention reproduces the
 4-pole analyzer fixture t ~= 0.44/RBW.
 """
 
+import bisect
 import math
 import sys
 import warnings
@@ -202,12 +203,23 @@ def transmission_variance(chain, T: float, n_r: float = 1.0, g: float | None = N
 
 
 def linear_ramp(initial_amplitude: float, duration: float):
-    """Modulation profile ramping linearly from `initial_amplitude` to zero."""
+    """Modulation profile ramping linearly from `initial_amplitude` to zero.
+
+    The amplitude falls with t and is zero from t = duration on, so on
+    increasing bin times its power is positive on one leading run of bins
+    and non-increasing there: the form `snr_ramp_simulate` requires.  The
+    profile leaves its input as it is; a scalar t gives a numpy scalar.
+    """
     if initial_amplitude < 0.0 or duration <= 0.0:
         raise ValueError("ramp needs a non-negative amplitude and positive duration")
 
     def profile(t):
-        return initial_amplitude * np.clip(1.0 - np.asarray(t, dtype=float) / duration, 0.0, None)
+        amplitude = np.array(t, dtype=float)
+        amplitude /= duration
+        np.subtract(1.0, amplitude, out=amplitude)
+        np.clip(amplitude, 0.0, None, out=amplitude)
+        amplitude *= initial_amplitude
+        return amplitude if amplitude.ndim else amplitude[()]
 
     return profile
 
@@ -257,19 +269,48 @@ def _centred_line_fit(x: np.ndarray, y: np.ndarray):
     `_line_fit`, which warns as `np.polyfit` does.
     """
     _, exponent = math.frexp(float(x.max()))
-    scaled = np.ldexp(x, -exponent)
-    x_mean = scaled.mean()
-    t = scaled - x_mean
+    t = np.ldexp(x, -exponent)
+    # a sum over the size: the bits of .mean() without its Python set-up
+    x_mean = np.add.reduce(t) / t.size
+    scaled_square = float(t @ t)
+    t -= x_mean
     t_square = float(t @ t)
     rank_cut = 4.0 * x.size * np.finfo(float).eps
-    if not t_square > rank_cut * rank_cut * float(scaled @ scaled):
+    if not t_square > rank_cut * rank_cut * scaled_square:
         return _line_fit(x, y)
     slope = float(t @ y) / t_square
-    intercept = float(y.mean() - slope * x_mean)
+    intercept = float(np.add.reduce(y) / y.size - slope * x_mean)
     try:
         return math.ldexp(slope, -exponent), intercept
     except OverflowError:
         raise NonPhysicalError("line slope overflows float64 at these modulation powers") from None
+
+
+def _fit_window(run: np.ndarray, slope: float, intercept: float):
+    """(a, b) such that run[a:b] holds the bins whose fitted SNR lies in [0.2, 5].
+
+    `run` is monotone, and so is the fitted SNR intercept + slope * run:
+    rounding is monotone.  The window is therefore one index range, and
+    bisection finds its ends.  Each fitted value is the Python float
+    expression of the numpy elementwise one, the same IEEE operations (no
+    fused multiply-add), so the range holds exactly the bins the elementwise
+    comparison would keep.  A falling line is bisected as its exact negation
+    on [-5, -0.2].  A slope or intercept that is not finite puts every
+    fitted value outside the window (run > 0).
+    """
+    if not (math.isfinite(slope) and math.isfinite(intercept)):
+        return 0, 0
+    lo, hi = _SNR_FIT_WINDOW
+    item = run.item
+    if intercept + slope * item(0) > intercept + slope * item(-1):
+        slope, intercept, lo, hi = -slope, -intercept, -hi, -lo
+
+    def fitted(i):
+        return intercept + slope * item(i)
+
+    bins = range(run.size)
+    start = bisect.bisect_left(bins, lo, key=fitted)
+    return start, bisect.bisect_right(bins, hi, lo=start, key=fitted)
 
 
 def _iterated_line_fit(mod_power: np.ndarray, snr: np.ndarray):
@@ -282,6 +323,11 @@ def _iterated_line_fit(mod_power: np.ndarray, snr: np.ndarray):
     *fitted* SNR lies in [0.2, 5], mirroring the usable region of a ramp
     trace between the noise floor and the pre-ramp settling segment.
 
+    Domain: the usable bins (mod_power > 0 and finite SNR) must form one
+    contiguous run on which mod_power is monotone, as a ramp's do; anything
+    else raises `NonPhysicalError`.  Every window is then an index range of
+    that run (`_fit_window`).
+
     The windows are chosen by `_centred_line_fit` passes: the first pass
     fits every usable bin, and each next window keeps the bins whose SNR on
     the previous line lies in [0.2, 5].  The window still has no stopping
@@ -290,19 +336,30 @@ def _iterated_line_fit(mod_power: np.ndarray, snr: np.ndarray):
     line is one `_line_fit` on the last window fitted, so its bits are those
     of `np.polyfit(x, y, 1)` there.
     """
-    usable = (mod_power > 0.0) & np.isfinite(snr)
-    window = usable
-    lo, hi = _SNR_FIT_WINDOW
+    usable = mod_power > 0.0
+    usable &= np.isfinite(snr)
+    count = np.count_nonzero(usable)
+    if count < _MIN_WINDOW_BINS:
+        raise NonPhysicalError("SNR=1 not bracketed: too few usable ramp bins")
+    first = int(usable.argmax())
+    if not usable[first : first + count].all():
+        raise NonPhysicalError(
+            "SNR ramp bins with positive modulation power and finite SNR are not contiguous"
+        )
+    run = mod_power[first : first + count]
+    if not (np.all(run[1:] >= run[:-1]) or np.all(run[1:] <= run[:-1])):
+        raise NonPhysicalError("SNR ramp modulation power is not monotone over its usable bins")
+    snr_run = snr[first : first + count]
+    window = (0, count)
     for _ in range(10):
-        if np.count_nonzero(window) < _MIN_WINDOW_BINS:
+        start, stop = window
+        if stop - start < _MIN_WINDOW_BINS:
             raise NonPhysicalError("SNR=1 not bracketed: too few usable ramp bins")
-        fitted_window = window
-        slope, intercept = _centred_line_fit(mod_power[window], snr[window])
-        fitted = intercept + slope * mod_power
-        window = usable & (fitted >= lo) & (fitted <= hi)
-        if np.array_equal(window, fitted_window):
+        slope, intercept = _centred_line_fit(run[start:stop], snr_run[start:stop])
+        window = _fit_window(run, slope, intercept)
+        if window == (start, stop):
             break
-    return _line_fit(mod_power[fitted_window], snr[fitted_window])
+    return _line_fit(run[start:stop], snr_run[start:stop])
 
 
 def snr_ramp_simulate(
@@ -319,15 +376,27 @@ def snr_ramp_simulate(
     power is solved for SNR = 1 and the crossing is returned as an
     amplitude; it estimates the transmission standard deviation.
 
+    The profile maps the bin times to one amplitude per bin.  Its power
+    must be monotone over one contiguous run of bins with positive power
+    (and finite SNR), as a `linear_ramp`'s is; otherwise the fit raises
+    `NonPhysicalError`.
+
     Noise draws come from streams keyed on (rng_seed, trace index), so
-    results are bit-identical regardless of how trials are scheduled.
+    results are bit-identical regardless of how trials are scheduled.  The
+    arithmetic runs in place in arrays of this call, with the bits of the
+    plain expressions noted beside each step.
     """
     if noise_variance < 0.0:
         raise ValueError("noise variance must be >= 0")
     n_bins = plan.trials
-    t_bin = effective_time(plan.filter)
-    times = (np.arange(n_bins) + 0.5) * t_bin
+    # times = (np.arange(n_bins) + 0.5) * effective_time(plan.filter)
+    times = np.arange(n_bins, dtype=float)
+    times += 0.5
+    times *= effective_time(plan.filter)
     amplitudes = np.asarray(true_delta_T_profile(times), dtype=float)
+    del times
+    if amplitudes.shape != (n_bins,):
+        raise ValueError(f"the modulation profile must give one amplitude per bin ({n_bins})")
     if noise_variance == 0.0:
         # noiseless limit: any modulation is resolved, the crossing sits at zero
         return RampResult(
@@ -338,12 +407,27 @@ def snr_ramp_simulate(
     scale = math.sqrt(noise_variance / 2.0)
     noise_rng = np.random.default_rng(np.random.SeedSequence([plan.rng_seed, 0]))
     signal_rng = np.random.default_rng(np.random.SeedSequence([plan.rng_seed, 1]))
-    reference = noise_rng.normal(0.0, scale, (2, n_bins))
-    noise_power = np.mean(reference[0] ** 2 + reference[1] ** 2)
-    in_phase, quadrature = signal_rng.normal(0.0, scale, (2, n_bins))
-    power = (amplitudes + in_phase) ** 2 + quadrature**2
-    snr = (power - noise_power) / noise_power
-    slope, intercept = _iterated_line_fit(amplitudes**2, snr)
+    # standard_normal(out=draws) then *= scale: the bits of normal(0.0, scale, (2, n_bins));
+    # noise_power = np.mean(reference[0] ** 2 + reference[1] ** 2)
+    draws = np.empty((2, n_bins))
+    noise_rng.standard_normal(out=draws)
+    draws *= scale
+    np.square(draws, out=draws)
+    np.add(draws[0], draws[1], out=draws[0])
+    noise_power = draws[0].mean()
+    signal_rng.standard_normal(out=draws)
+    draws *= scale
+    in_phase, quadrature = draws
+    # power = (amplitudes + in_phase) ** 2 + quadrature**2
+    np.add(amplitudes, in_phase, out=in_phase)
+    np.square(in_phase, out=in_phase)
+    np.square(quadrature, out=quadrature)
+    power = np.add(in_phase, quadrature, out=in_phase)
+    # snr = (power - noise_power) / noise_power, in an array of its own
+    snr = np.subtract(power, noise_power)
+    snr /= noise_power
+    mod_power = np.square(amplitudes, out=quadrature)
+    slope, intercept = _iterated_line_fit(mod_power, snr)
     if slope <= 0.0:
         raise NonPhysicalError("SNR=1 not bracketed: non-increasing SNR ramp")
     crossing_power = (1.0 - intercept) / slope

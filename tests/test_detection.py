@@ -2,9 +2,12 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy import constants, integrate
 
 from qcrbench import detection
@@ -222,6 +225,67 @@ class TestSnrRamp:
         with pytest.raises(ValueError):
             MeasurementPlan(filter=SYNC4, trials=0, rng_seed=1)
 
+    def test_triangular_profile_rejected(self):
+        # power rises then falls: the usable bins are one run, but not monotone
+        var_t = 0.04
+        plan = self.plan(trials=2_000, seed=5)
+        ramp = linear_ramp(5.0 * math.sqrt(var_t), plan.ramp_duration)
+
+        def triangle(t):
+            return ramp(np.abs(plan.ramp_duration - 2.0 * t))
+
+        with pytest.raises(NonPhysicalError, match="not monotone"):
+            snr_ramp_simulate(plan, triangle, var_t)
+
+    def test_profile_must_give_one_amplitude_per_bin(self):
+        plan = self.plan(trials=500)
+        with pytest.raises(ValueError, match="one amplitude per bin"):
+            snr_ramp_simulate(plan, lambda t: 0.5, 0.04)
+
+    def test_trace_and_amplitudes_share_no_memory(self):
+        var_t = 0.04
+        plan = self.plan(trials=2_000, seed=9)
+        profile = linear_ramp(5.0 * math.sqrt(var_t), plan.ramp_duration)
+        for variance in (var_t, 0.0):
+            ramp = snr_ramp_simulate(plan, profile, variance)
+            assert not np.shares_memory(ramp.snr_trace, ramp.amplitudes)
+
+    def test_peak_memory_in_bin_sized_arrays(self):
+        bins = 100_000
+        var_t = 0.04
+        plan = self.plan(trials=bins, seed=2)
+        profile = linear_ramp(5.0 * math.sqrt(var_t), plan.ramp_duration)
+        small = self.plan(trials=1_000, seed=2)
+        snr_ramp_simulate(small, linear_ramp(5.0 * math.sqrt(var_t), small.ramp_duration), var_t)
+        tracemalloc.start()
+        try:
+            snr_ramp_simulate(plan, profile, var_t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # amplitudes, both noise traces, the SNR trace and one window-pass
+        # array are five; about 45 bytes per bin were measured
+        assert peak < 7 * 8 * bins
+
+
+class TestLinearRamp:
+    def test_profile_leaves_its_input_unchanged(self):
+        profile = linear_ramp(2.0, 3.0)
+        t = np.linspace(0.0, 4.0, 41)
+        before = t.copy()
+        amplitude = profile(t)
+        assert np.array_equal(t, before)
+        assert not np.shares_memory(amplitude, t)
+        assert np.array_equal(amplitude, 2.0 * np.clip(1.0 - before / 3.0, 0.0, None))
+
+    @pytest.mark.parametrize(
+        "t, expected", [(0.5, 2.0 * (1.0 - 0.5 / 3.0)), (1, 2.0 * (1.0 - 1 / 3.0)), (4.0, 0.0)]
+    )
+    def test_scalar_input(self, t, expected):
+        amplitude = linear_ramp(2.0, 3.0)(t)
+        assert type(amplitude) is np.float64
+        assert amplitude == expected
+
 
 @pytest.fixture
 def recorded_fits(monkeypatch):
@@ -354,6 +418,66 @@ class TestLineFitMatchesPolyfit:
         )
         profile = linear_ramp(5.0 * math.sqrt(var_t), plan.ramp_duration)
         assert snr_ramp_simulate(plan, profile, var_t).delta_T_at_snr1 > 0.0
+
+    def test_gap_in_usable_run_rejected(self):
+        mod_power = np.linspace(0.5, 4.0, 40)
+        snr = 0.3 + 0.9 * mod_power + 0.05 * np.sin(np.arange(40.0))
+        mod_power[17] = 0.0
+        with pytest.raises(NonPhysicalError, match="not contiguous"):
+            detection._iterated_line_fit(mod_power, snr)
+
+    # the oracle fixture is a pure function, so sharing it across examples is safe
+    @settings(
+        max_examples=200,
+        derandomize=True,
+        deadline=None,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        bins=st.integers(8, 3000),
+        rising=st.booleans(),
+        padding=st.tuples(st.integers(0, 200), st.integers(0, 200)),
+        low=st.floats(-2.0, 1.0),
+        high=st.floats(5.5, 40.0),
+        falling=st.booleans(),
+        noise=st.floats(0.0, 2.0),
+        exponent=st.integers(-400, 400),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_window_search_matches_polyfit_loop(
+        self,
+        polyfit_iterated_line_fit,
+        bins,
+        rising,
+        padding,
+        low,
+        high,
+        falling,
+        noise,
+        exponent,
+        seed,
+    ):
+        # a ramp of powers up to 9, zero-padded at either end, scaled by 2^exponent;
+        # the line crosses [0.2, 5] between power 0 and power 9
+        rng = np.random.default_rng(seed)
+        power = np.linspace(0.0, 3.0, bins + 1)[1:] ** 2
+        if not rising:
+            power = power[::-1]
+        intercept, end = (high, low) if falling else (low, high)
+        snr = intercept + (end - intercept) / 9.0 * power + noise * rng.standard_normal(bins)
+        before, after = padding
+        mod_power = np.concatenate([np.zeros(before), np.ldexp(power, exponent), np.zeros(after)])
+        snr = np.concatenate(
+            [intercept + rng.standard_normal(before), snr, intercept + rng.standard_normal(after)]
+        )
+        outcomes = []
+        for fit in (detection._iterated_line_fit, polyfit_iterated_line_fit):
+            try:
+                outcomes.append(fit(mod_power, snr))
+            except NonPhysicalError as error:
+                outcomes.append((type(error), str(error)))
+        assert outcomes[0] == outcomes[1]
 
     def test_tiny_powers_fit_by_exact_rescaling(self):
         # squares of ~1e-169 underflow; the fit scales x by a power of two instead
