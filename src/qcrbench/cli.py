@@ -28,6 +28,13 @@ EXIT_DOMAIN = 4
 #: 14 s ramp at 51 kHz RBW, about 1.6e6 bins.
 MAX_TRIALS = 10_000_000
 
+# `fit` options by the DEConfig field they set; its errors start with the field
+_FIT_OPTIONS = {
+    "population": "--population",
+    "max_generations": "--max-generations",
+    "rng_seed": "--seed",
+}
+
 
 def _fmt(value: float) -> str:
     return repr(float(value))
@@ -168,9 +175,15 @@ def cmd_fit(
 ) -> int:
     """Fit (s, T_a) to a measured noise triple and emit the result as JSON."""
     measurements = _load_noise_file(noise_file)
-    de_config = inference.DEConfig(
-        population=population, max_generations=max_generations, rng_seed=seed
-    )
+    try:
+        de_config = inference.DEConfig(
+            population=population, max_generations=max_generations, rng_seed=seed
+        )
+    except ValueError as exc:
+        option = _FIT_OPTIONS.get(str(exc).split(" ", 1)[0])
+        if option is None:
+            raise
+        raise ValueError(f"{option}: {exc}") from exc
     result = inference.fit_source(measurements, de_config, noise_model=noise_model)
     payload = {
         "fit": result.to_dict(),

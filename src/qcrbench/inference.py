@@ -52,11 +52,27 @@ class NoiseMeasurement:
             raise NonPhysicalError("measurement variance must be positive")
         if not (0.0 < self.eta <= 1.0):
             raise NonPhysicalError("path transmission eta must lie in (0, 1]")
+        # the chi-square divides by it, so 0 or inf would give NaN terms;
+        # float ** raises OverflowError where (N ln 10)^2 leaves the float range
+        try:
+            log_variance = self.log_variance
+        except OverflowError:
+            log_variance = 0.0
+        if not 0.0 < log_variance < math.inf:
+            raise NonPhysicalError(
+                "log-scale variance Var(N) / (N ln 10)^2 must be finite and positive"
+            )
+
+    @property
+    def log_variance(self) -> float:
+        """Var(log10 N) = Var(N) / (N ln 10)^2, the chi-square weight's reciprocal."""
+        return self.variance / (self.value * _LN10) ** 2
 
 
 #: largest DE population, checked before any population is drawn.  A fit
-#: peaks at about 187 bytes per member (tracemalloc, 10^4 and 10^5 members),
-#: so the cap holds a fit near 190 MB.
+#: peaks at about 203 bytes per member at 10^4 members and 133 at 10^5 and
+#: 10^6, where the source kernel runs in blocks (tracemalloc), so the cap
+#: holds a fit near 135 MB.
 MAX_POPULATION = 1_000_000
 
 
@@ -72,10 +88,23 @@ class DEConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        # these messages start with the field name; `fit` maps it to its option
+        for name in ("population", "max_generations", "rng_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.population < 4:
             raise ValueError("population must be at least 4")
         if self.population > MAX_POPULATION:
             raise ValueError(f"population must be at most {MAX_POPULATION}")
+        if self.max_generations < 0:
+            raise ValueError(f"max_generations must be non-negative, not {self.max_generations}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be non-negative, not {self.rng_seed}")
+        if not 0.0 <= self.spread_tol < math.inf:
+            raise ValueError(
+                f"spread_tol must be finite and non-negative, not {self.spread_tol!r}"
+            )
         for lo, hi in self.bounds:
             if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
                 raise ValueError("each bound must be a finite (lo, hi) with lo < hi")
@@ -139,9 +168,13 @@ def backtrack_noise(measured: float, eta: float) -> float:
 
 def backtrack_measurement(measurement: NoiseMeasurement) -> NoiseMeasurement:
     """Backtrack value and variance of a measurement to the source output."""
+    value = backtrack_noise(measurement.value, measurement.eta)
+    # eta**2 underflows to 0 below eta ~ 1e-162
+    if measurement.eta**2 == 0.0:
+        raise NonPhysicalError("backtracked variance overflows: eta is too small")
     return NoiseMeasurement(
         channel=measurement.channel,
-        value=backtrack_noise(measurement.value, measurement.eta),
+        value=value,
         variance=measurement.variance / measurement.eta**2,
         eta=1.0,
     )
@@ -171,26 +204,56 @@ def chi_square_batch(measurements, points: np.ndarray, noise_model: str = "numer
     """Log-scale chi-square of source-level measurements over (s, T_a) points.
 
     Terms are (log10 measured - log10 model)^2 / Var(log10 measured) with
-    Var(log10 N) = Var(N) / (N ln 10)^2.  Points where the model noise is
-    not positive get +inf.
+    Var(log10 N) = Var(N) / (N ln 10)^2.  Points where any channel's model
+    noise is not > 0 (NaN included) get +inf.
+
+    Each channel's term is built in place in one array the call owns; where
+    the model noise is not > 0 it holds log10 of the measured noise, so its
+    term there is 0 and, with the finite positive `log_variance` every
+    `NoiseMeasurement` has, raises no floating-point warning.  The first
+    channel's term becomes the total (0 + t is t, as terms are >= +0).
     """
     by_channel = _by_channel(measurements)
     points = np.asarray(points, dtype=float)
+    shape = points.shape[:-1]
     model = _model_noises(points[..., 0], points[..., 1], noise_model)
-    total = np.zeros(points.shape[:-1])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for channel in CHANNELS:
-            m = by_channel[channel]
-            theory = np.asarray(getattr(model, channel), dtype=float)
-            log_var = m.variance / (m.value * _LN10) ** 2
-            term = (np.log10(m.value) - np.log10(theory)) ** 2 / log_var
-            total = total + np.where(theory > 0.0, term, np.inf)
-    return total
+    total = physical = None
+    for channel in CHANNELS:
+        m = by_channel[channel]
+        theory = np.asarray(getattr(model, channel), dtype=float)
+        positive = theory > 0.0
+        log_value = np.log10(m.value)
+        term = np.empty(shape)
+        term.fill(log_value)
+        np.log10(theory, out=term, where=positive)
+        np.subtract(log_value, term, out=term)
+        np.square(term, out=term)
+        term /= m.log_variance
+        if total is None:
+            total, physical = term, positive
+        else:
+            total += term
+            physical &= positive
+    total[~physical] = np.inf
+    # a single point gives a numpy scalar, as whole-array arithmetic would
+    return total if total.ndim else total[()]
 
 
 def chi_square(measurements, s: float, T_a: float, noise_model: str = "numeric_oracle") -> float:
     """Scalar convenience wrapper around `chi_square_batch`."""
     return float(chi_square_batch(measurements, np.array([[s, T_a]]), noise_model)[0])
+
+
+def _spread(pop: np.ndarray) -> np.ndarray:
+    """`pop.std(axis=0)` by the reductions of numpy's `_var`, bit for bit."""
+    size = pop.shape[0]
+    mean = np.add.reduce(pop, axis=0, keepdims=True)
+    mean /= size
+    deviation = pop - mean
+    np.square(deviation, out=deviation)
+    spread = np.add.reduce(deviation, axis=0)
+    spread /= size
+    return np.sqrt(spread, out=spread)
 
 
 def differential_evolution(objective, config: DEConfig) -> DEResult:
@@ -199,44 +262,63 @@ def differential_evolution(objective, config: DEConfig) -> DEResult:
     `objective` maps an (n, dim) array of points to n values.  Non-finite
     objective values are treated as +inf and the candidates discarded (the
     count is reported on the result).  Deterministic for a fixed rng_seed.
+
+    A generation draws, in this order, the two difference-vector index
+    arrays, any redraws of colliding picks and the acceptance variates.  Its
+    candidates are built in place as pop[k] - pop[j], divided by the box
+    diagonal, plus the best point, then clipped to the box.
     """
     bounds = np.asarray(config.bounds, dtype=float)
     lo, hi = bounds[:, 0], bounds[:, 1]
     dim = bounds.shape[0]
     diagonal = float(np.linalg.norm(hi - lo))
+    size = config.population
     rng = np.random.default_rng(np.random.SeedSequence(config.rng_seed))
-    pop = lo + rng.random((config.population, dim)) * (hi - lo)
+    pop = lo + rng.random((size, dim)) * (hi - lo)
     values = np.asarray(objective(pop), dtype=float)
-    discarded = int(np.sum(~np.isfinite(values)))
-    values = np.where(np.isfinite(values), values, np.inf)
+    finite = np.isfinite(values)
+    discarded = values.size - int(np.count_nonzero(finite))
+    values = np.where(finite, values, np.inf)
     generation = 0
-    spread = pop.std(axis=0)
+    spread = _spread(pop)
     for generation in range(1, config.max_generations + 1):
-        best = int(np.argmin(values))
-        others = np.delete(np.arange(config.population), best)
+        best = int(values.argmin())
+        others = np.arange(size - 1)
+        others[best:] += 1
         n = others.size
-        j = rng.integers(0, config.population, size=n)
-        k = rng.integers(0, config.population, size=n)
+        j = rng.integers(0, size, size=n)
+        k = rng.integers(0, size, size=n)
         # redraw any pick that collides with the target, the best point, or itself
         while True:
-            bad = (j == k) | (j == others) | (k == others) | (j == best) | (k == best)
-            if not np.any(bad):
+            bad = j == k
+            bad |= j == others
+            bad |= k == others
+            bad |= j == best
+            bad |= k == best
+            redraws = np.count_nonzero(bad)
+            if not redraws:
                 break
-            j[bad] = rng.integers(0, config.population, size=int(bad.sum()))
-            k[bad] = rng.integers(0, config.population, size=int(bad.sum()))
+            j[bad] = rng.integers(0, size, size=redraws)
+            k[bad] = rng.integers(0, size, size=redraws)
         acceptance = rng.random(n)
-        candidates = np.clip(pop[best] + (pop[k] - pop[j]) / diagonal, lo, hi)
+        candidates = pop[k]
+        candidates -= pop[j]
+        candidates /= diagonal
+        candidates += pop[best]
+        np.clip(candidates, lo, hi, out=candidates)
         cand_values = np.asarray(objective(candidates), dtype=float)
-        bad_values = ~np.isfinite(cand_values)
-        discarded += int(np.sum(bad_values))
-        cand_values = np.where(bad_values, np.inf, cand_values)
-        replace = (cand_values < values[others]) & (acceptance < config.acceptance_prob)
+        finite = np.isfinite(cand_values)
+        discarded += cand_values.size - int(np.count_nonzero(finite))
+        # a non-finite value counts as +inf, which replaces nothing
+        replace = cand_values < values[others]
+        replace &= finite
+        replace &= acceptance < config.acceptance_prob
         pop[others[replace]] = candidates[replace]
         values[others[replace]] = cand_values[replace]
-        spread = pop.std(axis=0)
-        if np.all(spread < config.spread_tol):
+        spread = _spread(pop)
+        if (spread < config.spread_tol).all():
             break
-    best = int(np.argmin(values))
+    best = int(values.argmin())
     return DEResult(
         best_point=pop[best].copy(),
         best_value=float(values[best]),
@@ -309,31 +391,43 @@ def uncertainty_by_chi2_doubling(
             f"{int(unbounded.sum())}/{n_rays} rays; widths are one-sided there",
             stacklevel=2,
         )
-    lo_r = np.zeros(n_rays)
-    hi_r = r_max.copy()
+    # the brackets of one call form a heap-ordered tree: node i is the bracket
+    # (lows[i], highs[i]) with midpoint mids[i], nodes 2i + 1 and 2i + 2 are
+    # its lower and upper halves, and node 0 holds each ray's current bracket;
+    # the nodes below the last level are every bracket the call can end in
+    lows = np.zeros((2 ** (LEVELS_PER_CALL + 1) - 1, n_rays))
+    highs = np.empty_like(lows)
+    highs[0] = r_max
+    mids = np.empty((2**LEVELS_PER_CALL - 1, n_rays))
+    # per level: its nodes, their lower halves and their upper halves
+    tree_levels = [
+        (
+            slice(2**k - 1, 2 ** (k + 1) - 1),
+            slice(2 ** (k + 1) - 1, 2 ** (k + 2) - 1, 2),
+            slice(2 ** (k + 1), 2 ** (k + 2) - 1, 2),
+        )
+        for k in range(LEVELS_PER_CALL)
+    ]
     active = ~unbounded
     rays = np.arange(n_rays)
     for first in range(0, bisection_steps, LEVELS_PER_CALL):
         depth = min(LEVELS_PER_CALL, bisection_steps - first)
-        # row j of a level is a bracket (lows[j], highs[j]) with midpoint
-        # mids[j]; rows 2j and 2j + 1 of the next level are its lower and
-        # upper halves, so the rows of the level below the last are every
-        # bracket the `depth` steps can end in
-        lows, highs = lo_r[None], hi_r[None]
-        mids = []
-        for _ in range(depth):
-            mids.append(0.5 * (lows + highs))
-            lows = np.stack([lows, mids[-1]], axis=1).reshape(-1, n_rays)
-            highs = np.stack([mids[-1], highs], axis=1).reshape(-1, n_rays)
-        vals = evaluate(np.concatenate(mids))
+        for nodes, lower, upper in tree_levels[:depth]:
+            np.add(lows[nodes], highs[nodes], out=mids[nodes])
+            mids[nodes] *= 0.5
+            lows[lower] = lows[nodes]
+            highs[lower] = mids[nodes]
+            lows[upper] = mids[nodes]
+            highs[upper] = highs[nodes]
+        vals = evaluate(mids[: 2**depth - 1])
         # follow each ray down the tree: a value at or above the level keeps
-        # the lower half, any other (NaN included) the upper half
-        row = np.zeros(n_rays, dtype=int)
-        for k in range(depth):
-            row = 2 * row + ~(vals[2**k - 1 + row, rays] >= level)
-        lo_r = np.where(active, lows[row, rays], lo_r)
-        hi_r = np.where(active, highs[row, rays], hi_r)
-    radii = np.where(unbounded, r_max, 0.5 * (lo_r + hi_r))
+        # the lower half 2i + 1, any other (NaN included) the upper half 2i + 2
+        node = np.zeros(n_rays, dtype=int)
+        for _ in range(depth):
+            node = 2 * node + 2 - (vals[node, rays] >= level)
+        np.copyto(lows[0], lows[node, rays], where=active)
+        np.copyto(highs[0], highs[node, rays], where=active)
+    radii = np.where(unbounded, r_max, 0.5 * (lows[0] + highs[0]))
     contour = radii[:, None] * directions * scale
     half_widths = np.max(np.abs(contour), axis=0)
     return half_widths, not bool(np.any(unbounded))

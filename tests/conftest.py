@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from qcrbench import inference
 from qcrbench.errors import NonPhysicalError
 
 
@@ -80,6 +81,91 @@ def _sequential_chi2_doubling(
 def sequential_chi2_doubling():
     """The contour oracle the batched bisection in `inference` is checked against."""
     return _sequential_chi2_doubling
+
+
+def _reference_chi_square_batch(measurements, points, noise_model="numeric_oracle"):
+    """Reference log-scale chi-square: one expression per channel under `errstate`.
+
+    Same contract as `inference.chi_square_batch`, which must return the same
+    bits and raise no floating-point warning this one does not.
+    """
+    by_channel = inference._by_channel(measurements)
+    points = np.asarray(points, dtype=float)
+    model = inference._model_noises(points[..., 0], points[..., 1], noise_model)
+    total = np.zeros(points.shape[:-1])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for channel in inference.CHANNELS:
+            m = by_channel[channel]
+            theory = np.asarray(getattr(model, channel), dtype=float)
+            log_var = m.variance / (m.value * inference._LN10) ** 2
+            term = (np.log10(m.value) - np.log10(theory)) ** 2 / log_var
+            total = total + np.where(theory > 0.0, term, np.inf)
+    return total
+
+
+@pytest.fixture
+def reference_chi_square_batch():
+    """The chi-square oracle the in-place terms in `inference` are checked against."""
+    return _reference_chi_square_batch
+
+
+def _reference_differential_evolution(objective, config):
+    """Reference best-point-anchored DE: each generation in whole-array expressions.
+
+    Same contract as `inference.differential_evolution`, which must make the
+    same random draws and return a `DEResult` equal to this one bit for bit.
+    """
+    bounds = np.asarray(config.bounds, dtype=float)
+    lo, hi = bounds[:, 0], bounds[:, 1]
+    dim = bounds.shape[0]
+    diagonal = float(np.linalg.norm(hi - lo))
+    rng = np.random.default_rng(np.random.SeedSequence(config.rng_seed))
+    pop = lo + rng.random((config.population, dim)) * (hi - lo)
+    values = np.asarray(objective(pop), dtype=float)
+    discarded = int(np.sum(~np.isfinite(values)))
+    values = np.where(np.isfinite(values), values, np.inf)
+    generation = 0
+    spread = pop.std(axis=0)
+    for generation in range(1, config.max_generations + 1):
+        best = int(np.argmin(values))
+        others = np.delete(np.arange(config.population), best)
+        n = others.size
+        j = rng.integers(0, config.population, size=n)
+        k = rng.integers(0, config.population, size=n)
+        while True:
+            bad = (j == k) | (j == others) | (k == others) | (j == best) | (k == best)
+            if not np.any(bad):
+                break
+            j[bad] = rng.integers(0, config.population, size=int(bad.sum()))
+            k[bad] = rng.integers(0, config.population, size=int(bad.sum()))
+        acceptance = rng.random(n)
+        candidates = np.clip(pop[best] + (pop[k] - pop[j]) / diagonal, lo, hi)
+        cand_values = np.asarray(objective(candidates), dtype=float)
+        bad_values = ~np.isfinite(cand_values)
+        discarded += int(np.sum(bad_values))
+        cand_values = np.where(bad_values, np.inf, cand_values)
+        replace = (cand_values < values[others]) & (acceptance < config.acceptance_prob)
+        pop[others[replace]] = candidates[replace]
+        values[others[replace]] = cand_values[replace]
+        spread = pop.std(axis=0)
+        if np.all(spread < config.spread_tol):
+            break
+    best = int(np.argmin(values))
+    return inference.DEResult(
+        best_point=pop[best].copy(),
+        best_value=float(values[best]),
+        generations=generation,
+        spread=spread,
+        population=pop,
+        values=values,
+        discarded=discarded,
+    )
+
+
+@pytest.fixture
+def reference_differential_evolution():
+    """The DE oracle the in-place generations in `inference` are checked against."""
+    return _reference_differential_evolution
 
 
 def _polyfit_windows(mod_power, snr):

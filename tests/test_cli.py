@@ -484,6 +484,40 @@ class TestFitCommand:
         assert str(MAX_POPULATION) in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "args, option",
+        [
+            (["--population", "8", "--max-generations", "-3"], "--max-generations"),
+            (["--seed", "-1"], "--seed"),
+            (["--population", "3"], "--population"),
+        ],
+    )
+    def test_fit_option_out_of_domain_exits_4_naming_it(self, capsys, monkeypatch, args, option):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit ran with an option out of its domain")
+
+        monkeypatch.setattr(qcrbench.inference, "fit_source", no_fit)
+        assert main(["fit", _SAMPLE_NOISES, *args]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {option}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "channel, key, value, error",
+        [
+            (0, "value", 1e200, "log-scale variance"),
+            (0, "value", math.inf, "log-scale variance"),
+            (1, "variance", 5e-324, "log-scale variance"),
+            (1, "eta", 1e-170, "eta is too small"),
+        ],
+    )
+    def test_degenerate_variance_exits_4(self, tmp_path, capsys, channel, key, value, error):
+        noise = tmp_path / "degenerate.json"
+        noise.write_bytes(_sample_noises_with(channel, key, value))
+        assert main(["fit", str(noise), "--population", "16", "--max-generations", "5"]) == 4
+        assert error in capsys.readouterr().err
+
+
 class TestSaTimeCommand:
     def test_sync4(self, capsys):
         assert main(["sa-time", "--filter", "sync4", "--rbw", "51e3"]) == 0

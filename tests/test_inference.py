@@ -1,16 +1,20 @@
 """Tests for noise backtracking, chi-square, differential evolution, and fits."""
 
+import dataclasses
 import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from qcrbench import inference
 from qcrbench.errors import NonPhysicalError, SchemaError
 from qcrbench.inference import (
     LEVELS_PER_CALL,
     DEConfig,
+    DEResult,
     NoiseMeasurement,
     backtrack_measurement,
     backtrack_noise,
@@ -21,6 +25,7 @@ from qcrbench.inference import (
     synthetic_noise_measurements,
     uncertainty_by_chi2_doubling,
 )
+from qcrbench.source import NoiseTriple
 
 ETAS = {"diff": 0.919, "probe": 0.973 * 0.945, "conj": 0.919}
 BOX = ((0.0, 3.0), (0.5, 1.0))
@@ -87,6 +92,73 @@ CONTOUR_CASES = {
 }
 
 
+def same_bits(a, b) -> bool:
+    """Equal type, dtype, shape and bytes: NaN and the sign of zero included."""
+    if type(a) is not type(b):
+        return False
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def criterion_08_objective(seed: int, noise_model: str = "numeric_oracle"):
+    measurements, config = criterion_08_inputs(seed, 0)
+    at_source = [backtrack_measurement(m) for m in measurements]
+    return (lambda points: chi_square_batch(at_source, points, noise_model)), config
+
+
+def unit_bowl(points):
+    return (points[:, 0] - 0.3) ** 2 + (points[:, 1] - 0.6) ** 2
+
+
+def holed_unit_bowl(hole):
+    def objective(points):
+        return np.where(points[:, 0] < 0.2, hole, unit_bowl(points))
+
+    return objective
+
+
+UNIT_BOX = ((0.0, 1.0), (0.0, 1.0))
+
+# name -> (objective, config) maker for the DE oracle comparison
+DE_CASES = {
+    **{
+        f"criterion_08_{seed}": functools.partial(criterion_08_objective, seed)
+        for seed in range(8)
+    },
+    "criterion_08_printed": lambda: criterion_08_objective(3, "printed_formulas"),
+    "nan_holes": lambda: (
+        holed_unit_bowl(np.nan),
+        DEConfig(population=40, bounds=UNIT_BOX, rng_seed=1, max_generations=40),
+    ),
+    "minus_inf_holes": lambda: (
+        holed_unit_bowl(-np.inf),
+        DEConfig(population=40, bounds=UNIT_BOX, rng_seed=2, max_generations=40),
+    ),
+    # two valid (j, k) pairs per target out of 16: nearly every draw collides
+    "population_4": lambda: (
+        unit_bowl,
+        DEConfig(population=4, bounds=UNIT_BOX, rng_seed=6, max_generations=50),
+    ),
+    "max_generations": lambda: (
+        unit_bowl,
+        DEConfig(population=30, bounds=UNIT_BOX, rng_seed=3, spread_tol=0.0, max_generations=25),
+    ),
+    "no_generations": lambda: (
+        unit_bowl,
+        DEConfig(population=30, bounds=UNIT_BOX, rng_seed=3, max_generations=0),
+    ),
+    "always_accept": lambda: (
+        unit_bowl,
+        DEConfig(population=30, bounds=UNIT_BOX, rng_seed=8, acceptance_prob=1.0),
+    ),
+    # the minimum sits on a -0.0 bound, so candidates are clipped onto zeros
+    "signed_zero_bound": lambda: (
+        lambda points: points[:, 0] + points[:, 1],
+        DEConfig(population=30, bounds=((-0.0, 1.0), (0.0, 1.0)), rng_seed=4),
+    ),
+}
+
+
 class TestBacktrack:
     def test_shot_noise_is_fixed_point(self):
         for eta in (0.3, 0.7, 1.0):
@@ -129,6 +201,29 @@ class TestNoiseMeasurement:
         with pytest.raises(NonPhysicalError):
             NoiseMeasurement(channel="diff", value=1.0, variance=1.0, eta=0.0)
 
+    @pytest.mark.parametrize(
+        "value, variance",
+        [
+            (math.inf, 1e-6),  # log variance 0
+            (0.15, math.inf),  # log variance inf
+            (1e200, 1e-6),  # (N ln 10)^2 overflows
+            (1.0, 5e-324),  # log variance underflows to 0
+            (1e-160, 1.0),  # log variance overflows
+        ],
+    )
+    def test_log_variance_must_be_finite_and_positive(self, value, variance):
+        with pytest.raises(NonPhysicalError, match="log-scale variance"):
+            NoiseMeasurement(channel="diff", value=value, variance=variance)
+
+    def test_backtracked_variance_must_stay_finite(self):
+        tiny_eta = NoiseMeasurement(channel="probe", value=20.0, variance=1e-2, eta=1e-170)
+        with pytest.raises(NonPhysicalError, match="eta is too small"):
+            backtrack_measurement(tiny_eta)
+        measured = NoiseMeasurement(channel="probe", value=1e150, variance=1.0, eta=1e-10)
+        # (N ln 10)^2 of the backtracked noise, 1e160, leaves the float range
+        with pytest.raises(NonPhysicalError, match="log-scale variance"):
+            backtrack_measurement(measured)
+
 
 class TestChiSquare:
     def source_level_triple(self, s, ta, rel=0.01):
@@ -159,6 +254,43 @@ class TestChiSquare:
         triple = self.source_level_triple(1.0, 0.9)
         with pytest.raises(SchemaError):
             chi_square([triple[0], triple[0], triple[1]], 1.0, 0.9)
+
+    @pytest.mark.parametrize("noise_model", ["numeric_oracle", "printed_formulas"])
+    @pytest.mark.parametrize("shape", [(), (1,), (257,), (3, 5)])
+    def test_bit_identical_to_reference(self, reference_chi_square_batch, noise_model, shape):
+        triple = self.source_level_triple(2.04, 0.71)
+        rng = np.random.default_rng(np.random.SeedSequence([len(shape), sum(shape)]))
+        points = np.stack(
+            [rng.uniform(0.0, 3.0, shape), rng.uniform(0.5, 1.0, shape)], axis=-1
+        )
+        if points.ndim == 2 and points.shape[0] > 4:
+            # the box corners and edges
+            points[:4] = [[0.0, 0.5], [0.0, 1.0], [3.0, 0.5], [3.0, 1.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = chi_square_batch(triple, points, noise_model)
+            want = reference_chi_square_batch(triple, points, noise_model)
+        assert same_bits(got, want)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_non_positive_model_noises_give_inf(
+        self, reference_chi_square_batch, monkeypatch, seed
+    ):
+        special = [0.0, -0.0, -1.0, -1e308, -np.inf, np.nan, np.inf, 5e-324, 1e-310, 1e308]
+        special += [0.08, 1.0, 25.0]
+        rng = np.random.default_rng(np.random.SeedSequence([seed]))
+        # each channel draws from the pool, so points mix kinds across channels;
+        # both routes read the same arrays, the new one first
+        noises = NoiseTriple(*rng.choice(special, size=(3, 600)))
+        monkeypatch.setattr(inference, "_model_noises", lambda s, T_a, noise_model: noises)
+        triple = self.source_level_triple(1.5, 0.8)
+        points = np.zeros((600, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = chi_square_batch(triple, points)
+            want = reference_chi_square_batch(triple, points)
+        assert same_bits(got, want)
+        assert np.isinf(got).any() and np.isfinite(got).any()
 
     def test_printed_formulas_model_available(self):
         triple = self.source_level_triple(1.0, 0.9)
@@ -266,6 +398,50 @@ class TestDifferentialEvolution:
     def test_tiny_population_rejected(self):
         with pytest.raises(ValueError):
             DEConfig(population=3)
+
+    @pytest.mark.parametrize("case", sorted(DE_CASES))
+    def test_bit_identical_to_reference(self, reference_differential_evolution, case):
+        objective, config = DE_CASES[case]()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = differential_evolution(objective, config)
+            want = reference_differential_evolution(objective, config)
+        for f in dataclasses.fields(DEResult):
+            assert same_bits(getattr(got, f.name), getattr(want, f.name)), f.name
+        if "holes" in case:
+            assert got.discarded > 0
+        if case == "max_generations":
+            assert got.generations == config.max_generations
+        if case == "signed_zero_bound":
+            assert np.signbit(got.population[:, 0]).any()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("population", 4.5),
+            ("population", True),
+            ("population", "8"),
+            ("max_generations", -3),
+            ("max_generations", 10.0),
+            ("max_generations", False),
+            ("rng_seed", -1),
+            ("rng_seed", 1.5),
+            ("rng_seed", True),
+            ("spread_tol", -1e-6),
+            ("spread_tol", math.nan),
+            ("spread_tol", math.inf),
+        ],
+    )
+    def test_config_domain(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            DEConfig(**{field: value})
+
+    def test_config_accepts_numpy_integers_and_zero_generations(self):
+        config = DEConfig(
+            population=np.int64(8), max_generations=np.int32(0), rng_seed=np.uint8(3)
+        )
+        result = differential_evolution(unit_bowl, dataclasses.replace(config, bounds=UNIT_BOX))
+        assert result.generations == 0
 
 
 class TestChi2Doubling:
@@ -415,3 +591,60 @@ class TestFitSource:
         measurements = synthetic_noise_measurements(1.0, 0.9, ETAS)[:2]
         with pytest.raises(SchemaError):
             fit_source(measurements, DEConfig(population=16))
+
+    def test_objective_calls_per_stage(self, monkeypatch):
+        # the benchmark's tracer wraps these three names; its per-layer
+        # chi-square counts rest on fit_source calling chi_square_batch by name
+        stage = []
+        calls = []
+        chi_square_batch = inference.chi_square_batch
+
+        def counted(measurements, points, noise_model="numeric_oracle"):
+            calls.append((stage[-1], points.shape[0]))
+            return chi_square_batch(measurements, points, noise_model)
+
+        def staged(name, function):
+            def wrapper(*args, **kwargs):
+                stage.append(name)
+                try:
+                    return function(*args, **kwargs)
+                finally:
+                    stage.pop()
+
+            return wrapper
+
+        monkeypatch.setattr(inference, "chi_square_batch", counted)
+        monkeypatch.setattr(
+            inference, "differential_evolution", staged("de", inference.differential_evolution)
+        )
+        monkeypatch.setattr(
+            inference,
+            "uncertainty_by_chi2_doubling",
+            staged("contour", inference.uncertainty_by_chi2_doubling),
+        )
+        measurements, config = criterion_08_inputs(11, 0)
+        fit = fit_source(measurements, config)
+        de = [n for name, n in calls if name == "de"]
+        contour = [n for name, n in calls if name == "contour"]
+        assert len(calls) == len(de) + len(contour)
+        assert len(de) == 1 + fit.generations
+        assert de == [config.population] + [config.population - 1] * fit.generations
+        # 1 + ceil(60 bisection steps / LEVELS_PER_CALL) calls over 64 rays
+        assert len(contour) == 21
+        assert sum(contour) == 9024
+
+    def test_peak_memory_per_member(self):
+        # the model's temporaries set the peak; the parent of the in-place
+        # generations measured 203 bytes per member here
+        measurements = synthetic_noise_measurements(2.04, 0.71, ETAS, rel_sigma=0.012)
+        config = DEConfig(population=10_000, rng_seed=1, max_generations=30)
+        fit_source(measurements, DEConfig(population=16, max_generations=2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            tracemalloc.start()
+            try:
+                fit_source(measurements, config)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 26 * 8 * config.population
