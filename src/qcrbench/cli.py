@@ -23,8 +23,8 @@ EXIT_SCHEMA = 3
 EXIT_DOMAIN = 4
 
 #: most trials `simulate` runs per transmission, checked before any ramp is
-#: built.  A ramp peaks at about 45 bytes per trial (tracemalloc, 10^4 to
-#: 10^6 trials), so the cap holds one ramp near 450 MB; it covers the paper's
+#: built.  A ramp peaks at about 41 bytes per trial (tracemalloc, 10^4 to
+#: 10^6 trials), so the cap holds one ramp near 410 MB; it covers the paper's
 #: 14 s ramp at 51 kHz RBW, about 1.6e6 bins.
 MAX_TRIALS = 10_000_000
 
@@ -106,9 +106,11 @@ def cmd_simulate(config: WorkbenchConfig, trials: int, out: str | None, fmt: str
     t_bin = detection.effective_time(config.filter)
     simulated = []
     analytic = []
+    # var_n = Var(T) n_r and the ramp's SNR do not depend on n_r, so each
+    # ramp runs at n_r = 1, where Var(T) is var_n itself
     for index, t in enumerate(config.T_grid):
-        var_t = detection.transmission_variance(chain, float(t), config.n_r)
-        analytic.append(var_t * config.n_r)
+        var_t = detection.transmission_variance(chain, float(t))
+        analytic.append(var_t)
         sigma = math.sqrt(var_t)
         plan = detection.MeasurementPlan(
             filter=config.filter,
@@ -119,7 +121,7 @@ def cmd_simulate(config: WorkbenchConfig, trials: int, out: str | None, fmt: str
         ramp = detection.snr_ramp_simulate(
             plan, detection.linear_ramp(5.0 * sigma, plan.ramp_duration), var_t
         )
-        simulated.append(ramp.delta_T_at_snr1**2 * config.n_r)
+        simulated.append(ramp.delta_T_at_snr1**2)
     columns = {
         "T": config.T_grid,
         "var_n_simulated": simulated,

@@ -19,7 +19,6 @@ FWHM of |H(f)|^2 for every filter kind here; this convention reproduces the
 import bisect
 import math
 import sys
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -228,45 +227,16 @@ _SNR_FIT_WINDOW = (0.2, 5.0)
 _MIN_WINDOW_BINS = 8
 
 
-def _line_fit(x: np.ndarray, y: np.ndarray):
-    """(slope, intercept) of `np.polyfit(x, y, 1)`, bit for bit, without its set-up.
-
-    polyfit solves the Vandermonde system [x, 1] with each column divided by
-    its norm and `lstsq(lhs, y, n * eps)`.  Its column norms come from an
-    axis-0 sum over an (n, 2) array, which adds row by row; `np.cumsum`
-    adds in the same order, and the norm of the ones column is sqrt(n).
-    x is first scaled by a power of two, which is exact, so every bit is
-    polyfit's wherever the squares of x neither underflow nor overflow, and
-    a ramp at tiny powers (~1e-169, whose squares underflow) is still solved.
-    """
-    _, exponent = math.frexp(float(x.max()))
-    x = np.ldexp(x, -exponent)
-    n = x.size
-    x_norm = math.sqrt(np.cumsum(x * x)[-1])
-    ones_norm = math.sqrt(n)
-    lhs = np.empty((n, 2))
-    lhs[:, 0] = x / x_norm
-    lhs[:, 1] = 1.0 / ones_norm
-    coef, _, rank, _ = np.linalg.lstsq(lhs, y, n * np.finfo(float).eps)
-    if rank != 2:
-        warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=2)
-    try:
-        slope = math.ldexp(coef[0] / x_norm, -exponent)
-    except OverflowError:
-        # x at subnormal magnitudes (below ~2e-308) can need a slope past float64
-        raise NonPhysicalError("line slope overflows float64 at these modulation powers") from None
-    return slope, float(coef[1] / ones_norm)
-
-
 def _centred_line_fit(x: np.ndarray, y: np.ndarray):
     """(slope, intercept) of the least-squares line from centred sums.
 
-    x is scaled by the power of two `_line_fit` uses; then t = x - mean(x),
-    slope = sum(t y) / sum(t^2) and intercept = mean(y) - slope mean(x)
-    (Press et al., Numerical Recipes, section 15.2).  A few reductions
-    replace the SVD; the line differs from `_line_fit`'s by rounding only.
-    Where sum(t^2) is within rounding of a rank-1 system, the pass is
-    `_line_fit`, which warns as `np.polyfit` does.
+    x is first scaled by a power of two, which is exact, so a ramp at tiny
+    powers (~1e-169, whose squares underflow) is still fitted; then
+    t = x - mean(x), slope = sum(t y) / sum(t^2) and
+    intercept = mean(y) - slope mean(x) (Press et al., Numerical Recipes,
+    section 15.2).  The line is `np.polyfit(x, y, 1)`'s up to rounding.
+    Where sum(t^2) is within rounding of 0, x is constant over the window
+    and the data fix no slope: that raises `NonPhysicalError`.
     """
     _, exponent = math.frexp(float(x.max()))
     t = np.ldexp(x, -exponent)
@@ -277,7 +247,7 @@ def _centred_line_fit(x: np.ndarray, y: np.ndarray):
     t_square = float(t @ t)
     rank_cut = 4.0 * x.size * np.finfo(float).eps
     if not t_square > rank_cut * rank_cut * scaled_square:
-        return _line_fit(x, y)
+        raise NonPhysicalError("SNR ramp modulation power is constant over the fit window")
     slope = float(t @ y) / t_square
     intercept = float(np.add.reduce(y) / y.size - slope * x_mean)
     try:
@@ -333,8 +303,7 @@ def _iterated_line_fit(mod_power: np.ndarray, snr: np.ndarray):
     the previous line lies in [0.2, 5].  The window still has no stopping
     rule: it stops when a window repeats the previous one or after 10
     passes, and may alternate between two windows until then.  The returned
-    line is one `_line_fit` on the last window fitted, so its bits are those
-    of `np.polyfit(x, y, 1)` there.
+    line is that of the last pass, on the last window fitted.
     """
     usable = mod_power > 0.0
     usable &= np.isfinite(snr)
@@ -359,7 +328,7 @@ def _iterated_line_fit(mod_power: np.ndarray, snr: np.ndarray):
         window = _fit_window(run, slope, intercept)
         if window == (start, stop):
             break
-    return _line_fit(run[start:stop], snr_run[start:stop])
+    return slope, intercept
 
 
 def snr_ramp_simulate(
@@ -369,12 +338,14 @@ def snr_ramp_simulate(
 
     Each spectrum-analyzer bin of duration effective_time(filter) yields the
     demodulated power of the modulation tone plus Gaussian estimator noise
-    of variance `noise_variance` (from `transmission_variance`); modulation
-    amplitudes are in RMS transmission units.  Per bin,
-    SNR = (P - mean noise power) / mean noise power, taken against a
-    noise-only reference trace.  A line fitted to SNR versus modulation
-    power is solved for SNR = 1 and the crossing is returned as an
-    amplitude; it estimates the transmission standard deviation.
+    of variance `noise_variance` (from `transmission_variance`; finite and
+    >= 0, else `ValueError`); modulation amplitudes are in RMS transmission
+    units.  Per bin, SNR = (P - mean noise power) / mean noise power, where
+    the mean noise power is that of a noise-only reference trace of as many
+    bins, drawn as the one Gamma variate it is distributed as.  The line
+    of `_iterated_line_fit` through SNR versus modulation power is solved
+    for SNR = 1 and the crossing is returned as an amplitude; it estimates
+    the transmission standard deviation.
 
     The profile maps the bin times to one amplitude per bin.  Its power
     must be monotone over one contiguous run of bins with positive power
@@ -386,8 +357,8 @@ def snr_ramp_simulate(
     arithmetic runs in place in arrays of this call, with the bits of the
     plain expressions noted beside each step.
     """
-    if noise_variance < 0.0:
-        raise ValueError("noise variance must be >= 0")
+    if not (noise_variance >= 0.0 and math.isfinite(noise_variance)):
+        raise ValueError("noise variance must be finite and >= 0")
     n_bins = plan.trials
     # times = (np.arange(n_bins) + 0.5) * effective_time(plan.filter)
     times = np.arange(n_bins, dtype=float)
@@ -407,14 +378,12 @@ def snr_ramp_simulate(
     scale = math.sqrt(noise_variance / 2.0)
     noise_rng = np.random.default_rng(np.random.SeedSequence([plan.rng_seed, 0]))
     signal_rng = np.random.default_rng(np.random.SeedSequence([plan.rng_seed, 1]))
-    # standard_normal(out=draws) then *= scale: the bits of normal(0.0, scale, (2, n_bins));
-    # noise_power = np.mean(reference[0] ** 2 + reference[1] ** 2)
+    # a reference bin's power is the sum of two squared N(0, noise_variance / 2)
+    # draws, noise_variance Gamma(1, 1), so its mean over the bins is the one
+    # variate noise_variance Gamma(n_bins, 1) / n_bins
+    noise_power = noise_variance * (noise_rng.standard_gamma(n_bins) / n_bins)
+    # standard_normal(out=draws) then *= scale: the bits of normal(0.0, scale, (2, n_bins))
     draws = np.empty((2, n_bins))
-    noise_rng.standard_normal(out=draws)
-    draws *= scale
-    np.square(draws, out=draws)
-    np.add(draws[0], draws[1], out=draws[0])
-    noise_power = draws[0].mean()
     signal_rng.standard_normal(out=draws)
     draws *= scale
     in_phase, quadrature = draws

@@ -13,9 +13,10 @@ goes through it:
 * `continuum_noises` - the three normalized noises (fits, noise maps);
 * `continuum_gain`   - the probe photon gain.
 
-Every kernel step is elementwise, so `_in_blocks` runs the last two over
-batches larger than `_BLOCK` points one cache-sized block at a time, with
-the bits of a single whole-batch pass.
+All three enter the kernel through `_in_blocks`, which checks the domain.
+Every kernel step is elementwise, so `_in_blocks` runs batches larger than
+`_BLOCK` points one cache-sized block at a time, with the bits of a single
+whole-batch pass.
 
 The finite stack stays as an independent audit of that limit:
 `layered_source` runs N slices and `converged_source` doubles N until the
@@ -228,12 +229,6 @@ def _slice_rates(s, T_a):
     return g, q
 
 
-def _slice_dynamics(s, T_a):
-    """(s, g, q) as float arrays, after checking (s, T_a) with `_source_domain`."""
-    s, ta = _source_domain(s, T_a)
-    return (s, *_slice_rates(s, ta))
-
-
 def _exprel(x: np.ndarray) -> np.ndarray:
     """(e^x - 1)/x with its limit 1 at x = 0, written over the array x."""
     zero = x == 0.0
@@ -365,8 +360,7 @@ def continuum_sector(params: SourceParams) -> tuple:
     Floats (d_p, d_c, sigma_pp, sigma_pc, sigma_cc): d = 2 sqrt(seed photons)
     (m11, m21) and sigma = M M^T + G of (x_probe, x_conj).
     """
-    s, g, q = np.atleast_1d(*_slice_dynamics(params.s, params.T_a))
-    m11, m21, s00, s01, s11 = (float(x[0]) for x in _amplitude_sector(s, g, q))
+    m11, m21, s00, s01, s11 = map(float, _in_blocks(_amplitude_sector, 5, params.s, params.T_a))
     amplitude = 2.0 * math.sqrt(params.seed_photons)
     return amplitude * m11, amplitude * m21, s00, s01, s11
 

@@ -173,7 +173,9 @@ def _polyfit_windows(mod_power, snr):
 
     Returns the window (bin mask) of every pass and the last line.  Same
     window rule, pass cap and errors as `detection._iterated_line_fit`, which
-    must fit the same windows and return bit-identical (slope, intercept).
+    must fit the same windows and return the same (slope, intercept) up to
+    rounding.  On a window of constant power np.polyfit warns `RankWarning`
+    and returns a minimum-norm line, where `detection` raises.
     """
     mask = (mod_power > 0.0) & np.isfinite(snr)
     lo, hi = 0.2, 5.0

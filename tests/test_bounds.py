@@ -36,7 +36,7 @@ from qcrbench.gaussian import (
     coherent_state,
     symplectic_eigenvalues,
 )
-from qcrbench.source import SourceParams, _slice_dynamics, continuum_state
+from qcrbench.source import SourceParams, _source_domain, continuum_state
 
 PARAMS = SourceParams(s=2.04, T_a=0.71)
 BUDGET = LossBudget(T_p=0.973, eta_p=0.945, eta_c=0.919)
@@ -170,7 +170,7 @@ class TestRates:
     )
     def test_out_of_domain_rates_rejected(self, s, T_a, message):
         helpers = (
-            _slice_dynamics,
+            _source_domain,
             lambda s, T_a: SourceParams(s=s, T_a=T_a),
             distributed_reduction,
             lambda s, T_a: conjugate_factor_distributed(0.9, s, T_a),
@@ -180,7 +180,7 @@ class TestRates:
                 helper(s, T_a)
         # one bad entry rejects a whole array
         with pytest.raises(ValueError, match=message):
-            _slice_dynamics(np.array([1.0, s]), np.array([0.5, T_a]))
+            _source_domain(np.array([1.0, s]), np.array([0.5, T_a]))
 
     def test_array_helpers_match_array_route(self, array_rate_oracle):
         oracle_rate, oracle_norm, _ = array_rate_oracle

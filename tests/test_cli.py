@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -356,6 +357,24 @@ class TestSimulateCommand:
         out = tmp_path / "sim.csv"
         assert main(["simulate", "--config", str(cfg), "--trials", "1000", "--out", str(out)]) == 4
         assert "not positive and finite" in capsys.readouterr().err
+
+    def test_probing_photon_number_reaches_no_data_column(self, tmp_path):
+        # var_n = Var(T) n_r and the ramp's SNR do not depend on n_r, so each ramp
+        # runs at n_r = 1: no tiny or huge n_r rescales it out of the float range
+        rows = {}
+        for n_r in ("1", "1e-308", "1e-320", "1e12"):
+            cfg = tmp_path / f"cfg{n_r}.txt"
+            cfg.write_text(f"n_r = {n_r}\nT_grid = 0.1,0.5,0.84\n")
+            out = tmp_path / f"sim{n_r}.csv"
+            args = ["simulate", "--config", str(cfg), "--trials", "1000", "--out", str(out)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(args) == 0
+            # only the echoed n_r differs
+            lines = out.read_text().splitlines()
+            rows[n_r] = [line for line in lines if not line.startswith("# n_r = ")]
+            assert len(lines) == len(rows[n_r]) + 1
+        assert all(lines == rows["1"] for lines in rows.values())
 
     def test_too_few_trials_exits_4(self, tmp_path):
         assert main(["simulate", "--trials", "10", "--out", str(tmp_path / "x.csv")]) == 4

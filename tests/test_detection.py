@@ -221,6 +221,50 @@ class TestSnrRamp:
             # modulation never rises above a tiny fraction of the noise
             snr_ramp_simulate(plan, linear_ramp(1e-3, plan.ramp_duration), var_t)
 
+    @pytest.mark.parametrize("variance", [math.nan, math.inf, -math.inf, -1e-300])
+    def test_bad_noise_variance_rejected(self, variance):
+        plan = self.plan(trials=500)
+        with pytest.raises(ValueError, match="noise variance must be finite and >= 0"):
+            snr_ramp_simulate(plan, linear_ramp(1.0, plan.ramp_duration), variance)
+
+    def test_reference_power_is_one_gamma_variate(self, monkeypatch):
+        # read each ramp's reference power back from its SNR trace: the bin powers
+        # come from the regenerated signal stream (seed, 1), and 1 + snr is
+        # power / reference; traces are recorded before the fit, so a seed whose
+        # fit fails is kept and the sample is not selected by the fit
+        var_t, bins, seeds = 0.04, 100, 2000
+        traces = []
+        fit = detection._iterated_line_fit
+
+        def record(mod_power, snr):
+            traces.append(snr.copy())
+            return fit(mod_power, snr)
+
+        monkeypatch.setattr(detection, "_iterated_line_fit", record)
+        profile = linear_ramp(5.0 * math.sqrt(var_t), self.plan(trials=bins).ramp_duration)
+        amplitudes = profile((np.arange(bins) + 0.5) * effective_time(SYNC4))
+        references = []
+        for seed in range(seeds):
+            try:
+                snr_ramp_simulate(self.plan(trials=bins, seed=seed), profile, var_t)
+            except NonPhysicalError:
+                pass
+            assert len(traces) == seed + 1
+            rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+            in_phase, quadrature = rng.normal(0.0, math.sqrt(var_t / 2.0), (2, bins))
+            power = (amplitudes + in_phase) ** 2 + quadrature**2
+            # the loudest bin reads the reference back without cancellation in 1 + snr
+            loudest = power.argmax()
+            references.append(power[loudest] / (1.0 + traces[-1][loudest]))
+        references = np.array(references)
+        # the reference is var_t Gamma(bins, 1) / bins: mean var_t, variance
+        # var_t^2 / bins, and a sample variance whose SE follows from the
+        # gamma's fourth central moment (3 k^2 + 6 k) theta^4
+        mean_se = var_t / math.sqrt(bins * seeds)
+        assert abs(references.mean() - var_t) < 4.0 * mean_se
+        variance_se = var_t**2 * math.sqrt((2.0 / bins**2 + 6.0 / bins**3) / seeds)
+        assert abs(references.var(ddof=1) - var_t**2 / bins) < 4.0 * variance_se
+
     def test_plan_validation(self):
         with pytest.raises(ValueError):
             MeasurementPlan(filter=SYNC4, trials=0, rng_seed=1)
@@ -263,8 +307,8 @@ class TestSnrRamp:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # amplitudes, both noise traces, the SNR trace and one window-pass
-        # array are five; about 45 bytes per bin were measured
+        # amplitudes, both signal noise traces, the SNR trace and one
+        # window-pass array are five; about 41 bytes per bin were measured
         assert peak < 7 * 8 * bins
 
 
@@ -319,6 +363,16 @@ def run_param_sweep_ramps():
             snr_ramp_simulate(plan, profile, var_t)
 
 
+def assert_same_line(result, expected, mod_power, snr):
+    """The two lines agree to 1e-12 of the SNR span at both ends of the usable run."""
+    usable = (mod_power > 0.0) & np.isfinite(snr)
+    ends = mod_power[usable][[0, -1]]
+    span = np.ptp(snr[usable])
+    (slope, intercept), (want_slope, want_intercept) = result, expected
+    gap = np.abs((intercept + slope * ends) - (want_intercept + want_slope * ends))
+    assert np.all(gap <= 1e-12 * span), (gap / span, result, expected)
+
+
 def run_readme_simulate(tmp_path):
     config = os.path.join(os.path.dirname(__file__), "..", "docs", "sample_config.txt")
     out = tmp_path / "simulate.csv"
@@ -327,19 +381,23 @@ def run_readme_simulate(tmp_path):
 
 
 class TestLineFitMatchesPolyfit:
-    """`_iterated_line_fit` returns the bits of the `np.polyfit` loop kept as the oracle."""
+    """`_iterated_line_fit` against the `np.polyfit` loop kept as the oracle.
+
+    It fits the same windows, raises the same errors and returns the same
+    line up to rounding (`assert_same_line`).
+    """
 
     def test_param_sweep_ramps(self, recorded_fits, polyfit_iterated_line_fit):
         run_param_sweep_ramps()
         assert len(recorded_fits) == 30
         for mod_power, snr, result in recorded_fits:
-            assert result == polyfit_iterated_line_fit(mod_power, snr)
+            assert_same_line(result, polyfit_iterated_line_fit(mod_power, snr), mod_power, snr)
 
     def test_readme_simulate_grid(self, tmp_path, recorded_fits, polyfit_iterated_line_fit):
         run_readme_simulate(tmp_path)
         assert len(recorded_fits) == 16
         for mod_power, snr, result in recorded_fits:
-            assert result == polyfit_iterated_line_fit(mod_power, snr)
+            assert_same_line(result, polyfit_iterated_line_fit(mod_power, snr), mod_power, snr)
 
     def test_centred_sum_windows_follow_polyfit(
         self, tmp_path, monkeypatch, recorded_fits, polyfit_windows
@@ -369,7 +427,7 @@ class TestLineFitMatchesPolyfit:
         mod_power[3:11] = np.linspace(0.5, 4.0, 8)
         snr = 0.3 + 0.9 * mod_power + 0.05 * np.sin(np.arange(20.0))
         result = detection._iterated_line_fit(mod_power, snr)
-        assert result == polyfit_iterated_line_fit(mod_power, snr)
+        assert_same_line(result, polyfit_iterated_line_fit(mod_power, snr), mod_power, snr)
         mod_power[3] = 0.0
         for fit in (detection._iterated_line_fit, polyfit_iterated_line_fit):
             with pytest.raises(NonPhysicalError, match="too few usable"):
@@ -392,20 +450,27 @@ class TestLineFitMatchesPolyfit:
         # this window alternates between two masks until the 10-pass cap stops it
         assert len(passes) == 10
         ((mod_power, snr, result),) = recorded_fits
-        assert result == polyfit_iterated_line_fit(mod_power, snr)
+        assert_same_line(result, polyfit_iterated_line_fit(mod_power, snr), mod_power, snr)
 
     @pytest.mark.parametrize("power, level", [(2.0, 1.0), (0.1, 4.0)])
-    def test_constant_power_window_warns_like_polyfit(
-        self, polyfit_iterated_line_fit, power, level
-    ):
-        # centred sums of 50 copies of 0.1 leave sum(t^2) = 2.5e-30, not 0; a
-        # line from them puts every fitted SNR near 2 * 4, outside [0.2, 5]
+    def test_constant_power_window_rejected(self, polyfit_iterated_line_fit, power, level):
+        # centred sums of 50 copies of 0.1 leave sum(t^2) = 2.5e-30, not 0, but
+        # within rounding of it: the data fix no slope, and no line is returned
         mod_power = np.full(50, power)
         snr = level + 0.1 * np.cos(np.arange(50.0))
+        with pytest.raises(NonPhysicalError, match="constant over the fit window"):
+            detection._iterated_line_fit(mod_power, snr)
+        # np.polyfit finds the same system rank-deficient, and returns a
+        # minimum-norm line whose SNR = 1 crossing the data do not determine
         with pytest.warns(np.exceptions.RankWarning):
-            result = detection._iterated_line_fit(mod_power, snr)
-        with pytest.warns(np.exceptions.RankWarning):
-            assert result == polyfit_iterated_line_fit(mod_power, snr)
+            polyfit_iterated_line_fit(mod_power, snr)
+
+    def test_constant_power_ramp_rejected(self):
+        plan = MeasurementPlan(
+            filter=SYNC4, trials=500, rng_seed=3, ramp_duration=500 * effective_time(SYNC4)
+        )
+        with pytest.raises(NonPhysicalError, match="constant over the fit window"):
+            snr_ramp_simulate(plan, lambda t: np.full(t.shape, 0.5), 0.04)
 
     def test_ramp_never_calls_polyfit(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -476,8 +541,12 @@ class TestLineFitMatchesPolyfit:
             try:
                 outcomes.append(fit(mod_power, snr))
             except NonPhysicalError as error:
-                outcomes.append((type(error), str(error)))
-        assert outcomes[0] == outcomes[1]
+                outcomes.append(str(error))
+        result, expected = outcomes
+        if isinstance(result, str) or isinstance(expected, str):
+            assert result == expected
+        else:
+            assert_same_line(result, expected, mod_power, snr)
 
     def test_tiny_powers_fit_by_exact_rescaling(self):
         # squares of ~1e-169 underflow; the fit scales x by a power of two instead

@@ -16,7 +16,8 @@ from qcrbench.source import (
     SourceParams,
     _affine_power,
     _layer_affine,
-    _slice_dynamics,
+    _slice_rates,
+    _source_domain,
     analytic_noises,
     continuum_gain,
     continuum_noises,
@@ -116,7 +117,8 @@ def gauss_legendre_noises(s, T_a) -> NoiseTriple:
     from the cosh/sinh form of the propagator and G from quadrature, whose
     integrands are smooth exponentials, so it is exact to rounding.
     """
-    s, g, q = _slice_dynamics(s, T_a)
+    s, T_a = _source_domain(s, T_a)
+    g, q = _slice_rates(s, T_a)
     m11, m21 = _propagator_column(s, g, q, 1.0)
     m22 = np.exp(-0.25 * g) * (np.cosh(q) + 0.25 * g * _sinhc(q))
     g00 = np.zeros_like(m11)
