@@ -75,6 +75,13 @@ def _check_t_nr(T: float, n_r: float):
         raise ValueError("probing photon number must be positive")
 
 
+def _eta_p(eta_p: float) -> float:
+    """eta_p of a bound that divides by it: T / eta_p has no value at eta_p = 0."""
+    if not (0.0 < eta_p <= 1.0):
+        raise ValueError("eta_p must lie in (0, 1]")
+    return eta_p
+
+
 def _finite(value: float, s: float) -> float:
     if not math.isfinite(value):
         raise ValueError(f"closed-form bound overflows double precision at s = {s:g}")
@@ -164,9 +171,7 @@ def distributed_reduction(s: float, T_a: float) -> float:
 def qcrb_coherent(T: float, n_r: float, eta_p: float) -> BoundPoint:
     """Optimal classical bound: Var(T) >= T / (eta_p n_r), linear in T."""
     _check_t_nr(T, n_r)
-    if not (0.0 < eta_p <= 1.0):
-        raise ValueError("eta_p must lie in (0, 1]")
-    return BoundPoint(T=T, var_n=T / eta_p, n_r=n_r)
+    return BoundPoint(T=T, var_n=T / _eta_p(eta_p), n_r=n_r)
 
 
 def qcrb_pure_btmss(T: float, n_r: float, s: float, budget: LossBudget) -> BoundPoint:
@@ -174,7 +179,8 @@ def qcrb_pure_btmss(T: float, n_r: float, s: float, budget: LossBudget) -> Bound
     _check_t_nr(T, n_r)
     # the factor rejects every s where 2 sinh^2 s, that is cosh(2 s) - 1, overflows
     factor = conjugate_factor(budget.eta_c, s)
-    var_n = T / budget.eta_p - T * T * budget.T_p * factor * (1.0 - 1.0 / math.cosh(2.0 * s))
+    reduction = 1.0 - 1.0 / math.cosh(2.0 * s)
+    var_n = T / _eta_p(budget.eta_p) - T * T * budget.T_p * factor * reduction
     return BoundPoint(T=T, var_n=var_n, n_r=n_r)
 
 
@@ -183,14 +189,14 @@ def qcrb_distributed(T: float, n_r: float, params: SourceParams, budget: LossBud
     _check_t_nr(T, n_r)
     # SourceParams and LossBudget hold validated values
     factor, reduction = _distributed_terms(budget.eta_c, float(params.s), float(params.T_a))
-    var_n = T / budget.eta_p - T * T * budget.T_p * factor * reduction
+    var_n = T / _eta_p(budget.eta_p) - T * T * budget.T_p * factor * reduction
     return BoundPoint(T=T, var_n=var_n, n_r=n_r)
 
 
 def qcrb_ultimate(T: float, n_r: float, budget: LossBudget, lossless: bool = False) -> BoundPoint:
     """Lowest bound over all probe states at fixed photon number."""
     _check_t_nr(T, n_r)
-    t_p, eta_p = (1.0, 1.0) if lossless else (budget.T_p, budget.eta_p)
+    t_p, eta_p = (1.0, 1.0) if lossless else (budget.T_p, _eta_p(budget.eta_p))
     var_n = T / eta_p - T * T * t_p
     return BoundPoint(T=T, var_n=var_n, n_r=n_r)
 
@@ -210,20 +216,15 @@ class ProbeChain:
     so the chain carries the x sector (d_p, d_c, sigma_pp, sigma_pc,
     sigma_cc) of `source.continuum_sector`: ``incident`` after T_p, and
     ``sector_at(T)`` after the T and then the (eta_p, eta_c) stage.
-    ``state_at(T)`` expands it to the state.  ``n_input`` counts the bright
-    probe photons incident on the system (after T_p, before T); all var_n
-    products are normalized to it.  `build_chain` makes the chain.
+    ``state_at(T)`` expands it to the state.  `build_chain` makes the chain.
     """
 
     params: SourceParams
     budget: LossBudget
     incident: tuple = field(init=False, repr=False)
-    n_input: float = field(init=False)
 
     def __post_init__(self):
         sector = continuum_sector(self.params)
-        # the bright probe photons d_p^2 / 4 of the source, times T_p
-        object.__setattr__(self, "n_input", self.budget.T_p * (sector[0] * sector[0] / 4.0))
         object.__setattr__(self, "incident", _loss_stage(sector, math.sqrt(self.budget.T_p), 1.0))
 
     def sector_at(self, T: float) -> tuple:
@@ -249,13 +250,13 @@ def build_chain(params: SourceParams, budget: LossBudget) -> ProbeChain:
 _FD_MISMATCH_TOL = 1e-6
 
 
-def _probe_derivative(chain: ProbeChain, T: float, d_p: float) -> float:
-    """d(d_p)/dT of the detected probe displacement d_p at T, with a finite-difference audit.
+def _probe_derivative(chain: ProbeChain, T: float, d_p: float) -> None:
+    """Audit that the detected probe displacement d_p scales as sqrt(T) at T.
 
-    The probe displacement scales exactly as sqrt(T), so the derivative is
-    d_p / (2 T); the conjugate displacement is T-independent.  A central
-    difference (step 1e-6 * T, so it stays inside (0, 1] at any T > 0, shifted
-    off T = 1 if needed) must agree to 1e-6 relative or the evaluation is
+    The numeric bound relies on d(d_p)/dT = d_p / (2 T) exactly; the
+    conjugate displacement is T-independent.  A central difference (step
+    1e-6 * T, so it stays inside (0, 1] at any T > 0, shifted off T = 1 if
+    needed) must agree with d_p / (2 T) to 1e-6 relative or the evaluation is
     rejected.
     """
     step = 1e-6 * T
@@ -271,7 +272,6 @@ def _probe_derivative(chain: ProbeChain, T: float, d_p: float) -> float:
             f"analytic and finite-difference displacement derivatives disagree "
             f"({abs(fd - reference) / abs(reference):.3e} relative)"
         )
-    return d_p / (2.0 * T)
 
 
 def qcrb_numeric_gaussian(
@@ -283,12 +283,15 @@ def qcrb_numeric_gaussian(
 ) -> BoundPoint:
     """Bright-limit Gaussian bound computed from the full chain moments.
 
-    Var(T) >= 1 / (dd^T sigma^{-1} dd) with dd the displacement derivative
-    in this quadrature convention (the complex-form prefactor 2 is absorbed
-    by the convention; the coherent chain reproduces T / (eta_p n_r)
-    exactly); dd has a probe-x entry only, so the 2x2 x sector suffices.  A
-    pre-built `chain` shares its source sector and T_p stage over a T grid;
-    it must have been built from ``params`` and ``budget``.
+    F = dd^T sigma^{-1} dd, the displacement term of the Gaussian quantum
+    Fisher information in this quadrature convention (the coherent chain
+    gives T / (eta_p n_r)).  dd has a probe-x entry only, so
+    F = (d d_p/dT)^2 sigma_cc / det with det = sigma_pp sigma_cc - sigma_pc^2,
+    and d_p ~ sqrt(T) (`_probe_derivative`) makes (d d_p/dT)^2 = n eta_p / T
+    for the n probe photons incident on the system.  In shot-noise units
+    var_n = n / F = (T / eta_p) det / sigma_cc: no photon number, no seed.
+    A pre-built `chain` shares its source sector and T_p stage over a T
+    grid; it must have been built from ``params`` and ``budget``.
     """
     _check_t_nr(T, n_r)
     if T == 0.0:
@@ -297,20 +300,13 @@ def qcrb_numeric_gaussian(
         chain = build_chain(params, budget)
     elif (chain.params, chain.budget) != (params, budget):
         raise ValueError("the chain was built from other source parameters or loss budget")
+    eta_p = _eta_p(budget.eta_p)
     d_p, _, s_pp, s_pc, s_cc = chain.sector_at(T)
-    derivative = _probe_derivative(chain, T, d_p)
-    # the Fisher product squares d/(2T) too; a power-of-two scale is exact, so
-    # var_n keeps the bits of the unscaled product wherever that one is finite
-    _, exponent = math.frexp(abs(derivative))
-    derivative = np.array([math.ldexp(derivative, -exponent), 0.0])
-    try:
-        solved = np.linalg.solve(np.array([[s_pp, s_pc], [s_pc, s_cc]]), derivative)
-    except np.linalg.LinAlgError as exc:
-        raise NonPhysicalError("chain covariance matrix is singular") from exc
-    fisher = float(derivative @ solved)
-    if fisher <= 0.0:
+    _probe_derivative(chain, T, d_p)
+    det = s_pp * s_cc - s_pc * s_pc
+    if d_p == 0.0 or not (det > 0.0 and s_cc > 0.0):
         raise NonPhysicalError("non-positive Fisher information")
-    var_n = math.ldexp(chain.n_input, -2 * exponent) / fisher
+    var_n = T / eta_p * det / s_cc
     return BoundPoint(T=T, var_n=var_n, n_r=n_r)
 
 

@@ -71,7 +71,8 @@ def _out_path(config: WorkbenchConfig, override: str | None, stem: str, fmt: str
 def cmd_bounds(config: WorkbenchConfig, out: str | None, fmt: str) -> int:
     """Write every bound curve over the configured transmission grid."""
     chain = bounds.build_chain(config.source, config.budget)
-    grid = config.T_grid
+    # Python floats: T / eta_p past the float range is inf without a numpy warning
+    grid = [float(t) for t in config.T_grid]
     columns = {
         "T": grid,
         "btmss_closed": [
@@ -188,7 +189,7 @@ def cmd_fit(
         raise ValueError(f"{option}: {exc}") from exc
     result = inference.fit_source(measurements, de_config, noise_model=noise_model)
     payload = {
-        "fit": result.to_dict(),
+        "fit": dataclasses.asdict(result),
         "de_config": dataclasses.asdict(de_config),
         "input": noise_file,
     }

@@ -18,7 +18,6 @@ FWHM of |H(f)|^2 for every filter kind here; this convention reproduces the
 
 import bisect
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,54 +143,41 @@ def transmission_variance(chain, T: float, n_r: float = 1.0, g: float | None = N
     Var(T_est) = Var(n_p - g n_c) / (d<n_p - g n_c>/dT)^2, where the mean
     conjugate count is T-independent and <n_p> is exactly linear in T, so
     the derivative equals <n_p>/T at the detector.  With g = None the
-    optimal gain is used.
+    optimal gain g* = Cov(n_p, n_c) / Var(n_c) is used.
 
     `chain` is any chain builder exposing ``sector_at(T)``, the detected x
-    sector (d_p, d_c, sigma_pp, sigma_pc, sigma_cc), and ``n_input`` (e.g.
-    `bounds.ProbeChain`).  The displacement has x entries only, so the
-    bright-limit counts are the sector products n_p = d_p^2 / 4,
-    Var(n_i) = d_i sigma_ii d_i / 4 and Cov = d_p sigma_pc d_c / 4: the
-    nonzero products of `optimal_gain` and `estimator_variance` on
-    ``state_at(T)``, with the same bits and errors.  The result is rescaled
-    from the chain's native photon number to n_r probing photons.
+    sector (d_p, d_c, sigma_pp, sigma_pc, sigma_cc), and ``budget`` (e.g.
+    `bounds.ProbeChain`).  The bright-limit counts are sector products,
+    n_p = d_p^2 / 4, Var(n_i) = d_i sigma_ii d_i / 4, Cov = d_p sigma_pc d_c / 4,
+    so per incident photon, in shot-noise units and with no photon number,
+    var_n = (T / eta_p) Var(n_p - g n_c) / <n_p>
+          = root^2 sigma_pp + q (q sigma_cc - 2 root sigma_pc),
+    root = sqrt(T / eta_p), q = root g d_c / d_p (root sigma_pc / sigma_cc at
+    g*).  The errors are those of `optimal_gain` and `estimator_variance` on
+    ``state_at(T)``.  The result is rescaled to n_r probing photons.
     """
     if not (0.0 < T <= 1.0):
         raise ValueError("transmission T must lie in (0, 1]")
     if not n_r > 0.0:
         raise ValueError("probing photon number must be positive")
     d_p, d_c, s_pp, s_pc, s_cc = chain.sector_at(T)
-    n_detected = d_p * d_p / 4.0
-    if n_detected == 0.0:
+    if d_p * d_p / 4.0 == 0.0:
         raise BrightLimitError("no probe light reaches the detector")
-    estimator = d_p * s_pp * d_p / 4.0
+    ratio = T / chain.budget.eta_p
+    root = math.sqrt(ratio)
+    q = 0.0
     if d_c * d_c == 0.0:
         # a dark conjugate carries no usable correlation: g* = 0
         if g is not None and g != 0.0:
             raise BrightLimitError("bright-limit approximation invalid: mode 1 has zero mean field")
+    elif g is None:
+        if d_c * s_cc * d_c / 4.0 == 0.0:
+            raise NonPhysicalError("conjugate photocurrent has zero variance")
+        q = root * s_pc / s_cc
     else:
-        var_c = d_c * s_cc * d_c / 4.0
-        cov = d_p * s_pc * d_c / 4.0
-        if g is None:
-            if var_c == 0.0:
-                raise NonPhysicalError("conjugate photocurrent has zero variance")
-            g = cov / var_c
-        if g != 0.0:
-            estimator = estimator + g * g * var_c - 2.0 * g * cov
-    derivative = n_detected / T
-    square = derivative**2
-    if square >= sys.float_info.min:
-        var_n = estimator / square * chain.n_input
-    else:
-        # the square underflows (s = 0 at tiny T_a): split an exact power-of-two
-        # scale between the two factors, so that neither leaves the float range
-        _, exponent = math.frexp(derivative)
-        scaled = math.ldexp(derivative, -exponent)
-        try:
-            var_n = math.ldexp(estimator / (scaled * scaled), -exponent)
-            var_n *= math.ldexp(chain.n_input, -exponent)
-        except OverflowError:
-            # a subnormal eta_p puts T / eta_p itself past the float range
-            var_n = math.inf
+        # root is folded in before q is squared: g d_c / d_p alone can overflow
+        q = root * g * d_c / d_p
+    var_n = ratio * s_pp + q * (q * s_cc - 2.0 * root * s_pc)
     variance = var_n / n_r
     if not (variance > 0.0 and math.isfinite(variance)):
         # an ill-conditioned chain covariance (very large s) can cancel below zero
@@ -378,24 +364,30 @@ def snr_ramp_simulate(
     scale = math.sqrt(noise_variance / 2.0)
     noise_rng = np.random.default_rng(np.random.SeedSequence([plan.rng_seed, 0]))
     signal_rng = np.random.default_rng(np.random.SeedSequence([plan.rng_seed, 1]))
-    # a reference bin's power is the sum of two squared N(0, noise_variance / 2)
-    # draws, noise_variance Gamma(1, 1), so its mean over the bins is the one
-    # variate noise_variance Gamma(n_bins, 1) / n_bins
-    noise_power = noise_variance * (noise_rng.standard_gamma(n_bins) / n_bins)
-    # standard_normal(out=draws) then *= scale: the bits of normal(0.0, scale, (2, n_bins))
-    draws = np.empty((2, n_bins))
-    signal_rng.standard_normal(out=draws)
-    draws *= scale
-    in_phase, quadrature = draws
-    # power = (amplitudes + in_phase) ** 2 + quadrature**2
-    np.add(amplitudes, in_phase, out=in_phase)
-    np.square(in_phase, out=in_phase)
-    np.square(quadrature, out=quadrature)
-    power = np.add(in_phase, quadrature, out=in_phase)
-    # snr = (power - noise_power) / noise_power, in an array of its own
-    snr = np.subtract(power, noise_power)
-    snr /= noise_power
-    mod_power = np.square(amplitudes, out=quadrature)
+    try:
+        with np.errstate(over="raise"):
+            # a reference bin's power is the sum of two squared N(0, noise_variance / 2)
+            # draws, noise_variance Gamma(1, 1), so its mean over the bins is the one
+            # variate noise_variance Gamma(n_bins, 1) / n_bins
+            noise_power = noise_variance * (noise_rng.standard_gamma(n_bins) / n_bins)
+            # standard_normal(out=draws) then *= scale: the bits of normal(0.0, scale, (2, n_bins))
+            draws = np.empty((2, n_bins))
+            signal_rng.standard_normal(out=draws)
+            draws *= scale
+            in_phase, quadrature = draws
+            # power = (amplitudes + in_phase) ** 2 + quadrature**2
+            np.add(amplitudes, in_phase, out=in_phase)
+            np.square(in_phase, out=in_phase)
+            np.square(quadrature, out=quadrature)
+            power = np.add(in_phase, quadrature, out=in_phase)
+            # snr = (power - noise_power) / noise_power, in an array of its own
+            snr = np.subtract(power, noise_power)
+            snr /= noise_power
+            mod_power = np.square(amplitudes, out=quadrature)
+    except FloatingPointError:
+        raise NonPhysicalError(
+            f"SNR ramp powers at noise variance {noise_variance:.6g} leave the float64 range"
+        ) from None
     slope, intercept = _iterated_line_fit(mod_power, snr)
     if slope <= 0.0:
         raise NonPhysicalError("SNR=1 not bracketed: non-increasing SNR ramp")

@@ -137,19 +137,6 @@ class FitResult:
     noise_model: str
     bounded_contour: bool = True
 
-    def to_dict(self) -> dict:
-        return {
-            "s": self.s,
-            "sigma_s": self.sigma_s,
-            "T_a": self.T_a,
-            "sigma_T_a": self.sigma_T_a,
-            "chi2": self.chi2,
-            "generations": self.generations,
-            "population_final_spread": list(self.population_final_spread),
-            "noise_model": self.noise_model,
-            "bounded_contour": self.bounded_contour,
-        }
-
 
 def backtrack_noise(measured: float, eta: float) -> float:
     """Remove a downstream loss eta from a normalized noise.

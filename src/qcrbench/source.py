@@ -45,6 +45,9 @@ from .gaussian import (
 
 DEFAULT_SEED_PHOTONS = 1e6
 MAX_LAYERS = 2**20
+# the ladder's rounding regime in N eps for N slices: on 600 noise-map and config
+# box points, changes that did not shrink sat at <= 2.3 N eps (N >= 8192) or >= 6e11 N eps
+_ROUNDING_CHANGE = 16.0
 # points per pass of the closed-form kernel: its ~15 live arrays of 64 KB
 # each stay in a 2 MB L2, where whole 256 x 256 maps would not
 _BLOCK = 8192
@@ -160,24 +163,28 @@ def converged_source(
 
     Changes are measured against the magnitude scale of each moment array
     (never below 1).  Returns the first output whose doubling is quiescent,
-    so ``layers_used`` reports the coarsest converged stack.
+    so ``layers_used`` reports the coarsest converged stack.  N slices round
+    to about N eps, so below `_ROUNDING_CHANGE` N eps a doubling that does
+    not shrink the change ends the ladder with the output before it; a
+    truncation change shrinks at every doubling (4x strang, 2x plain).
     """
     if not rel_tol > 0.0:
         raise ValueError("rel_tol must be positive")
     previous = layered_source(params, 1, splitting)
+    last_change = math.inf
     layers = 2
     while layers <= MAX_LAYERS:
         current = layered_source(params, layers, splitting)
         d_scale = max(1.0, float(np.max(np.abs(current.state.d))))
         s_scale = max(1.0, float(np.max(np.abs(current.state.sigma))))
-        d_close = float(np.max(np.abs(current.state.d - previous.state.d))) < rel_tol * d_scale
-        s_close = (
-            float(np.max(np.abs(current.state.sigma - previous.state.sigma)))
-            < rel_tol * s_scale
+        change = max(
+            float(np.max(np.abs(current.state.d - previous.state.d))) / d_scale,
+            float(np.max(np.abs(current.state.sigma - previous.state.sigma))) / s_scale,
         )
-        if d_close and s_close:
+        floor = _ROUNDING_CHANGE * layers * np.finfo(float).eps
+        if change < rel_tol or last_change <= change < floor:
             return previous
-        previous = current
+        previous, last_change = current, change
         layers *= 2
     raise ConvergenceError(
         f"layer doubling did not converge to rel_tol={rel_tol} within {MAX_LAYERS} layers"

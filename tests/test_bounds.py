@@ -34,6 +34,7 @@ from qcrbench.gaussian import (
     apply_loss,
     bright_mean_photon,
     coherent_state,
+    number_variance_bright,
     symplectic_eigenvalues,
 )
 from qcrbench.source import SourceParams, _source_domain, continuum_state
@@ -51,12 +52,38 @@ def three_stage_state(chain: ProbeChain, T: float):
     return apply_loss(state, ChannelOp([chain.budget.eta_p, chain.budget.eta_c]))
 
 
+def incident_photons(chain: ProbeChain) -> float:
+    """Bright probe photons incident on the system: the source's d_p^2 / 4, times T_p."""
+    return chain.budget.T_p * bright_mean_photon(continuum_state(chain.params), 0)
+
+
+def sector_condition(chain: ProbeChain, T: float) -> float:
+    """kappa = sigma_pp sigma_cc / det of the detected x sector at T.
+
+    The shot-noise forms of the bound and the estimator, and the
+    photon-number routes below, each round to a few eps of their value
+    times kappa: det and the optimal estimator cancel terms kappa times
+    their size.
+    """
+    _, _, s_pp, s_pc, s_cc = chain.sector_at(T)
+    return s_pp * s_cc / (s_pp * s_cc - s_pc * s_pc)
+
+
+#: the shot-noise forms against the photon-number oracles, in eps kappa: the
+#: worst measured was 3.0 on the ORACLE_* grid and 5.7 over 80 000 draws of
+#: the config box, where the errors matched on every draw
+ORACLE_TOL = 8.0 * np.finfo(float).eps
+
+
 def four_by_four_transmission_variance(chain: ProbeChain, T: float, g=None):
     """Reference `transmission_variance` from the photon statistics of the two-mode state.
 
-    Takes `optimal_gain` and `estimator_variance` on `three_stage_state`.
-    Returns None where the unscaled squared derivative is not a normal float
-    (s = 0 at tiny T_a), since there this route has no bits to compare.
+    Takes `optimal_gain` and `estimator_variance` on `three_stage_state`, in
+    photon numbers normalized by the incident photons.  Returns None where
+    n_p or a variance d_i sigma_ii d_i / 4 of this route (T ~< 1e-295 at tiny
+    T_a), or its squared count derivative (s = 0 at tiny T_a), is not a
+    normal float: there this route has lost its own precision and has no
+    value to compare.
     """
     state = three_stage_state(chain, T)
     n_detected = bright_mean_photon(state, 0)
@@ -66,9 +93,12 @@ def four_by_four_transmission_variance(chain: ProbeChain, T: float, g=None):
         g = optimal_gain(state)
     variance = estimator_variance(state, g)
     square = (n_detected / T) ** 2
-    if square < sys.float_info.min:
+    products = [n_detected, number_variance_bright(state, 0)]
+    if g != 0.0:
+        products.append(number_variance_bright(state, 1))
+    if min(square, *products) < sys.float_info.min:
         return None
-    variance = variance / square * chain.n_input
+    variance = variance / square * incident_photons(chain)
     if not (variance > 0.0 and math.isfinite(variance)):
         raise NonPhysicalError(f"transmission variance {variance:.6g} is not positive")
     return variance
@@ -77,8 +107,10 @@ def four_by_four_transmission_variance(chain: ProbeChain, T: float, g=None):
 def six_state_numeric_var_n(chain: ProbeChain, T: float) -> float:
     """Reference numeric bound: one full chain state for the bound, four for the audit.
 
-    `qcrb_numeric_gaussian` reuses its state and builds no covariance for the
-    audit; it must return the same bits as this route.
+    The Fisher information dd^T sigma^{-1} dd of the four-mode state, in
+    photon numbers normalized by the incident photons.
+    `qcrb_numeric_gaussian` reads the x sector in shot-noise units and builds
+    no covariance for the audit; it must agree with this route to rounding.
     """
     state = three_stage_state(chain, T)
     d = three_stage_state(chain, T).d
@@ -92,7 +124,7 @@ def six_state_numeric_var_n(chain: ProbeChain, T: float) -> float:
     reference = three_stage_state(chain, center).d[:2] / (2.0 * center)
     assert np.linalg.norm(fd - reference) / np.linalg.norm(reference) <= _FD_MISMATCH_TOL
     fisher = float(derivative @ np.linalg.solve(state.sigma, derivative))
-    return chain.n_input / fisher
+    return incident_photons(chain) / fisher
 
 
 ORACLE_SOURCES = [
@@ -345,7 +377,7 @@ class TestNumericGaussianBound:
         a = qcrb_numeric_gaussian(0.5, PARAMS, BUDGET).var_n
         rich = SourceParams(s=2.04, T_a=0.71, seed_photons=4e8)
         b = qcrb_numeric_gaussian(0.5, rich, BUDGET).var_n
-        assert a == pytest.approx(b, rel=1e-11)
+        assert a == b
 
     def test_doubling_photons_halves_variance(self):
         one = qcrb_numeric_gaussian(0.5, PARAMS, BUDGET, n_r=1e6)
@@ -360,7 +392,6 @@ class TestNumericGaussianBound:
     def test_chain_accepts_coherent_source(self):
         # at s = 0 and T_a = 1 the source passes a coherent seed beside a vacuum conjugate
         chain = build_chain(SourceParams(s=0.0, T_a=1.0, seed_photons=1e4), BUDGET)
-        assert chain.n_input == 0.973 * 1e4
         coherent = apply_loss(coherent_state([100.0, 0.0]), ChannelOp([0.973, 1.0]))
         for t in (0.3, 1.0):
             oracle = apply_loss(coherent, ChannelOp([t, 1.0]))
@@ -392,6 +423,23 @@ class TestNumericGaussianBound:
     def test_zero_transmission_rejected(self):
         with pytest.raises(ValueError):
             qcrb_numeric_gaussian(0.0, PARAMS, BUDGET)
+
+
+def test_bounds_dividing_by_eta_p_reject_zero():
+    # T / eta_p has no value at eta_p = 0; a Python float division would
+    # raise ZeroDivisionError, which is not a domain error
+    dark = LossBudget(T_p=0.973, eta_p=0.0, eta_c=0.919)
+    routes = [
+        lambda: qcrb_coherent(0.5, 1.0, 0.0),
+        lambda: qcrb_pure_btmss(0.5, 1.0, 2.04, dark),
+        lambda: qcrb_distributed(0.5, 1.0, PARAMS, dark),
+        lambda: qcrb_ultimate(0.5, 1.0, dark),
+        lambda: qcrb_numeric_gaussian(0.5, PARAMS, dark),
+    ]
+    for route in routes:
+        with pytest.raises(ValueError, match=r"eta_p must lie in \(0, 1\]"):
+            route()
+    assert qcrb_ultimate(0.5, 1.0, dark, lossless=True).var_n == 0.25
 
 
 def _log_uniform(lowest_exponent):
@@ -438,8 +486,8 @@ def test_numeric_matches_closed_form_over_config_box(s, t_a, t, budget):
     g=st.sampled_from([None, 0.0, 1.0]),
 )
 def test_sector_variance_equals_four_by_four_route_over_config_box(s, t_a, t, budget, g):
-    # the estimator variance from the x sector keeps every bit and error of
-    # the two-mode photon statistics
+    # the estimator variance from the x sector keeps every error of the
+    # two-mode photon statistics and its value to rounding
     chain = build_chain(SourceParams(s=s, T_a=t_a), budget)
     try:
         expected = four_by_four_transmission_variance(chain, t, g)
@@ -451,7 +499,43 @@ def test_sector_variance_equals_four_by_four_route_over_config_box(s, t_a, t, bu
     if expected is None:
         assert 0.0 < variance < math.inf
     else:
-        assert variance == expected
+        assert abs(variance - expected) <= ORACLE_TOL * sector_condition(chain, t) * expected
+
+
+def _seed_outcome(params: SourceParams, budget: LossBudget, t: float):
+    """((numeric bound, optimal estimator) or the error type, counts_normal) at t.
+
+    counts_normal: the detected count d_p^2 / 4 is a normal float, and
+    d_c^2 / 4 is one or 0.
+    """
+    chain = build_chain(params, budget)
+    d_p, d_c = chain.sector_at(t)[:2]
+    conj = d_c * d_c / 4.0
+    exact = d_p * d_p / 4.0 >= sys.float_info.min and (conj == 0.0 or conj >= sys.float_info.min)
+    try:
+        bound = qcrb_numeric_gaussian(t, params, budget, chain=chain).var_n
+        return (bound, transmission_variance(chain, t)), exact
+    except WorkbenchError as exc:
+        return type(exc), exact
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    s=st.floats(0.0, MAX_S),
+    t_a=_log_uniform(-300.0),
+    t=_log_uniform(-300.0),
+    budget=st.sampled_from(ORACLE_BUDGETS) | _BUDGETS,
+    seeds=st.tuples(st.floats(1e4, 1e12), st.floats(1e4, 1e12)),
+)
+def test_var_n_is_seed_independent_over_config_box(s, t_a, t, budget, seeds):
+    # var_n is computed in shot-noise units, so the seed's photon number
+    # reaches no bit of it; only where a detected count leaves the normal
+    # floats can the seed decide whether light is seen at all
+    (first, first_exact), (second, second_exact) = (
+        _seed_outcome(SourceParams(s=s, T_a=t_a, seed_photons=n), budget, t) for n in seeds
+    )
+    if first_exact and second_exact:
+        assert first == second
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
@@ -483,10 +567,6 @@ class TestPrecomputedChainStages:
     def chain(self, source, request):
         return build_chain(source, request.param)
 
-    def test_n_input_equals_source_state_photons(self, source, chain):
-        state = continuum_state(source)
-        assert chain.n_input == chain.budget.T_p * bright_mean_photon(state, 0)
-
     @pytest.mark.parametrize("t", ORACLE_T)
     def test_numeric_bound_equals_six_state_route(self, source, chain, t):
         numeric = qcrb_numeric_gaussian(t, chain.params, chain.budget, chain=chain).var_n
@@ -498,11 +578,13 @@ class TestPrecomputedChainStages:
             closed = qcrb_distributed(t, 1.0, source, chain.budget).var_n
             assert numeric == pytest.approx(closed, rel=1e-6, abs=0)
         else:
-            assert numeric == expected
+            assert abs(numeric - expected) <= ORACLE_TOL * sector_condition(chain, t) * expected
 
     @pytest.mark.parametrize("t", ORACLE_T)
     def test_transmission_variance_equals_three_stage_route(self, chain, t):
-        assert transmission_variance(chain, t) == four_by_four_transmission_variance(chain, t)
+        variance = transmission_variance(chain, t)
+        expected = four_by_four_transmission_variance(chain, t)
+        assert abs(variance - expected) <= ORACLE_TOL * sector_condition(chain, t) * expected
 
     @pytest.mark.parametrize("t", [0.0, *ORACLE_T])
     def test_state_and_sector_equal_three_stage_route(self, chain, t):

@@ -233,6 +233,17 @@ class TestBoundsCommand:
         cfg.write_text("T_grid = 0.1:1:1e-12\n")
         assert main(["bounds", "--config", str(cfg)]) == 3
 
+    @pytest.mark.parametrize("eta_p, message", [("0", "eta_p must lie"), ("1e-310", "finite")])
+    def test_dark_or_subnormal_detection_efficiency_exits_4(self, tmp_path, capsys, eta_p, message):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"eta_p = {eta_p}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "bounds.csv")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
     def test_unwritable_output_exits_2(self, tmp_path):
         assert main(["bounds", "--out", str(tmp_path / "missing" / "bounds.csv")]) == 2
 
@@ -357,6 +368,17 @@ class TestSimulateCommand:
         out = tmp_path / "sim.csv"
         assert main(["simulate", "--config", str(cfg), "--trials", "1000", "--out", str(out)]) == 4
         assert "not positive and finite" in capsys.readouterr().err
+
+    def test_ramp_powers_past_the_float_range_exit_4(self, tmp_path, capsys):
+        # var_t ~ 8.5e306: the ramp's squared amplitudes would overflow
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("eta_p = 1e-307\nT_grid = 0.85\n")
+        out = tmp_path / "sim.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["simulate", "--config", str(cfg), "--trials", "1000", "--out", str(out)])
+        assert rc == 4
+        assert capsys.readouterr().err.startswith("error: SNR ramp powers")
 
     def test_probing_photon_number_reaches_no_data_column(self, tmp_path):
         # var_n = Var(T) n_r and the ramp's SNR do not depend on n_r, so each ramp

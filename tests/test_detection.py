@@ -172,6 +172,19 @@ class TestSnrRamp:
         ramp = snr_ramp_simulate(plan, linear_ramp(5 * math.sqrt(var_t), plan.ramp_duration), var_t)
         assert ramp.delta_T_at_snr1 == pytest.approx(math.sqrt(var_t), rel=0.05)
 
+    def test_powers_past_the_float_range_rejected(self):
+        # 25 var_t ~ 2e308 and the squared amplitudes leave float64 (simulate
+        # at eta_p = 1e-307, T = 0.85); var_t = 8.5e305 stays inside it
+        plan = self.plan(trials=1000)
+        var_t = 8.5e306
+        profile = linear_ramp(5.0 * math.sqrt(var_t), plan.ramp_duration)
+        with pytest.raises(NonPhysicalError, match="leave the float64 range"):
+            snr_ramp_simulate(plan, profile, var_t)
+        var_t = 8.5e305
+        profile = linear_ramp(5.0 * math.sqrt(var_t), plan.ramp_duration)
+        ramp = snr_ramp_simulate(plan, profile, var_t)
+        assert ramp.delta_T_at_snr1 == pytest.approx(math.sqrt(var_t), rel=0.1)
+
     def test_zero_noise_degenerates_to_zero(self):
         plan = self.plan(trials=100)
         ramp = snr_ramp_simulate(plan, linear_ramp(1.0, plan.ramp_duration), 0.0)

@@ -260,6 +260,18 @@ class TestConvergedSource:
         assert noise_triple(out.state).diff == pytest.approx(float(exact.diff), rel=1e-7)
         assert out.gain == pytest.approx(float(continuum_gain(8.0, 0.9)), rel=1e-8)
 
+    def test_ladder_ends_at_its_rounding_floor(self):
+        # here the change shrinks 4x per doubling down to 1.0e-10 at 2^17
+        # slices, then rounding holds it (1.05e-10 at 2^18), so rel_tol = 1e-10
+        # is out of reach: the ladder returns the 2^17-slice output, within the
+        # tolerances the noise-map benchmark holds it to
+        params = SourceParams(s=2.971327170439733, T_a=0.527952855208807)
+        out = converged_source(params, rel_tol=1e-10)
+        assert out.layers_used == 2**17
+        exact = continuum_noises(params.s, params.T_a)
+        assert noise_triple(out.state).diff == pytest.approx(float(exact.diff), rel=1e-7)
+        assert out.gain == pytest.approx(float(continuum_gain(params.s, params.T_a)), rel=1e-8)
+
     def test_conj_noise_matches_analytic(self):
         out = converged_source(SourceParams(s=0.5, T_a=0.9), rel_tol=1e-9)
         triple = noise_triple(out.state)
