@@ -392,6 +392,7 @@ class TestNumericGaussianBound:
     def test_chain_accepts_coherent_source(self):
         # at s = 0 and T_a = 1 the source passes a coherent seed beside a vacuum conjugate
         chain = build_chain(SourceParams(s=0.0, T_a=1.0, seed_photons=1e4), BUDGET)
+        assert incident_photons(chain) == 0.973 * 1e4
         coherent = apply_loss(coherent_state([100.0, 0.0]), ChannelOp([0.973, 1.0]))
         for t in (0.3, 1.0):
             oracle = apply_loss(coherent, ChannelOp([t, 1.0]))
@@ -566,6 +567,15 @@ class TestPrecomputedChainStages:
     @pytest.fixture(scope="class", params=ORACLE_BUDGETS, ids=("paper", "lossless"))
     def chain(self, source, request):
         return build_chain(source, request.param)
+
+    def test_n_input_equals_source_state_photons(self, source, chain):
+        # the bright probe photons d_p^2 / 4 of the chain's incident light are
+        # the source state's, times T_p, up to the rounding of sqrt(T_p) and
+        # of the square; the oracles normalize by these photons
+        d_p = chain.incident[0]
+        photons = d_p * d_p / 4.0
+        expected = chain.budget.T_p * bright_mean_photon(continuum_state(source), 0)
+        assert photons == pytest.approx(expected, rel=4.0 * np.finfo(float).eps, abs=0)
 
     @pytest.mark.parametrize("t", ORACLE_T)
     def test_numeric_bound_equals_six_state_route(self, source, chain, t):
