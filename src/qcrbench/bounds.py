@@ -20,6 +20,7 @@ the system), the system transmission T, then eta_p (detection); the
 conjugate only sees eta_c.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -60,7 +61,7 @@ class BoundPoint:
     n_r: float = 1.0
 
     def __post_init__(self):
-        if not np.isfinite(self.var_n):
+        if not math.isfinite(self.var_n):
             raise ValueError("bound value must be finite")
 
     @property
@@ -117,12 +118,19 @@ def _distributed_rates(s, T_a):
     return xi, np.sqrt(T_a) * bracket
 
 
+@functools.lru_cache(maxsize=64)
 def _distributed_terms(eta_c: float, s: float, T_a: float) -> tuple[float, float]:
-    """(conjugate factor, reduction) of the distributed source at validated values.
+    """(conjugate factor, reduction) of the distributed source at validated floats.
 
     The reduction is 0 at s = 0.  xi = 0 only at T_a = 1 with 16 s^2 below
     the float range (s = 0 included), where the squeezing term cannot move a
     float and the s = 0 values are returned.
+
+    Neither term depends on T, so the values are cached on (eta_c, s, T_a):
+    a bound over a T grid computes them once.  -0.0 and 0.0 share a key;
+    they give the same bits for eta_c and s.  The public wrappers, which
+    accept array input, call the uncached ``__wrapped__`` so that an array
+    keeps its own error rather than an unhashable-key one.
     """
     xi, gamma = (float(x) for x in _distributed_rates(s, T_a))
     _finite(gamma, s)
@@ -154,7 +162,7 @@ def conjugate_factor_distributed(eta_c: float, s: float, T_a: float) -> float:
     if not (0.0 <= eta_c <= 1.0):
         raise ValueError("eta_c must lie in [0, 1]")
     _source_domain(s, T_a)
-    return _distributed_terms(eta_c, s, T_a)[0]
+    return _distributed_terms.__wrapped__(eta_c, s, T_a)[0]
 
 
 def distributed_reduction(s: float, T_a: float) -> float:
@@ -165,7 +173,7 @@ def distributed_reduction(s: float, T_a: float) -> float:
     """
     _source_domain(s, T_a)
     # the reduction does not depend on eta_c; 1/2 keeps the factor's denominator positive
-    return _distributed_terms(0.5, s, T_a)[1]
+    return _distributed_terms.__wrapped__(0.5, s, T_a)[1]
 
 
 def qcrb_coherent(T: float, n_r: float, eta_p: float) -> BoundPoint:
@@ -188,7 +196,9 @@ def qcrb_distributed(T: float, n_r: float, params: SourceParams, budget: LossBud
     """Bound for the source with loss distributed through the gain medium."""
     _check_t_nr(T, n_r)
     # SourceParams and LossBudget hold validated values
-    factor, reduction = _distributed_terms(budget.eta_c, float(params.s), float(params.T_a))
+    factor, reduction = _distributed_terms(
+        float(budget.eta_c), float(params.s), float(params.T_a)
+    )
     var_n = T / _eta_p(budget.eta_p) - T * T * budget.T_p * factor * reduction
     return BoundPoint(T=T, var_n=var_n, n_r=n_r)
 

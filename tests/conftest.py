@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from qcrbench import inference
+from qcrbench import detection, inference
 from qcrbench.errors import NonPhysicalError
 
 
@@ -168,18 +168,43 @@ def reference_differential_evolution():
     return _reference_differential_evolution
 
 
+def _crossing_standard_error(x, y, slope, intercept):
+    """Least-squares standard error of the line's SNR = 1 crossing power, from residuals.
+
+    se = (sigma / |slope|) sqrt(1/n + (c - mean(x))^2 / sum((x - mean(x))^2)),
+    c = (1 - intercept) / slope and sigma^2 = sum(residual^2) / (n - 2)
+    (Press et al., Numerical Recipes, section 15.2), in whole-array
+    expressions: an independent check of the sums `detection` forms.
+    """
+    residuals = y - (intercept + slope * x)
+    sigma2 = float(residuals @ residuals) / (x.size - 2)
+    centred = x - x.mean()
+    lever = (1.0 - intercept) / slope - x.mean()
+    return math.sqrt(sigma2 * (1.0 / x.size + lever**2 / (centred @ centred))) / abs(slope)
+
+
+@pytest.fixture
+def crossing_standard_error():
+    """The crossing standard error from explicit residuals, (x, y, slope, intercept) -> se."""
+    return _crossing_standard_error
+
+
 def _polyfit_windows(mod_power, snr):
     """Reference SNR-window fit: one `np.polyfit(x, y, 1)` per window pass.
 
     Returns the window (bin mask) of every pass and the last line.  Same
-    window rule, pass cap and errors as `detection._iterated_line_fit`, which
-    must fit the same windows and return the same (slope, intercept) up to
-    rounding.  On a window of constant power np.polyfit warns `RankWarning`
-    and returns a minimum-norm line, where `detection` raises.
+    window rule, stopping rule, pass cap and errors as
+    `detection._iterated_line_fit`, which must fit the same windows and
+    return the same (slope, intercept) up to rounding; the crossing's
+    standard error comes from explicit residuals
+    (`_crossing_standard_error`).  On a window of constant power
+    np.polyfit warns `RankWarning` and returns a minimum-norm line, where
+    `detection` raises.
     """
     mask = (mod_power > 0.0) & np.isfinite(snr)
     lo, hi = 0.2, 5.0
     windows = []
+    previous = math.nan
     for _ in range(10):
         if np.count_nonzero(mask) < 8:
             raise NonPhysicalError("SNR=1 not bracketed: too few usable ramp bins")
@@ -189,6 +214,14 @@ def _polyfit_windows(mod_power, snr):
         new_mask = (mod_power > 0.0) & np.isfinite(snr) & (fitted >= lo) & (fitted <= hi)
         if np.array_equal(new_mask, mask):
             break
+        if slope != 0.0:
+            crossing = (1.0 - intercept) / slope
+            se = _crossing_standard_error(mod_power[mask], snr[mask], slope, intercept)
+            if abs(crossing - previous) < 0.25 * se:
+                break
+            previous = crossing
+        else:
+            previous = math.nan
         mask = new_mask
     return windows, (float(slope), float(intercept))
 
@@ -207,6 +240,36 @@ def polyfit_windows():
 def polyfit_iterated_line_fit():
     """The line-fit oracle the degree-1 solve in `detection` is checked against."""
     return _polyfit_iterated_line_fit
+
+
+def _ten_pass_line_fit(mod_power, snr):
+    """Reference window passes without the stopping rule: (slope, intercept).
+
+    The window iteration as it was before the SNR = 1 crossing ended it:
+    `detection`'s centred-sum passes stop only when a window repeats or
+    after 10 passes.  The stopping rule must leave the crossing within a
+    fraction of its standard error of this one's.
+    """
+    usable = (mod_power > 0.0) & np.isfinite(snr)
+    first = int(usable.argmax())
+    run = mod_power[first : first + np.count_nonzero(usable)]
+    snr_run = snr[first : first + run.size]
+    window = (0, run.size)
+    for _ in range(10):
+        start, stop = window
+        if stop - start < 8:
+            raise NonPhysicalError("SNR=1 not bracketed: too few usable ramp bins")
+        slope, intercept = detection._centred_line_fit(run[start:stop], snr_run[start:stop])[:2]
+        window = detection._fit_window(run, slope, intercept)
+        if window == (start, stop):
+            break
+    return slope, intercept
+
+
+@pytest.fixture
+def ten_pass_line_fit():
+    """The pass-capped window oracle the stopping rule in `detection` is checked against."""
+    return _ten_pass_line_fit
 
 
 def _array_mixing_rate(s, T_a):

@@ -1,6 +1,7 @@
 """Tests for the transmission-estimation bounds and their reductions."""
 
 import math
+import os
 import sys
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcrbench import bounds
 from qcrbench.bounds import (
     _FD_MISMATCH_TOL,
     _distributed_rates,
@@ -25,6 +27,7 @@ from qcrbench.bounds import (
     qcrb_pure_btmss,
     qcrb_ultimate,
 )
+from qcrbench.cli import main
 from qcrbench.config import MAX_S
 from qcrbench.detection import estimator_variance, optimal_gain, transmission_variance
 from qcrbench.errors import BrightLimitError, NonPhysicalError, WorkbenchError
@@ -81,14 +84,24 @@ def four_by_four_transmission_variance(chain: ProbeChain, T: float, g=None):
     Takes `optimal_gain` and `estimator_variance` on `three_stage_state`, in
     photon numbers normalized by the incident photons.  Returns None where
     n_p or a variance d_i sigma_ii d_i / 4 of this route (T ~< 1e-295 at tiny
-    T_a), or its squared count derivative (s = 0 at tiny T_a), is not a
-    normal float: there this route has lost its own precision and has no
-    value to compare.
+    T_a), the count d_c^2 / 4 of a lit conjugate that the gain reads (tiny
+    s), or its squared count derivative (s = 0 at tiny T_a), is not a
+    normal float, 0 included: there this route has lost its own precision
+    and has no value to compare.  Only a mode with no light at all is dark,
+    and its error comes first.
     """
     state = three_stage_state(chain, T)
     n_detected = bright_mean_photon(state, 0)
-    if n_detected == 0.0:
+    conj_lit = state.mode_displacement(1).any()
+    if not state.mode_displacement(0).any():
         raise BrightLimitError("no probe light reaches the detector")
+    if g is not None and g != 0.0 and not conj_lit:
+        raise BrightLimitError("bright-limit approximation invalid: mode 1 has zero mean field")
+    counts = [n_detected]
+    if conj_lit and (g is None or g != 0.0):
+        counts.append(bright_mean_photon(state, 1))
+    if min(counts) < sys.float_info.min:
+        return None
     if g is None:
         g = optimal_gain(state)
     variance = estimator_variance(state, g)
@@ -664,3 +677,94 @@ class TestBoundPoint:
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             LossBudget(T_p=1.2, eta_p=0.9, eta_c=0.9)
+
+    @pytest.mark.parametrize("var_n", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+    def test_non_finite_value_rejected(self, var_n):
+        with pytest.raises(ValueError, match="bound value must be finite"):
+            BoundPoint(T=0.5, var_n=var_n)
+
+
+def _bits(terms):
+    return tuple(float(x).hex() for x in terms)
+
+
+class TestDistributedTermsCache:
+    """`_distributed_terms` is cached on (eta_c, s, T_a), and the cache moves no bit."""
+
+    @pytest.mark.parametrize("t_a", [0.71, 1.0, 1e-300])
+    def test_signed_zeros_share_a_key(self, t_a):
+        cached = bounds._distributed_terms
+        uncached = cached.__wrapped__
+        for first, signed in [
+            ((0.0, 0.0), [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)]),
+            ((0.0, 2.04), [(-0.0, 2.04)]),
+            ((0.919, 0.0), [(0.919, -0.0)]),
+        ]:
+            cached.cache_clear()
+            cached(*first, t_a)
+            for eta_c, s in signed:
+                assert _bits(cached(eta_c, s, t_a)) == _bits(uncached(eta_c, s, t_a))
+            assert cached.cache_info().misses == 1
+
+    def test_random_box_points(self):
+        cached = bounds._distributed_terms
+        rng = np.random.default_rng(19)
+        cached.cache_clear()
+        for eta_c, s, t_a in zip(
+            rng.uniform(0.0, 1.0, 300),
+            rng.uniform(0.0, MAX_S, 300),
+            10.0 ** rng.uniform(-300, 0, 300),
+        ):
+            point = (float(eta_c), float(s), float(t_a))
+            expected = _bits(cached.__wrapped__(*point))
+            assert _bits(cached(*point)) == expected
+            assert _bits(cached(*point)) == expected
+
+    def test_a_grid_computes_the_terms_once(self):
+        bounds._distributed_terms.cache_clear()
+        values = [qcrb_distributed(float(t), 1.0, PARAMS, BUDGET).var_n for t in GRID]
+        info = bounds._distributed_terms.cache_info()
+        assert (info.misses, info.hits) == (1, GRID.size - 1)
+        bounds._distributed_terms.cache_clear()
+        assert values == [qcrb_distributed(float(t), 1.0, PARAMS, BUDGET).var_n for t in GRID]
+
+    @pytest.mark.parametrize(
+        "route, error",
+        [
+            (lambda: conjugate_factor_distributed(np.array([0.5, 0.6]), 2.0, 0.7), ValueError),
+            (lambda: conjugate_factor_distributed(0.9, np.array([2.0]), 0.7), TypeError),
+            (lambda: conjugate_factor_distributed(0.9, np.array([2.0, 1.0]), 0.7), TypeError),
+            (lambda: conjugate_factor_distributed(0.9, 2.0, np.array([0.7, 0.5])), TypeError),
+            (lambda: conjugate_factor_distributed(0.9, 2.0, [0.7, 0.5]), TypeError),
+            (lambda: distributed_reduction(np.array([2.0]), 0.7), TypeError),
+            (lambda: distributed_reduction(np.array([2.0, 1.0]), 0.7), TypeError),
+            (lambda: distributed_reduction(2.0, np.array([0.7, 0.5])), TypeError),
+            (lambda: distributed_reduction([2.0], 0.7), TypeError),
+        ],
+    )
+    def test_array_input_keeps_its_error(self, route, error):
+        # the public wrappers bypass the cache: no unhashable-key error
+        with pytest.raises(error) as excinfo:
+            route()
+        assert "unhashable" not in str(excinfo.value)
+
+    def test_zero_dimensional_arrays_give_the_scalar_values(self):
+        factor = conjugate_factor_distributed(0.9, 2.0, 0.7)
+        assert conjugate_factor_distributed(np.array(0.9), 2.0, 0.7) == factor
+        assert conjugate_factor_distributed(0.9, np.array(2.0), np.array(0.7)) == factor
+        assert distributed_reduction(np.array(2.0), 0.7) == distributed_reduction(2.0, 0.7)
+
+    def test_readme_bounds_file_keeps_its_bytes(self, tmp_path, monkeypatch):
+        config = os.path.join(os.path.dirname(__file__), "..", "docs", "sample_config.txt")
+        cached = tmp_path / "cached.csv"
+        assert main(["bounds", "--config", config, "--out", str(cached)]) == 0
+        uncached = bounds._distributed_terms.__wrapped__
+
+        def evaluate(*args):
+            return uncached(*args)
+
+        evaluate.__wrapped__ = uncached
+        monkeypatch.setattr(bounds, "_distributed_terms", evaluate)
+        plain = tmp_path / "uncached.csv"
+        assert main(["bounds", "--config", config, "--out", str(plain)]) == 0
+        assert cached.read_bytes() == plain.read_bytes()

@@ -28,7 +28,7 @@ from qcrbench.detection import (
     snr_ramp_simulate,
     transmission_variance,
 )
-from qcrbench.errors import NonPhysicalError
+from qcrbench.errors import BrightLimitError, NonPhysicalError
 from qcrbench.gaussian import coherent_state
 from qcrbench.source import SourceParams
 
@@ -148,6 +148,29 @@ class TestTransmissionVariance:
         assert transmission_variance(chain, 0.5, n_r=2e9) == pytest.approx(
             transmission_variance(chain, 0.5) / 2e9, rel=1e-12
         )
+
+    def test_light_is_seen_whatever_the_seed(self):
+        # s = 0, T_a = 1e-300, T = 1e-30: at 10^4 seed photons the detected count
+        # d_p^2 / 4 underflows to 0, but d_p itself is a normal float
+        params = [SourceParams(s=0.0, T_a=1e-300, seed_photons=n) for n in (1e4, 1e12)]
+        chains = [build_chain(p, BUDGET) for p in params]
+        d_p = chains[0].sector_at(1e-30)[0]
+        assert d_p * d_p / 4.0 == 0.0 < d_p
+        dim, bright = (transmission_variance(chain, 1e-30) for chain in chains)
+        assert dim == bright == pytest.approx(qcrb_coherent(1e-30, 1.0, BUDGET.eta_p).var_n)
+
+    def test_dark_modes_rejected(self):
+        no_probe = build_chain(PARAMS, LossBudget(T_p=0.0, eta_p=0.945, eta_c=0.919))
+        with pytest.raises(BrightLimitError, match="no probe light"):
+            transmission_variance(no_probe, 0.5)
+        # without squeezing the conjugate is dark: only g = 0 reads it
+        no_conjugate = build_chain(SourceParams(s=0.0, T_a=0.71), BUDGET)
+        assert no_conjugate.sector_at(0.5)[1] == 0.0
+        assert transmission_variance(no_conjugate, 0.5) == transmission_variance(
+            no_conjugate, 0.5, g=0.0
+        )
+        with pytest.raises(BrightLimitError, match="mode 1 has zero mean field"):
+            transmission_variance(no_conjugate, 0.5, g=1.0)
 
     def test_non_positive_variance_rejected(self):
         # far above config.MAX_S the estimator variance of the chain cancels in
@@ -457,11 +480,14 @@ class TestLineFitMatchesPolyfit:
         monkeypatch.setattr(detection, "_centred_line_fit", counted)
         var_t = 0.04
         plan = MeasurementPlan(
-            filter=SYNC4, trials=10_000, rng_seed=0, ramp_duration=10_000 * effective_time(SYNC4)
+            filter=SYNC4, trials=10_000, rng_seed=32, ramp_duration=10_000 * effective_time(SYNC4)
         )
-        snr_ramp_simulate(plan, linear_ramp(5.0 * math.sqrt(var_t), plan.ramp_duration), var_t)
-        # this window alternates between two masks until the 10-pass cap stops it
+        profile = linear_ramp(5.0 * math.sqrt(var_t), plan.ramp_duration)
+        ramp = snr_ramp_simulate(plan, profile, var_t)
+        # this window alternates between two masks whose crossings lie about a third
+        # of a standard error apart, so the rule never holds and the 10-pass cap stops it
         assert len(passes) == 10
+        assert ramp.passes == 10 and ramp.converged is False
         ((mod_power, snr, result),) = recorded_fits
         assert_same_line(result, polyfit_iterated_line_fit(mod_power, snr), mod_power, snr)
 
@@ -569,6 +595,112 @@ class TestLineFitMatchesPolyfit:
         slope, intercept = detection._iterated_line_fit(mod_power, snr)
         tiny_slope, tiny_intercept = detection._iterated_line_fit(mod_power * 2.0**-560, snr)
         assert tiny_slope == slope * 2.0**560 and tiny_intercept == intercept
+
+
+def param_sweep_ramps():
+    """(plan, var_t) of the 120 ramps of `param_sweep` seeds 1, 5 and 9, ops 0-3.
+
+    Each op draws (s, T_a) and its ramp seeds from the stream keyed on
+    (seed, op) and runs a 10^4-bin ramp at every tenth point of a 100-point
+    T grid, as the benchmark's sweep does.
+    """
+    grid = np.linspace(0.01, 1.0, 100)
+    bins = 10_000
+    for seed in (1, 5, 9):
+        for op in range(4):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, op]))
+            params = SourceParams(s=rng.uniform(0.0, 3.0), T_a=rng.uniform(0.5, 1.0))
+            ramp_seeds = [int(x) for x in rng.integers(2**31, size=grid.size)]
+            chain = build_chain(params, BUDGET)
+            for k in range(0, grid.size, 10):
+                plan = MeasurementPlan(
+                    filter=SYNC4,
+                    trials=bins,
+                    rng_seed=ramp_seeds[k],
+                    ramp_duration=bins * effective_time(SYNC4),
+                )
+                yield plan, transmission_variance(chain, float(grid[k]), 1.0)
+
+
+class TestWindowStoppingRule:
+    """The window passes end when the SNR = 1 crossing has settled within its standard error."""
+
+    def test_param_sweep_ramps_converge_near_the_ten_pass_crossing(
+        self, recorded_fits, polyfit_windows, crossing_standard_error, ten_pass_line_fit
+    ):
+        ramps = []
+        for plan, var_t in param_sweep_ramps():
+            profile = linear_ramp(5.0 * math.sqrt(var_t), plan.ramp_duration)
+            ramps.append(snr_ramp_simulate(plan, profile, var_t))
+        assert len(ramps) == len(recorded_fits) == 120
+        assert all(ramp.converged for ramp in ramps)
+        assert np.mean([ramp.passes for ramp in ramps]) <= 4.0
+        for ramp, (mod_power, snr, result) in zip(ramps, recorded_fits):
+            assert (ramp.passes, ramp.converged) == (result.passes, result.converged)
+            windows, line = polyfit_windows(mod_power, snr)
+            last = windows[-1]
+            se = crossing_standard_error(mod_power[last], snr[last], *line)
+            slope, intercept = ten_pass_line_fit(mod_power, snr)
+            crossing = ramp.delta_T_at_snr1**2
+            assert abs(crossing - (1.0 - intercept) / slope) <= 0.5 * se
+
+    def test_crossing_standard_error_from_sums_matches_residuals(
+        self, tmp_path, monkeypatch, crossing_standard_error
+    ):
+        # every window pass of the README grid: the sums in scaled coordinates
+        # against explicit residuals in the powers themselves
+        passes = []
+        window_fit = detection._centred_line_fit
+
+        def recorded(x, y):
+            result = window_fit(x, y)
+            passes.append((x.copy(), y.copy(), result))
+            return result
+
+        monkeypatch.setattr(detection, "_centred_line_fit", recorded)
+        run_readme_simulate(tmp_path)
+        assert len(passes) > 16
+        for x, y, (slope, intercept, se) in passes:
+            assert se == pytest.approx(crossing_standard_error(x, y, slope, intercept), rel=1e-9)
+
+    def test_crossing_standard_error_scales_exactly(self):
+        # the se is formed in power-of-two-scaled coordinates, so a ramp at
+        # powers whose squares underflow has the same se, scaled by that power
+        rng = np.random.default_rng(4)
+        mod_power = np.linspace(1.0, 30.0, 400)
+        snr = 0.1 + 0.2 * mod_power + rng.normal(0.0, 0.3, 400)
+        slope, intercept, se = detection._centred_line_fit(mod_power, snr)
+        tiny = detection._centred_line_fit(mod_power * 2.0**-560, snr)
+        assert tiny == (slope * 2.0**560, intercept, se * 2.0**-560)
+        assert 0.0 < se < math.inf
+
+    def test_noiseless_line_has_no_crossing_spread(self):
+        mod_power = np.linspace(0.5, 4.0, 40)
+        slope, intercept, se = detection._centred_line_fit(mod_power, 0.25 + 2.0 * mod_power)
+        assert (1.0 - intercept) / slope == pytest.approx(0.375)
+        assert se < 1e-7
+        # a line of slope 0 crosses SNR = 1 nowhere
+        assert detection._centred_line_fit(mod_power, np.zeros(40)) == (0.0, 0.0, math.inf)
+
+    def test_ramp_reports_its_passes(self):
+        var_t = 0.04
+        plan = MeasurementPlan(
+            filter=SYNC4, trials=10_000, rng_seed=0, ramp_duration=10_000 * effective_time(SYNC4)
+        )
+        profile = linear_ramp(5.0 * math.sqrt(var_t), plan.ramp_duration)
+        # without the rule this window alternated until the 10-pass cap
+        ramp = snr_ramp_simulate(plan, profile, var_t)
+        assert (ramp.passes, ramp.converged) == (3, True)
+        noiseless = snr_ramp_simulate(plan, profile, 0.0)
+        assert (noiseless.passes, noiseless.converged) == (0, True)
+
+    def test_line_fit_unpacks_as_slope_and_intercept(self):
+        mod_power = np.linspace(0.5, 4.0, 40)
+        snr = 0.3 + 0.9 * mod_power + 0.05 * np.sin(np.arange(40.0))
+        fit = detection._iterated_line_fit(mod_power, snr)
+        slope, intercept = fit
+        assert (slope, intercept) == (fit.slope, fit.intercept)
+        assert 1 <= fit.passes <= detection._MAX_WINDOW_PASSES
 
 
 class TestSpectrumAnalyzerChain:
