@@ -28,7 +28,14 @@ import numpy as np
 
 from .errors import NonPhysicalError
 from .gaussian import GaussianState
-from .source import SourceParams, _mirrored_moments, _slice_rates, _source_domain, continuum_sector
+from .source import (
+    SourceParams,
+    _mirrored_moments,
+    _require_scalars,
+    _slice_rates,
+    _source_domain,
+    continuum_sector,
+)
 
 MIN_BRIGHT_PHOTONS = 1e4  # smallest seed (photons per window) of the bright-limit chain
 
@@ -42,9 +49,9 @@ class LossBudget:
     eta_c: float
 
     def __post_init__(self):
+        _require_scalars(T_p=self.T_p, eta_p=self.eta_p, eta_c=self.eta_c)
         for name in ("T_p", "eta_p", "eta_c"):
-            value = getattr(self, name)
-            if not (0.0 <= value <= 1.0):
+            if not (0.0 <= getattr(self, name) <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1]")
 
 
@@ -128,9 +135,7 @@ def _distributed_terms(eta_c: float, s: float, T_a: float) -> tuple[float, float
 
     Neither term depends on T, so the values are cached on (eta_c, s, T_a):
     a bound over a T grid computes them once.  -0.0 and 0.0 share a key;
-    they give the same bits for eta_c and s.  The public wrappers, which
-    accept array input, call the uncached ``__wrapped__`` so that an array
-    keeps its own error rather than an unhashable-key one.
+    they give the same bits for eta_c and s.
     """
     xi, gamma = (float(x) for x in _distributed_rates(s, T_a))
     _finite(gamma, s)
@@ -159,10 +164,11 @@ def conjugate_factor_distributed(eta_c: float, s: float, T_a: float) -> float:
     the published expression but regular at eta_c = 0.  Reduces to
     `conjugate_factor` at T_a = 1.
     """
+    _require_scalars(eta_c=eta_c, s=s, T_a=T_a)
     if not (0.0 <= eta_c <= 1.0):
         raise ValueError("eta_c must lie in [0, 1]")
     _source_domain(s, T_a)
-    return _distributed_terms.__wrapped__(eta_c, s, T_a)[0]
+    return _distributed_terms(float(eta_c), float(s), float(T_a))[0]
 
 
 def distributed_reduction(s: float, T_a: float) -> float:
@@ -171,9 +177,10 @@ def distributed_reduction(s: float, T_a: float) -> float:
     Plays the role of 1 - sech(2s) in the pure-source bound and reduces to
     it at T_a = 1; tends to 1 as s -> infinity.
     """
+    _require_scalars(s=s, T_a=T_a)
     _source_domain(s, T_a)
     # the reduction does not depend on eta_c; 1/2 keeps the factor's denominator positive
-    return _distributed_terms.__wrapped__(0.5, s, T_a)[1]
+    return _distributed_terms(0.5, float(s), float(T_a))[1]
 
 
 def qcrb_coherent(T: float, n_r: float, eta_p: float) -> BoundPoint:
@@ -226,7 +233,7 @@ class ProbeChain:
     so the chain carries the x sector (d_p, d_c, sigma_pp, sigma_pc,
     sigma_cc) of `source.continuum_sector`: ``incident`` after T_p, and
     ``sector_at(T)`` after the T and then the (eta_p, eta_c) stage.
-    ``state_at(T)`` expands it to the state.  `build_chain` makes the chain.
+    ``state_at(T)`` expands it to the state for the audits.  `build_chain` makes the chain.
     """
 
     params: SourceParams

@@ -1,7 +1,8 @@
 """Command-line front end: bound curves, Monte Carlo ramps, fits, SA timing.
 
-Exit codes are a stable contract: 0 success, 2 I/O failure, 3 input schema
-error, 4 domain/physics error.
+Exit codes are a stable contract: 0 success, 2 I/O failure or command-line
+usage error (argparse's usage text, then ``SystemExit(2)`` from `main`),
+3 input schema error, 4 domain/physics error.
 """
 
 import argparse

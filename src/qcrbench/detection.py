@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BrightLimitError, NonPhysicalError
-from .gaussian import GaussianState, number_covariance_bright, number_variance_bright
 
 #: exact SI values (2019 redefinition) for the photon energy h c / lambda
 PLANCK_H = 6.62607015e-34
@@ -119,31 +118,6 @@ class RampResult:
     converged: bool = True
 
 
-def optimal_gain(state: GaussianState, probe: int = 0, conj: int = 1) -> float:
-    """Electronic attenuation minimizing Var(n_p - g n_c).
-
-    g* = Cov(n_p, n_c) / Var(n_c).  A dark conjugate carries no usable
-    correlation, so the estimator degenerates to a plain intensity
-    measurement and g* = 0.
-    """
-    if float(state.mode_displacement(conj) @ state.mode_displacement(conj)) == 0.0:
-        return 0.0
-    var_c = number_variance_bright(state, conj)
-    if var_c == 0.0:
-        raise NonPhysicalError("conjugate photocurrent has zero variance")
-    return number_covariance_bright(state, probe, conj) / var_c
-
-
-def estimator_variance(state: GaussianState, g: float) -> float:
-    """Bright-limit photon-number variance of n_p - g n_c."""
-    var_p = number_variance_bright(state, 0)
-    if g == 0.0:
-        return var_p
-    var_c = number_variance_bright(state, 1)
-    cov = number_covariance_bright(state, 0, 1)
-    return var_p + g * g * var_c - 2.0 * g * cov
-
-
 def transmission_variance(chain, T: float, n_r: float = 1.0, g: float | None = None) -> float:
     """Variance of the transmission estimate from the optimized measurement.
 
@@ -160,8 +134,9 @@ def transmission_variance(chain, T: float, n_r: float = 1.0, g: float | None = N
     var_n = (T / eta_p) Var(n_p - g n_c) / <n_p>
           = root^2 sigma_pp + q (q sigma_cc - 2 root sigma_pc),
     root = sqrt(T / eta_p), q = root g d_c / d_p (root sigma_pc / sigma_cc at
-    g*).  The errors are those of `optimal_gain` and `estimator_variance` on
-    ``state_at(T)``.  The result is rescaled to n_r probing photons.
+    g*).  The errors are those of the 4x4 route on ``state_at(T)``
+    (``optimal_gain`` and ``estimator_variance`` in ``tests/oracles.py``).
+    The result is rescaled to n_r probing photons.
     """
     if not (0.0 < T <= 1.0):
         raise ValueError("transmission T must lie in (0, 1]")

@@ -12,6 +12,10 @@ where number fluctuations are projected onto the mean field,
 Var(n) ~ d^T sigma d / 4 on the mode's quadrature pair.  For a coherent
 state this reproduces Var(n) = <n> exactly.  Exact fourth-moment formulas
 for dim states are deliberately out of scope.
+
+This is the audit substrate of the slice stack and `bounds.ProbeChain.state_at`;
+no command calls it at run time.  The rest of the state algebra the tests
+use lives in ``tests/oracles.py``.
 """
 
 import math
@@ -115,22 +119,6 @@ class ChannelOp:
         return self.eta_per_mode.size
 
 
-def vacuum_state(modes: int) -> GaussianState:
-    """M-mode vacuum: d = 0, sigma = identity."""
-    if modes < 1:
-        raise ValueError("need at least one mode")
-    return GaussianState(np.zeros(2 * modes), np.eye(2 * modes))
-
-
-def coherent_state(alphas) -> GaussianState:
-    """Coherent state with one complex amplitude per mode."""
-    alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
-    d = np.zeros(2 * alphas.size)
-    d[0::2] = 2.0 * alphas.real
-    d[1::2] = 2.0 * alphas.imag
-    return GaussianState(d, np.eye(2 * alphas.size))
-
-
 def two_mode_squeezer(r: float) -> SymplecticOp:
     """Two-mode squeezing map on modes (0, 1).
 
@@ -153,20 +141,6 @@ def two_mode_squeezer(r: float) -> SymplecticOp:
     return SymplecticOp(S)
 
 
-def compose(second: SymplecticOp, first: SymplecticOp) -> SymplecticOp:
-    """Symplectic map equal to `first` followed by `second`."""
-    if second.modes != first.modes:
-        raise ValueError("mode counts do not match")
-    return SymplecticOp(second.S @ first.S)
-
-
-def apply_symplectic(state: GaussianState, op: SymplecticOp) -> GaussianState:
-    """Transform moments: d -> S d, sigma -> S sigma S^T."""
-    if op.S.shape[0] != state.d.size:
-        raise ValueError("operator and state dimensions do not match")
-    return GaussianState(op.S @ state.d, op.S @ state.sigma @ op.S.T)
-
-
 def apply_loss(state: GaussianState, channel: ChannelOp) -> GaussianState:
     """Mix each mode with vacuum on a beam splitter of transmission eta.
 
@@ -180,19 +154,12 @@ def apply_loss(state: GaussianState, channel: ChannelOp) -> GaussianState:
     return GaussianState(x * state.d, sigma)
 
 
-def mean_photon(state: GaussianState, mode: int) -> float:
-    """Exact mean photon number of one mode."""
-    d = state.mode_displacement(mode)
-    block = state.block(mode, mode)
-    return float((d @ d + np.trace(block) - 2.0) / 4.0)
-
-
 def bright_mean_photon(state: GaussianState, mode: int) -> float:
     """Mean-field (stimulated) photon number |d|^2 / 4 of one mode.
 
     This is the photon count used consistently by the bright-limit number
-    statistics; it differs from `mean_photon` only by the spontaneous
-    occupation, which is negligible for bright seeds.
+    statistics; it differs from the exact mean, (|d|^2 + tr sigma - 2) / 4,
+    only by the spontaneous occupation, which is negligible for bright seeds.
     """
     d = state.mode_displacement(mode)
     return float(d @ d / 4.0)
@@ -218,10 +185,3 @@ def number_covariance_bright(state: GaussianState, i: int, j: int) -> float:
     di = _require_bright(state, i)
     dj = _require_bright(state, j)
     return float(di @ state.block(i, j) @ dj / 4.0)
-
-
-def symplectic_eigenvalues(state: GaussianState) -> Array:
-    """Symplectic spectrum of the covariance matrix (>= 1 for physical states)."""
-    omega = symplectic_form(state.modes)
-    eigs = np.sort(np.abs(np.linalg.eigvals(1j * omega @ state.sigma)))
-    return eigs[::2].real

@@ -20,8 +20,9 @@ whole-batch pass.
 
 The finite stack stays as an independent audit of that limit:
 `layered_source` runs N slices and `converged_source` doubles N until the
-output moments stop changing; `continuum_state` expands the sector to the
-two-mode state they are compared with.  Nothing at run time calls them.
+output moments stop changing.  Nothing at run time calls them.
+`_mirrored_moments` expands a sector to the two-mode moments the stack is
+compared with (``continuum_state`` in ``tests/oracles.py``).
 
 The model is parameterized by the total squeezing parameter ``s`` (sum of the
 slice squeezing steps) and the total internal probe transmission ``T_a``
@@ -62,11 +63,7 @@ class SourceParams:
     seed_photons: float = DEFAULT_SEED_PHOTONS
 
     def __post_init__(self):
-        # an array field would broadcast through the kernel and the chain
-        # would read only its first element
-        for name in ("s", "T_a", "seed_photons"):
-            if np.ndim(getattr(self, name)) != 0:
-                raise ValueError(f"{name} must be a scalar")
+        _require_scalars(s=self.s, T_a=self.T_a, seed_photons=self.seed_photons)
         _source_domain(self.s, self.T_a)
         if not (self.seed_photons >= 0.0 and np.isfinite(self.seed_photons)):
             raise ValueError("seed_photons must be finite and >= 0")
@@ -203,6 +200,13 @@ def noise_triple(state: GaussianState, probe: int = 0, conj: int = 1) -> NoiseTr
         probe=var_p / n_p,
         conj=var_c / n_c,
     )
+
+
+def _require_scalars(**values):
+    """Reject arrays by name: one would broadcast through the kernel and the bounds."""
+    for name, value in values.items():
+        if np.ndim(value) != 0:
+            raise ValueError(f"{name} must be a scalar")
 
 
 def _source_domain(s, T_a):
@@ -372,15 +376,6 @@ def continuum_sector(params: SourceParams) -> tuple:
     return amplitude * m11, amplitude * m21, s00, s01, s11
 
 
-def continuum_state(params: SourceParams) -> GaussianState:
-    """Two-mode Gaussian state of `continuum_sector`, for the audits and tests.
-
-    The squeezer acts on p with the sign of s flipped, so the p sector
-    repeats the x diagonal with the opposite cross-correlation.
-    """
-    return GaussianState(*_mirrored_moments(*continuum_sector(params)))
-
-
 def _mirrored_moments(d_p, d_c, s00, s01, s11) -> tuple[np.ndarray, np.ndarray]:
     """(d, sigma) of x sector (d_p, d_c), [[s00, s01], [s01, s11]] over (x_p, p_p, x_c, p_c)."""
     d = np.array([d_p, 0.0, d_c, 0.0])
@@ -466,15 +461,9 @@ def analytic_noises(s, T_a, corrected_probe: bool = True) -> NoiseTriple:
     The forms are written in the ratios u = 4s/xi and v = ln(T_a)/xi, with
     xi = sqrt(16 s^2 + ln^2 T_a), and zeta = atanh(v) as ln(u / (1 - v)),
     which stays finite as s -> 0 where 1 + v cancels.  Accepts scalar or
-    array input; scalar input gives floats.
+    array input in the domain of `_source_domain`; scalar input gives floats.
     """
-    s = np.asarray(s, dtype=float)
-    ta = np.asarray(T_a, dtype=float)
-    s, ta = np.broadcast_arrays(s, ta)
-    if not np.all((ta > 0.0) & (ta <= 1.0)):
-        raise ValueError("internal transmission T_a must lie in (0, 1]")
-    if np.any(s < 0.0):
-        raise ValueError("squeezing parameter s must be >= 0")
+    s, ta = _source_domain(s, T_a)
     pumped = s != 0.0
     # s = 0 is the coherent triple; any s > 0 keeps the formulas finite there
     s = np.where(pumped, s, 1.0)
@@ -499,7 +488,7 @@ def analytic_noises(s, T_a, corrected_probe: bool = True) -> NoiseTriple:
         )
     diff, probe, conj = (np.where(pumped, x, 1.0) for x in (diff, probe, conj))
     if not (np.isfinite(diff).all() and np.isfinite(probe).all() and np.isfinite(conj).all()):
-        raise ValueError("printed formulas overflow double precision (s above ~178) or s is NaN")
+        raise ValueError("printed formulas overflow double precision (s above ~178)")
     if diff.ndim == 0:
         return NoiseTriple(diff=float(diff), probe=float(probe), conj=float(conj))
     return NoiseTriple(diff=diff, probe=probe, conj=conj)

@@ -9,6 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    coherent_state,
+    continuum_state,
+    estimator_variance,
+    optimal_gain,
+    symplectic_eigenvalues,
+)
 from qcrbench import bounds
 from qcrbench.bounds import (
     _FD_MISMATCH_TOL,
@@ -29,18 +36,16 @@ from qcrbench.bounds import (
 )
 from qcrbench.cli import main
 from qcrbench.config import MAX_S
-from qcrbench.detection import estimator_variance, optimal_gain, transmission_variance
+from qcrbench.detection import transmission_variance
 from qcrbench.errors import BrightLimitError, NonPhysicalError, WorkbenchError
 from qcrbench.gaussian import (
     ChannelOp,
     GaussianState,
     apply_loss,
     bright_mean_photon,
-    coherent_state,
     number_variance_bright,
-    symplectic_eigenvalues,
 )
-from qcrbench.source import SourceParams, _source_domain, continuum_state
+from qcrbench.source import SourceParams, _source_domain
 
 PARAMS = SourceParams(s=2.04, T_a=0.71)
 BUDGET = LossBudget(T_p=0.973, eta_p=0.945, eta_c=0.919)
@@ -678,6 +683,17 @@ class TestBoundPoint:
         with pytest.raises(ValueError):
             LossBudget(T_p=1.2, eta_p=0.9, eta_c=0.9)
 
+    @pytest.mark.parametrize("name", ["T_p", "eta_p", "eta_c"])
+    def test_array_budget_rejected(self, name):
+        # a one-element array passes the range check and would fail in the bounds
+        fields = {"T_p": 0.973, "eta_p": 0.945, "eta_c": 0.919}
+        with pytest.raises(ValueError, match=f"{name} must be a scalar"):
+            LossBudget(**{**fields, name: np.array([fields[name]])})
+        zero_d = LossBudget(**{**fields, name: np.array(fields[name])})
+        assert qcrb_distributed(0.5, 1.0, PARAMS, zero_d).var_n == (
+            qcrb_distributed(0.5, 1.0, PARAMS, BUDGET).var_n
+        )
+
     @pytest.mark.parametrize("var_n", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
     def test_non_finite_value_rejected(self, var_n):
         with pytest.raises(ValueError, match="bound value must be finite"):
@@ -732,18 +748,19 @@ class TestDistributedTermsCache:
         "route, error",
         [
             (lambda: conjugate_factor_distributed(np.array([0.5, 0.6]), 2.0, 0.7), ValueError),
-            (lambda: conjugate_factor_distributed(0.9, np.array([2.0]), 0.7), TypeError),
-            (lambda: conjugate_factor_distributed(0.9, np.array([2.0, 1.0]), 0.7), TypeError),
-            (lambda: conjugate_factor_distributed(0.9, 2.0, np.array([0.7, 0.5])), TypeError),
-            (lambda: conjugate_factor_distributed(0.9, 2.0, [0.7, 0.5]), TypeError),
-            (lambda: distributed_reduction(np.array([2.0]), 0.7), TypeError),
-            (lambda: distributed_reduction(np.array([2.0, 1.0]), 0.7), TypeError),
-            (lambda: distributed_reduction(2.0, np.array([0.7, 0.5])), TypeError),
-            (lambda: distributed_reduction([2.0], 0.7), TypeError),
+            (lambda: conjugate_factor_distributed(0.9, np.array([2.0]), 0.7), ValueError),
+            (lambda: conjugate_factor_distributed(0.9, np.array([2.0, 1.0]), 0.7), ValueError),
+            (lambda: conjugate_factor_distributed(0.9, 2.0, np.array([0.7, 0.5])), ValueError),
+            (lambda: conjugate_factor_distributed(0.9, 2.0, [0.7, 0.5]), ValueError),
+            (lambda: distributed_reduction(np.array([2.0]), 0.7), ValueError),
+            (lambda: distributed_reduction(np.array([2.0, 1.0]), 0.7), ValueError),
+            (lambda: distributed_reduction(2.0, np.array([0.7, 0.5])), ValueError),
+            (lambda: distributed_reduction([2.0], 0.7), ValueError),
+            (lambda: conjugate_factor_distributed(np.array([0.5]), 2.0, 0.7), ValueError),
         ],
     )
     def test_array_input_keeps_its_error(self, route, error):
-        # the public wrappers bypass the cache: no unhashable-key error
+        # arrays are rejected before the cache: no unhashable-key error
         with pytest.raises(error) as excinfo:
             route()
         assert "unhashable" not in str(excinfo.value)

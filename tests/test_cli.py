@@ -653,6 +653,47 @@ def test_cli_import_loads_no_numpy_random():
     assert after == before
 
 
+def test_package_boundary():
+    # the package namespace re-exports nothing, and the estimator reads the
+    # detected x sector without the Gaussian-state module
+    src = os.path.dirname(os.path.dirname(qcrbench.__file__))
+    probe = (
+        "import json, sys\n"
+        "def loaded():\n"
+        "    return sorted(n for n in sys.modules if n.split('.')[0] in ('qcrbench', 'numpy'))\n"
+        "import qcrbench\n"
+        "after_package = loaded()\n"
+        "import qcrbench.detection\n"
+        "print(json.dumps([after_package, 'qcrbench.gaussian' in sys.modules]))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    after_package, gaussian_loaded = json.loads(result.stdout)
+    assert after_package == ["qcrbench"]
+    assert not gaussian_loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fit", _SAMPLE_NOISES, "--population", "abc"], ["bounds", "--bogus"]],
+    ids=["fit-population-abc", "bounds-bogus"],
+)
+def test_usage_error_exits_2(argv, capsys):
+    # argparse rejects malformed argv before any command runs: usage text, exit 2
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: qcrbench")
+    last = err.splitlines()[-1]
+    assert last.startswith("qcrbench") and ": error: " in last
+
+
 class TestLoadConfig:
     def test_load_default(self):
         config = load_config(None)

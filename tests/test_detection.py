@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy import constants, integrate
 
+from oracles import coherent_state, estimator_variance, optimal_gain
 from qcrbench import detection
 from qcrbench.bounds import LossBudget, build_chain, qcrb_coherent, qcrb_numeric_gaussian
 from qcrbench.cli import main
@@ -20,16 +21,13 @@ from qcrbench.detection import (
     FilterModel,
     MeasurementPlan,
     effective_time,
-    estimator_variance,
     linear_ramp,
-    optimal_gain,
     photons_from_voltage,
     sa_chain_simulate,
     snr_ramp_simulate,
     transmission_variance,
 )
 from qcrbench.errors import BrightLimitError, NonPhysicalError
-from qcrbench.gaussian import coherent_state
 from qcrbench.source import SourceParams
 
 PARAMS = SourceParams(s=2.04, T_a=0.71)
