@@ -272,11 +272,13 @@ def _probe_derivative(chain: ProbeChain, T: float, d_p: float) -> None:
 
     The numeric bound relies on d(d_p)/dT = d_p / (2 T) exactly; the
     conjugate displacement is T-independent.  A central difference (step
-    1e-6 * T, so it stays inside (0, 1] at any T > 0, shifted off T = 1 if
-    needed) must agree with d_p / (2 T) to 1e-6 relative or the evaluation is
-    rejected.
+    1e-6 * T, so it stays inside (0, 1], shifted off T = 1 if needed) must
+    agree with d_p / (2 T) to 1e-6 relative or the evaluation is rejected.
+    Below T ~ 2.47e-318 the step underflows to 0, and T is rejected.
     """
     step = 1e-6 * T
+    if step == 0.0:
+        raise NonPhysicalError(f"T = {T:.3g} is too small for the finite-difference audit step")
     center = T if T + step <= 1.0 else T - step
     plus = chain.sector_at(center + step)[0]
     minus = chain.sector_at(center - step)[0]

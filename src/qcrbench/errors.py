@@ -10,7 +10,7 @@ class BrightLimitError(WorkbenchError):
 
 
 class ConvergenceError(WorkbenchError):
-    """An iterative limit (layer doubling, quadrature) failed to converge."""
+    """An iterative limit (the slice stack's layer doubling) failed to converge."""
 
 
 class NonPhysicalError(WorkbenchError):

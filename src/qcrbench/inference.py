@@ -226,11 +226,6 @@ def chi_square_batch(measurements, points: np.ndarray, noise_model: str = "numer
     return total if total.ndim else total[()]
 
 
-def chi_square(measurements, s: float, T_a: float, noise_model: str = "numeric_oracle") -> float:
-    """Scalar convenience wrapper around `chi_square_batch`."""
-    return float(chi_square_batch(measurements, np.array([[s, T_a]]), noise_model)[0])
-
-
 def _spread(pop: np.ndarray) -> np.ndarray:
     """`pop.std(axis=0)` by the reductions of numpy's `_var`, bit for bit."""
     size = pop.shape[0]

@@ -188,13 +188,13 @@ def converged_source(
     )
 
 
-def noise_triple(state: GaussianState, probe: int = 0, conj: int = 1) -> NoiseTriple:
-    """Normalized noises of a bright two-mode state (bright-limit statistics)."""
-    var_p = number_variance_bright(state, probe)
-    var_c = number_variance_bright(state, conj)
-    cov = number_covariance_bright(state, probe, conj)
-    n_p = bright_mean_photon(state, probe)
-    n_c = bright_mean_photon(state, conj)
+def noise_triple(state: GaussianState) -> NoiseTriple:
+    """Normalized noises of a bright two-mode state, probe mode 0 and conjugate mode 1."""
+    var_p = number_variance_bright(state, 0)
+    var_c = number_variance_bright(state, 1)
+    cov = number_covariance_bright(state, 0, 1)
+    n_p = bright_mean_photon(state, 0)
+    n_c = bright_mean_photon(state, 1)
     return NoiseTriple(
         diff=(var_p + var_c - 2.0 * cov) / (n_p + n_c),
         probe=var_p / n_p,
@@ -448,15 +448,15 @@ def continuum_gain(s, T_a):
     return gain
 
 
-def analytic_noises(s, T_a, corrected_probe: bool = True) -> NoiseTriple:
+def analytic_noises(s, T_a) -> NoiseTriple:
     """Printed closed forms for the three normalized source noises.
 
     The probe formula is published with cos(xi/2), which goes negative and
-    cannot be a noise; ``corrected_probe`` substitutes cosh(xi/2), which
-    reproduces the lossless limit.  The intensity-difference form is
-    evaluated as printed: it disagrees with the slice model away from
-    trivial limits (it tends to 3/4 instead of 0 at high squeezing), so the
-    slice model is the authority and this one is kept for audits.
+    cannot be a noise; it is evaluated with cosh(xi/2), which reproduces the
+    lossless limit.  The intensity-difference form is evaluated as printed:
+    it disagrees with the slice model away from trivial limits (it tends to
+    3/4 instead of 0 at high squeezing), so the slice model is the authority
+    and this one is kept for audits.
 
     The forms are written in the ratios u = 4s/xi and v = ln(T_a)/xi, with
     xi = sqrt(16 s^2 + ln^2 T_a), and zeta = atanh(v) as ln(u / (1 - v)),
@@ -479,8 +479,7 @@ def analytic_noises(s, T_a, corrected_probe: bool = True) -> NoiseTriple:
         sh4 = np.sinh(0.25 * xi)
         ch_shift = np.cosh(0.5 * xi + zeta)
         diff = 1.0 - 0.5 * u * sh4 * sh4 / ch_shift - root_ta * u * v * v * sh4**4 / (8.0 * ch_shift)
-        half = np.cosh(0.5 * xi) if corrected_probe else np.cos(0.5 * xi)
-        probe = u * u * (1.0 - root_ta * (1.0 - half)) + v * v
+        probe = u * u * (1.0 - root_ta * (1.0 - np.cosh(0.5 * xi))) + v * v
         conj = (
             u * u * root_ta
             - 1.0

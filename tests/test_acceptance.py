@@ -14,6 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import quadrature_effective_time
 from qcrbench.bounds import (
     LossBudget,
     advantage_ratio,
@@ -140,7 +141,7 @@ def test_criterion_05_headline_numbers():
               f"{to_ultimate:.2f}, detected squeezing {db:.2f} dB)")
 
 
-def test_criterion_06_spectrum_analyzer_fixtures(quadrature_effective_time):
+def test_criterion_06_spectrum_analyzer_fixtures():
     gauss = FilterModel(kind="gaussian", rbw=51e3)
     sync4 = FilterModel(kind="sync_tuned", rbw=51e3, poles=4)
     closed = effective_time(gauss) * 51e3

@@ -10,15 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    array_distributed_norm,
+    array_mixing_rate,
+    array_route_distributed_var_n,
     coherent_state,
     continuum_state,
-    estimator_variance,
-    optimal_gain,
+    four_by_four_transmission_variance,
+    incident_photons,
+    log_uniform,
+    six_state_numeric_var_n,
     symplectic_eigenvalues,
+    three_stage_state,
 )
 from qcrbench import bounds
 from qcrbench.bounds import (
-    _FD_MISMATCH_TOL,
     _distributed_rates,
     BoundPoint,
     LossBudget,
@@ -37,13 +42,12 @@ from qcrbench.bounds import (
 from qcrbench.cli import main
 from qcrbench.config import MAX_S
 from qcrbench.detection import transmission_variance
-from qcrbench.errors import BrightLimitError, NonPhysicalError, WorkbenchError
+from qcrbench.errors import NonPhysicalError, WorkbenchError
 from qcrbench.gaussian import (
     ChannelOp,
     GaussianState,
     apply_loss,
     bright_mean_photon,
-    number_variance_bright,
 )
 from qcrbench.source import SourceParams, _source_domain
 
@@ -53,23 +57,11 @@ _LOSSLESS = LossBudget(T_p=1.0, eta_p=1.0, eta_c=1.0)
 GRID = np.round(0.10 + 0.05 * np.arange(16), 12)
 
 
-def three_stage_state(chain: ProbeChain, T: float):
-    """Chain output at T with all three loss stages applied from the source state."""
-    state = apply_loss(continuum_state(chain.params), ChannelOp([chain.budget.T_p, 1.0]))
-    state = apply_loss(state, ChannelOp([T, 1.0]))
-    return apply_loss(state, ChannelOp([chain.budget.eta_p, chain.budget.eta_c]))
-
-
-def incident_photons(chain: ProbeChain) -> float:
-    """Bright probe photons incident on the system: the source's d_p^2 / 4, times T_p."""
-    return chain.budget.T_p * bright_mean_photon(continuum_state(chain.params), 0)
-
-
 def sector_condition(chain: ProbeChain, T: float) -> float:
     """kappa = sigma_pp sigma_cc / det of the detected x sector at T.
 
     The shot-noise forms of the bound and the estimator, and the
-    photon-number routes below, each round to a few eps of their value
+    photon-number routes of `oracles`, each round to a few eps of their value
     times kappa: det and the optimal estimator cancel terms kappa times
     their size.
     """
@@ -81,68 +73,6 @@ def sector_condition(chain: ProbeChain, T: float) -> float:
 #: worst measured was 3.0 on the ORACLE_* grid and 5.7 over 80 000 draws of
 #: the config box, where the errors matched on every draw
 ORACLE_TOL = 8.0 * np.finfo(float).eps
-
-
-def four_by_four_transmission_variance(chain: ProbeChain, T: float, g=None):
-    """Reference `transmission_variance` from the photon statistics of the two-mode state.
-
-    Takes `optimal_gain` and `estimator_variance` on `three_stage_state`, in
-    photon numbers normalized by the incident photons.  Returns None where
-    n_p or a variance d_i sigma_ii d_i / 4 of this route (T ~< 1e-295 at tiny
-    T_a), the count d_c^2 / 4 of a lit conjugate that the gain reads (tiny
-    s), or its squared count derivative (s = 0 at tiny T_a), is not a
-    normal float, 0 included: there this route has lost its own precision
-    and has no value to compare.  Only a mode with no light at all is dark,
-    and its error comes first.
-    """
-    state = three_stage_state(chain, T)
-    n_detected = bright_mean_photon(state, 0)
-    conj_lit = state.mode_displacement(1).any()
-    if not state.mode_displacement(0).any():
-        raise BrightLimitError("no probe light reaches the detector")
-    if g is not None and g != 0.0 and not conj_lit:
-        raise BrightLimitError("bright-limit approximation invalid: mode 1 has zero mean field")
-    counts = [n_detected]
-    if conj_lit and (g is None or g != 0.0):
-        counts.append(bright_mean_photon(state, 1))
-    if min(counts) < sys.float_info.min:
-        return None
-    if g is None:
-        g = optimal_gain(state)
-    variance = estimator_variance(state, g)
-    square = (n_detected / T) ** 2
-    products = [n_detected, number_variance_bright(state, 0)]
-    if g != 0.0:
-        products.append(number_variance_bright(state, 1))
-    if min(square, *products) < sys.float_info.min:
-        return None
-    variance = variance / square * incident_photons(chain)
-    if not (variance > 0.0 and math.isfinite(variance)):
-        raise NonPhysicalError(f"transmission variance {variance:.6g} is not positive")
-    return variance
-
-
-def six_state_numeric_var_n(chain: ProbeChain, T: float) -> float:
-    """Reference numeric bound: one full chain state for the bound, four for the audit.
-
-    The Fisher information dd^T sigma^{-1} dd of the four-mode state, in
-    photon numbers normalized by the incident photons.
-    `qcrb_numeric_gaussian` reads the x sector in shot-noise units and builds
-    no covariance for the audit; it must agree with this route to rounding.
-    """
-    state = three_stage_state(chain, T)
-    d = three_stage_state(chain, T).d
-    derivative = np.zeros_like(d)
-    derivative[:2] = d[:2] / (2.0 * T)
-    step = 1e-6 * T
-    center = T if T + step <= 1.0 else T - step
-    plus = three_stage_state(chain, center + step).d[:2]
-    minus = three_stage_state(chain, center - step).d[:2]
-    fd = (plus - minus) / (2.0 * step)
-    reference = three_stage_state(chain, center).d[:2] / (2.0 * center)
-    assert np.linalg.norm(fd - reference) / np.linalg.norm(reference) <= _FD_MISMATCH_TOL
-    fisher = float(derivative @ np.linalg.solve(state.sigma, derivative))
-    return incident_photons(chain) / fisher
 
 
 ORACLE_SOURCES = [
@@ -232,39 +162,36 @@ class TestRates:
         with pytest.raises(ValueError, match=message):
             _source_domain(np.array([1.0, s]), np.array([0.5, T_a]))
 
-    def test_array_helpers_match_array_route(self, array_rate_oracle):
-        oracle_rate, oracle_norm, _ = array_rate_oracle
+    def test_array_helpers_match_array_route(self):
         rng = np.random.default_rng(17)
         s = rng.uniform(0.0, MAX_S, 400)
         t_a = 10.0 ** rng.uniform(-300.0, 0.0, 400)
         xi, gamma = _distributed_rates(s, t_a)
-        assert np.array_equal(xi, oracle_rate(s, t_a))
-        assert np.array_equal(gamma, oracle_norm(s, t_a))
+        assert np.array_equal(xi, array_mixing_rate(s, t_a))
+        assert np.array_equal(gamma, array_distributed_norm(s, t_a))
         for x, y in zip(s[:50], t_a[:50]):
             xi, gamma = _distributed_rates(float(x), float(y))
-            assert xi == oracle_rate(float(x), float(y))
-            assert gamma == oracle_norm(float(x), float(y))
+            assert xi == array_mixing_rate(float(x), float(y))
+            assert gamma == array_distributed_norm(float(x), float(y))
 
 
 class TestClosedFormBounds:
     @pytest.mark.parametrize("s", [0.0, 1e-9, 2.04, MAX_S])
     @pytest.mark.parametrize("t_a", [1e-300, 0.5, 0.71, 1.0])
     @pytest.mark.parametrize("eta_c", [0.0, 0.5, 0.919, 1.0])
-    def test_distributed_equals_array_route(self, s, t_a, eta_c, array_rate_oracle):
-        *_, oracle_var_n = array_rate_oracle
+    def test_distributed_equals_array_route(self, s, t_a, eta_c):
         params = SourceParams(s=s, T_a=t_a)
         budget = LossBudget(T_p=0.973, eta_p=0.945, eta_c=eta_c)
         for t in (1e-300, 0.5, 1.0):
-            expected = oracle_var_n(t, s, t_a, budget.T_p, budget.eta_p, eta_c)
+            expected = array_route_distributed_var_n(t, s, t_a, budget.T_p, budget.eta_p, eta_c)
             assert qcrb_distributed(t, 1.0, params, budget).var_n == expected
 
-    def test_distributed_equals_array_route_over_random_points(self, array_rate_oracle):
-        *_, oracle_var_n = array_rate_oracle
+    def test_distributed_equals_array_route_over_random_points(self):
         rng = np.random.default_rng(23)
         for _ in range(500):
             s, t_a, eta_c, t = rng.uniform(0.0, MAX_S), rng.uniform(), rng.uniform(), rng.uniform()
             budget = LossBudget(T_p=0.973, eta_p=0.945, eta_c=eta_c)
-            expected = oracle_var_n(t, s, t_a, budget.T_p, budget.eta_p, eta_c)
+            expected = array_route_distributed_var_n(t, s, t_a, budget.T_p, budget.eta_p, eta_c)
             assert qcrb_distributed(t, 1.0, SourceParams(s=s, T_a=t_a), budget).var_n == expected
 
     def test_pure_at_zero_squeezing_equals_coherent_exactly(self):
@@ -383,9 +310,10 @@ class TestNumericGaussianBound:
             closed = qcrb_distributed(float(t), 1.0, PARAMS, BUDGET).var_n
             assert numeric == pytest.approx(closed, rel=1e-6)
 
-    @pytest.mark.parametrize("t", [1e-4, 1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("t", [1e-4, 1e-6, 1e-9, 1e-12, 3e-318, 2.5e-318])
     def test_distributed_chain_matches_closed_form_at_small_transmission(self, t):
         # the finite-difference audit step scales with T, so it stays in (0, 1]
+        # down to the smallest T whose step 1e-6 T does not underflow
         chain = build_chain(PARAMS, BUDGET)
         numeric = qcrb_numeric_gaussian(t, PARAMS, BUDGET, chain=chain).var_n
         closed = qcrb_distributed(t, 1.0, PARAMS, BUDGET).var_n
@@ -443,6 +371,12 @@ class TestNumericGaussianBound:
         with pytest.raises(ValueError):
             qcrb_numeric_gaussian(0.0, PARAMS, BUDGET)
 
+    @pytest.mark.parametrize("t", [2e-318, 1e-320, 5e-324])
+    def test_transmission_below_the_audit_step_rejected(self, t):
+        # the audit step 1e-6 T underflows to 0 below T ~ 2.47e-318
+        with pytest.raises(NonPhysicalError, match="finite-difference audit step"):
+            qcrb_numeric_gaussian(t, PARAMS, BUDGET)
+
 
 def test_bounds_dividing_by_eta_p_reject_zero():
     # T / eta_p has no value at eta_p = 0; a Python float division would
@@ -461,10 +395,6 @@ def test_bounds_dividing_by_eta_p_reject_zero():
     assert qcrb_ultimate(0.5, 1.0, dark, lossless=True).var_n == 0.25
 
 
-def _log_uniform(lowest_exponent):
-    return st.floats(lowest_exponent, 0.0).map(lambda e: 10.0**e)
-
-
 _BUDGETS = st.one_of(
     st.just(_LOSSLESS),
     st.builds(
@@ -479,8 +409,8 @@ _BUDGETS = st.one_of(
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(
     s=st.floats(0.0, MAX_S),
-    t_a=_log_uniform(-300.0),
-    t=_log_uniform(-300.0),
+    t_a=log_uniform(-300.0),
+    t=log_uniform(-300.0),
     budget=_BUDGETS,
 )
 def test_numeric_matches_closed_form_over_config_box(s, t_a, t, budget):
@@ -499,8 +429,8 @@ def test_numeric_matches_closed_form_over_config_box(s, t_a, t, budget):
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(
     s=st.floats(0.0, MAX_S),
-    t_a=_log_uniform(-300.0),
-    t=_log_uniform(-300.0),
+    t_a=log_uniform(-300.0),
+    t=log_uniform(-300.0),
     budget=st.sampled_from(ORACLE_BUDGETS) | _BUDGETS,
     g=st.sampled_from([None, 0.0, 1.0]),
 )
@@ -541,8 +471,8 @@ def _seed_outcome(params: SourceParams, budget: LossBudget, t: float):
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(
     s=st.floats(0.0, MAX_S),
-    t_a=_log_uniform(-300.0),
-    t=_log_uniform(-300.0),
+    t_a=log_uniform(-300.0),
+    t=log_uniform(-300.0),
     budget=st.sampled_from(ORACLE_BUDGETS) | _BUDGETS,
     seeds=st.tuples(st.floats(1e4, 1e12), st.floats(1e4, 1e12)),
 )
@@ -560,8 +490,8 @@ def test_var_n_is_seed_independent_over_config_box(s, t_a, t, budget, seeds):
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(
     s=st.floats(0.0, MAX_S),
-    t_a=_log_uniform(-300.0),
-    t=_log_uniform(-300.0),
+    t_a=log_uniform(-300.0),
+    t=log_uniform(-300.0),
     budget=_BUDGETS,
 )
 def test_states_are_physical_over_config_box(s, t_a, t, budget):
@@ -757,6 +687,18 @@ class TestDistributedTermsCache:
             (lambda: distributed_reduction(2.0, np.array([0.7, 0.5])), ValueError),
             (lambda: distributed_reduction([2.0], 0.7), ValueError),
             (lambda: conjugate_factor_distributed(np.array([0.5]), 2.0, 0.7), ValueError),
+        ],
+        ids=[
+            "factor-eta_c-pair",
+            "factor-s-one",
+            "factor-s-pair",
+            "factor-T_a-pair",
+            "factor-T_a-list",
+            "reduction-s-one",
+            "reduction-s-pair",
+            "reduction-T_a-pair",
+            "reduction-s-list",
+            "factor-eta_c-one",
         ],
     )
     def test_array_input_keeps_its_error(self, route, error):

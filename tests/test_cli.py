@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcrbench
+from oracles import log_uniform
 from qcrbench.cli import MAX_TRIALS, main
 from qcrbench.config import MAX_GRID_POINTS, MAX_S, load_config, parse_config_text
 from qcrbench.detection import MAX_POLES
@@ -104,10 +105,6 @@ class TestConfigParsing:
         assert np.array_equal(again.T_grid, config.T_grid)
 
 
-def _log_uniform(lowest_exponent):
-    return st.floats(lowest_exponent, 0.0).map(lambda e: 10.0**e)
-
-
 @st.composite
 def _config_texts(draw):
     """A valid config body that sets every key: range or list grid, either filter kind."""
@@ -117,13 +114,13 @@ def _config_texts(draw):
         stop = start + step * draw(st.integers(0, 9))
         grid = f"{start!r}:{stop!r}:{step!r}"
     else:
-        points = draw(st.lists(_log_uniform(-300.0), min_size=1, max_size=8, unique=True))
+        points = draw(st.lists(log_uniform(-300.0), min_size=1, max_size=8, unique=True))
         grid = ",".join(repr(t) for t in sorted(points))
     sync = st.integers(1, MAX_POLES).map(lambda poles: f"sync{poles}")
     unit = st.floats(0.0, 1.0)
     values = {
         "s": draw(st.floats(0.0, MAX_S)),
-        "T_a": draw(_log_uniform(-300.0)),
+        "T_a": draw(log_uniform(-300.0)),
         "seed_photons": draw(st.floats(0.0, 1e12)),
         "T_p": draw(unit),
         "eta_p": draw(unit),
@@ -243,6 +240,29 @@ class TestBoundsCommand:
         assert rc == 4
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("t", ["2e-318", "1e-320", "5e-324"])
+    def test_transmission_below_the_audit_step_exits_4(self, tmp_path, capsys, t):
+        # the numeric bound's finite-difference step 1e-6 T underflows to 0 here
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"T_grid = {t}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "bounds.csv")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "finite-difference audit step" in err
+
+    def test_smallest_transmission_with_an_audit_step_runs(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("T_grid = 3e-318\n")
+        out = tmp_path / "bounds.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["bounds", "--config", str(cfg), "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert rows.shape[0] == 1 and rows[0, 0] == 3e-318
 
     def test_unwritable_output_exits_2(self, tmp_path):
         assert main(["bounds", "--out", str(tmp_path / "missing" / "bounds.csv")]) == 2
@@ -405,7 +425,7 @@ class TestSimulateCommand:
         def no_ramp(*args, **kwargs):
             raise AssertionError("a ramp was built past the trial cap")
 
-        monkeypatch.setattr(qcrbench.detection, "snr_ramp_simulate", no_ramp)
+        monkeypatch.setattr("qcrbench.detection.snr_ramp_simulate", no_ramp)
         argv = ["simulate", "--trials", str(MAX_TRIALS + 1), "--out", str(tmp_path / "x.csv")]
         assert main(argv) == 4
         assert str(MAX_TRIALS) in capsys.readouterr().err
@@ -518,7 +538,7 @@ class TestFitCommand:
         def no_fit(*args, **kwargs):
             raise AssertionError("a fit ran past the population cap")
 
-        monkeypatch.setattr(qcrbench.inference, "fit_source", no_fit)
+        monkeypatch.setattr("qcrbench.inference.fit_source", no_fit)
         noise = tmp_path / "noises.json"
         self.write_noise_file(noise)
         assert main(["fit", str(noise), "--population", str(MAX_POPULATION + 1)]) == 4
@@ -537,7 +557,7 @@ class TestFitCommand:
         def no_fit(*args, **kwargs):
             raise AssertionError("a fit ran with an option out of its domain")
 
-        monkeypatch.setattr(qcrbench.inference, "fit_source", no_fit)
+        monkeypatch.setattr("qcrbench.inference.fit_source", no_fit)
         assert main(["fit", _SAMPLE_NOISES, *args]) == 4
         err = capsys.readouterr().err
         assert err.startswith(f"error: {option}: ")

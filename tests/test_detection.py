@@ -6,11 +6,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import constants, integrate
 
-from oracles import coherent_state, estimator_variance, optimal_gain
+from oracles import (
+    coherent_state,
+    crossing_standard_error,
+    estimator_variance,
+    optimal_gain,
+    polyfit_iterated_line_fit,
+    polyfit_windows,
+    quadrature_effective_time,
+    ten_pass_line_fit,
+)
 from qcrbench import detection
 from qcrbench.bounds import LossBudget, build_chain, qcrb_coherent, qcrb_numeric_gaussian
 from qcrbench.cli import main
@@ -40,13 +49,13 @@ class TestEffectiveTime:
     def test_gaussian_closed_form(self):
         assert effective_time(GAUSS) * 51e3 == pytest.approx(math.sqrt(math.log(2) / math.pi))
 
-    def test_gaussian_quadrature_agrees(self, quadrature_effective_time):
+    def test_gaussian_quadrature_agrees(self):
         closed = effective_time(GAUSS)
         quad = quadrature_effective_time(GAUSS)
         assert quad == pytest.approx(closed, rel=1e-6)
 
     @pytest.mark.parametrize("poles", [1, 2, 3, 4, 5, 8, 16, 50, 170, MAX_POLES])
-    def test_sync_tuned_closed_form_matches_quadrature(self, poles, quadrature_effective_time):
+    def test_sync_tuned_closed_form_matches_quadrature(self, poles):
         for rbw in (1e-3, 1.0, 51e3, 3e6):
             filt = FilterModel(kind="sync_tuned", rbw=rbw, poles=poles)
             assert effective_time(filt) == pytest.approx(
@@ -421,21 +430,19 @@ class TestLineFitMatchesPolyfit:
     line up to rounding (`assert_same_line`).
     """
 
-    def test_param_sweep_ramps(self, recorded_fits, polyfit_iterated_line_fit):
+    def test_param_sweep_ramps(self, recorded_fits):
         run_param_sweep_ramps()
         assert len(recorded_fits) == 30
         for mod_power, snr, result in recorded_fits:
             assert_same_line(result, polyfit_iterated_line_fit(mod_power, snr), mod_power, snr)
 
-    def test_readme_simulate_grid(self, tmp_path, recorded_fits, polyfit_iterated_line_fit):
+    def test_readme_simulate_grid(self, tmp_path, recorded_fits):
         run_readme_simulate(tmp_path)
         assert len(recorded_fits) == 16
         for mod_power, snr, result in recorded_fits:
             assert_same_line(result, polyfit_iterated_line_fit(mod_power, snr), mod_power, snr)
 
-    def test_centred_sum_windows_follow_polyfit(
-        self, tmp_path, monkeypatch, recorded_fits, polyfit_windows
-    ):
+    def test_centred_sum_windows_follow_polyfit(self, tmp_path, monkeypatch, recorded_fits):
         # the centred-sum passes choose every window the polyfit loop chooses
         passes = []
         window_fit = detection._centred_line_fit
@@ -456,7 +463,7 @@ class TestLineFitMatchesPolyfit:
         for got, want in zip(passes, expected):
             assert np.array_equal(got, want)
 
-    def test_window_of_eight_bins(self, polyfit_iterated_line_fit):
+    def test_window_of_eight_bins(self):
         mod_power = np.zeros(20)
         mod_power[3:11] = np.linspace(0.5, 4.0, 8)
         snr = 0.3 + 0.9 * mod_power + 0.05 * np.sin(np.arange(20.0))
@@ -467,7 +474,7 @@ class TestLineFitMatchesPolyfit:
             with pytest.raises(NonPhysicalError, match="too few usable"):
                 fit(mod_power, snr)
 
-    def test_ramp_at_pass_cap(self, monkeypatch, recorded_fits, polyfit_iterated_line_fit):
+    def test_ramp_at_pass_cap(self, monkeypatch, recorded_fits):
         passes = []
         window_fit = detection._centred_line_fit
 
@@ -490,7 +497,7 @@ class TestLineFitMatchesPolyfit:
         assert_same_line(result, polyfit_iterated_line_fit(mod_power, snr), mod_power, snr)
 
     @pytest.mark.parametrize("power, level", [(2.0, 1.0), (0.1, 4.0)])
-    def test_constant_power_window_rejected(self, polyfit_iterated_line_fit, power, level):
+    def test_constant_power_window_rejected(self, power, level):
         # centred sums of 50 copies of 0.1 leave sum(t^2) = 2.5e-30, not 0, but
         # within rounding of it: the data fix no slope, and no line is returned
         mod_power = np.full(50, power)
@@ -528,14 +535,7 @@ class TestLineFitMatchesPolyfit:
         with pytest.raises(NonPhysicalError, match="not contiguous"):
             detection._iterated_line_fit(mod_power, snr)
 
-    # the oracle fixture is a pure function, so sharing it across examples is safe
-    @settings(
-        max_examples=200,
-        derandomize=True,
-        deadline=None,
-        database=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
     @given(
         bins=st.integers(8, 3000),
         rising=st.booleans(),
@@ -549,7 +549,6 @@ class TestLineFitMatchesPolyfit:
     )
     def test_window_search_matches_polyfit_loop(
         self,
-        polyfit_iterated_line_fit,
         bins,
         rising,
         padding,
@@ -623,9 +622,7 @@ def param_sweep_ramps():
 class TestWindowStoppingRule:
     """The window passes end when the SNR = 1 crossing has settled within its standard error."""
 
-    def test_param_sweep_ramps_converge_near_the_ten_pass_crossing(
-        self, recorded_fits, polyfit_windows, crossing_standard_error, ten_pass_line_fit
-    ):
+    def test_param_sweep_ramps_converge_near_the_ten_pass_crossing(self, recorded_fits):
         ramps = []
         for plan, var_t in param_sweep_ramps():
             profile = linear_ramp(5.0 * math.sqrt(var_t), plan.ramp_duration)
@@ -642,9 +639,7 @@ class TestWindowStoppingRule:
             crossing = ramp.delta_T_at_snr1**2
             assert abs(crossing - (1.0 - intercept) / slope) <= 0.5 * se
 
-    def test_crossing_standard_error_from_sums_matches_residuals(
-        self, tmp_path, monkeypatch, crossing_standard_error
-    ):
+    def test_crossing_standard_error_from_sums_matches_residuals(self, tmp_path, monkeypatch):
         # every window pass of the README grid: the sums in scaled coordinates
         # against explicit residuals in the powers themselves
         passes = []

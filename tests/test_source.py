@@ -7,18 +7,15 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import continuum_state
+from oracles import continuum_state, gauss_legendre_noises, printed_noises_loop
 from qcrbench.config import MAX_S
 from qcrbench.errors import ConvergenceError
 from qcrbench.gaussian import ChannelOp, apply_loss, bright_mean_photon, two_mode_squeezer
 from qcrbench.source import (
     _BLOCK,
-    NoiseTriple,
     SourceParams,
     _affine_power,
     _layer_affine,
-    _slice_rates,
-    _source_domain,
     analytic_noises,
     continuum_gain,
     continuum_noises,
@@ -42,101 +39,6 @@ HIGH_PRECISION_TRIPLES = {
     (5.0, 0.9): (0.57774880189185757, 10449.281353573238, 10559.853796990247),
     (8.0, 0.9): (91.692437074306526, 4215372.2381519265, 4243222.0425161283),
 }
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-
-
-def _printed_noises_scalar(s: float, ta: float, corrected_probe: bool) -> tuple:
-    """The printed closed forms, term by term in float math, with zeta = atanh(ln T_a / xi)."""
-    if s == 0.0:
-        return 1.0, 1.0, 1.0
-    log_ta = math.log(ta)
-    root_ta = math.sqrt(ta)
-    xi = math.sqrt(16.0 * s * s + log_ta * log_ta)
-    zeta = math.atanh(log_ta / xi)
-    sh4 = math.sinh(0.25 * xi)
-    ch_shift = math.cosh(0.5 * xi + zeta)
-    diff = (
-        1.0
-        - 2.0 * s * sh4 * sh4 / (xi * ch_shift)
-        - root_ta * s * log_ta * log_ta * sh4**4 / (2.0 * xi**3 * ch_shift)
-    )
-    half = math.cosh(0.5 * xi) if corrected_probe else math.cos(0.5 * xi)
-    probe = (16.0 * s * s * (1.0 - root_ta * (1.0 - half)) + log_ta * log_ta) / (xi * xi)
-    conj = (
-        16.0 * s * s * root_ta / (xi * xi)
-        - 1.0
-        - 2.0
-        * root_ta
-        * ((8.0 * s * s - xi * xi) * math.cosh(0.5 * xi) + xi * log_ta * math.sinh(0.5 * xi))
-        / (xi * xi)
-    )
-    return diff, probe, conj
-
-
-def printed_noises_loop(s, T_a, corrected_probe: bool = True) -> NoiseTriple:
-    """Reference for the vectorized `analytic_noises`: a Python loop over the scalar forms.
-
-    It fails where ln T_a / xi rounds to -1 (s below a few 1e-9 |ln T_a|), so
-    it is only compared away from s = 0.
-    """
-    s, ta = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(T_a, dtype=float))
-    rows = [_printed_noises_scalar(a, b, corrected_probe) for a, b in zip(s.flat, ta.flat)]
-    diff, probe, conj = (np.array(col).reshape(s.shape) for col in zip(*rows))
-    return NoiseTriple(diff=diff, probe=probe, conj=conj)
-_GL_NODES = 0.5 * (_GL_NODES + 1.0)
-_GL_WEIGHTS = 0.5 * _GL_WEIGHTS
-
-
-def _sinhc(x: np.ndarray) -> np.ndarray:
-    """sinh(x)/x, stable at x = 0."""
-    small = np.abs(x) < 1e-6
-    safe = np.where(small, 1.0, x)
-    return np.where(small, 1.0 + x * x / 6.0, np.sinh(safe) / safe)
-
-
-def _propagator_column(s, g, q, z):
-    """Probe column of the x-sector propagator at depth z, in the cosh/sinh form.
-
-    e^{-kz} (cosh(qz) - k sinh(qz)/q, s sinh(qz)/q) with k = g/4: the direct
-    form that the source kernel rewrites in positive terms.  It cancels where
-    q ~ k, so the oracle is compared only where q is not close to k.
-    """
-    damp = np.exp(-0.25 * g * z)
-    stretch = z * _sinhc(q * z)  # sinh(q z)/q
-    return (
-        damp * (np.cosh(q * z) - 0.25 * g * stretch),
-        damp * (s * stretch),
-    )
-
-
-def gauss_legendre_noises(s, T_a) -> NoiseTriple:
-    """Continuum noises with the vacuum integral G by 64-node Gauss-Legendre.
-
-    An independent route to the closed forms of `continuum_noises`: M comes
-    from the cosh/sinh form of the propagator and G from quadrature, whose
-    integrands are smooth exponentials, so it is exact to rounding.
-    """
-    s, T_a = _source_domain(s, T_a)
-    g, q = _slice_rates(s, T_a)
-    m11, m21 = _propagator_column(s, g, q, 1.0)
-    m22 = np.exp(-0.25 * g) * (np.cosh(q) + 0.25 * g * _sinhc(q))
-    g00 = np.zeros_like(m11)
-    g01 = np.zeros_like(m11)
-    g11 = np.zeros_like(m11)
-    for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
-        c1, c2 = _propagator_column(s, g, q, node)
-        g00 += weight * c1 * c1
-        g01 += weight * c1 * c2
-        g11 += weight * c2 * c2
-    s00 = m11 * m11 + m21 * m21 + g * g00
-    s01 = m21 * (m11 + m22) + g * g01
-    s11 = m21 * m21 + m22 * m22 + g * g11
-    w_p = m11 * m11
-    w_c = m21 * m21
-    diff = (w_p * s00 + w_c * s11 - 2.0 * m11 * m21 * s01) / (w_p + w_c)
-    return NoiseTriple(diff=diff, probe=s00, conj=s11)
-
 
 def relative_error(value, reference):
     return np.abs(np.asarray(value) - reference) / np.abs(reference)
@@ -597,8 +499,8 @@ class TestAnalyticNoises:
             assert analytic_noises(s, ta).probe == pytest.approx(oracle, rel=1e-10)
 
     def test_uncorrected_probe_is_nonphysical(self):
-        # the formula as printed produces a negative noise at s = 1, T_a = 1
-        assert analytic_noises(1.0, 1.0, corrected_probe=False).probe < 0.0
+        # the formula as printed, with cos(xi/2), produces a negative noise at s = 1, T_a = 1
+        assert printed_noises_loop(1.0, 1.0, corrected_probe=False).probe < 0.0
 
     def test_printed_difference_formula_diverges_from_oracle(self):
         # documented discrepancy: as printed, the intensity-difference noise
@@ -624,20 +526,15 @@ class TestAnalyticNoises:
             with pytest.raises(ValueError, match="overflow"):
                 analytic_noises(np.array([1.0, s]), 0.9)
 
-    @pytest.mark.parametrize("corrected_probe", [True, False])
-    def test_vectorized_matches_scalar_loop(self, corrected_probe):
+    def test_vectorized_matches_scalar_loop(self):
         rng = np.random.default_rng(np.random.SeedSequence([2026, 5]))
         s = np.concatenate([rng.uniform(1e-3, 3.5, 2000), [0.1, 1.0, 2.04, 3.5]])
         ta = np.concatenate([rng.uniform(1e-3, 1.0, 2000), [1.0, 1.0, 0.71, 1e-3]])
-        got = analytic_noises(s, ta, corrected_probe=corrected_probe)
-        want = printed_noises_loop(s, ta, corrected_probe=corrected_probe)
+        got = analytic_noises(s, ta)
+        want = printed_noises_loop(s, ta)
         assert np.max(np.abs(got.diff - want.diff) / np.abs(want.diff)) <= 1e-14
         assert np.max(np.abs(got.conj - want.conj) / np.abs(want.conj)) <= 1e-14
-        if corrected_probe:
-            assert np.max(np.abs(got.probe - want.probe) / want.probe) <= 1e-14
-        else:
-            # the cos(xi/2) form passes through 0, so compare on its O(1) terms
-            assert np.max(np.abs(got.probe - want.probe)) <= 1e-14
+        assert np.max(np.abs(got.probe - want.probe) / want.probe) <= 1e-14
 
     def test_array_shape_and_scalar_type(self):
         grid = analytic_noises(np.linspace(0.0, 3.0, 6).reshape(2, 3), 0.71)
