@@ -158,12 +158,14 @@ def _load_noise_file(path: str) -> list:
             numbers = (entry["value"], entry["variance"], entry.get("eta", 1.0))
         except KeyError as exc:
             raise SchemaError(f"channel entry is missing field {exc}") from exc
-        # float() reads JSON true and false as 1.0 and 0.0
-        if any(isinstance(number, bool) for number in numbers):
-            raise SchemaError("value, variance and eta must be numbers, not true or false")
+        # a JSON number loads as int or float; float() would also read true and
+        # false as 1.0 and 0.0, and numeric text such as "0.15"
+        bad = [n for n in numbers if isinstance(n, bool) or not isinstance(n, (int, float))]
+        if bad:
+            raise SchemaError(f"value, variance and eta must be numbers, not {json.dumps(bad[0])}")
         try:
             value, variance, eta = map(float, numbers)
-        except (TypeError, ValueError, OverflowError) as exc:
+        except OverflowError as exc:
             raise SchemaError(f"value, variance and eta must be numbers: {exc}") from exc
         measurements.append(inference.NoiseMeasurement(channel, value, variance, eta))
     return measurements

@@ -13,6 +13,12 @@ population jump out of local minima.  Candidates of a generation are built
 from the generation-start population and applied at a barrier, so objective
 evaluations can run in any order (or in parallel) without changing the
 result for a fixed seed.
+
+The chi-square-doubling contour takes exactly the steps of a bisection that
+evaluates one midpoint per ray and call, each on its own midpoint's value,
+but one call evaluates the midpoints those steps are likely to visit
+(secant-guided paths, trees for the last levels, none on rays that can no
+longer set a width): a criterion-08 fit makes about 6 calls instead of 61.
 """
 
 import math
@@ -29,9 +35,11 @@ NOISE_MODELS = ("numeric_oracle", "printed_formulas")
 
 _LN10 = math.log(10.0)
 
-# bisection levels of the chi-square-doubling contour resolved per objective
-# call; 3 and 4 fit equally fast at 64 rays, and 3 evaluates fewer points
-LEVELS_PER_CALL = 3
+# most points one objective call of the chi-square-doubling contour
+# evaluates (a call with more rays to refine gives each one point), and the
+# most rays to refine whose points start with a bisection tree
+CONTOUR_BATCH = 512
+TREE_RAYS = 4
 
 
 @dataclass(frozen=True)
@@ -53,10 +61,11 @@ class NoiseMeasurement:
         if not (0.0 < self.eta <= 1.0):
             raise NonPhysicalError("path transmission eta must lie in (0, 1]")
         # the chi-square divides by it, so 0 or inf would give NaN terms;
-        # float ** raises OverflowError where (N ln 10)^2 leaves the float range
+        # (N ln 10)^2 raises OverflowError above the float range, and dividing
+        # by it raises ZeroDivisionError where it underflows to 0
         try:
             log_variance = self.log_variance
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):
             log_variance = 0.0
         if not 0.0 < log_variance < math.inf:
             raise NonPhysicalError(
@@ -330,14 +339,26 @@ def uncertainty_by_chi2_doubling(
     excursions of the contour.  Rays that reach the parameter bounds before
     crossing produce a one-sided width (capped at the bound) and a warning.
 
-    One objective call resolves `LEVELS_PER_CALL` bisection levels (the
-    last call fewer when they do not divide `bisection_steps`): it
-    evaluates every midpoint those levels could visit on every ray, so the
-    objective also sees the midpoints the bisection does not take, all
-    inside the ray's current bracket.  The midpoints and the decisions are
-    those of one-step-per-call bisection, so the widths are bit-identical to
-    it; the objective is called 1 + ceil(bisection_steps / LEVELS_PER_CALL)
-    times.
+    The widths are bit-identical to those of bisection that evaluates one
+    midpoint per ray and call: every step taken is that bisection's step,
+    decided on the objective's value at its exact midpoint.  A call
+    evaluates up to `CONTOUR_BATCH` points (one per ray past that), the
+    midpoints the bisection may visit next:
+    - the first call evaluates each ray's bracket top and the midpoints of
+      a bracket that keeps halving;
+    - each ray then evaluates the path its bisection takes towards a secant
+      guess of the crossing in sqrt(chi2 - chi2_min), nearly linear in the
+      radius, and takes its steps up to and including the first one the
+      guess got wrong, so a wrong guess costs a call, never a bit;
+    - with at most `TREE_RAYS` rays left, the path starts below a full
+      bisection tree of the next levels on half a ray's share of points,
+      as round-off in chi2 makes the last levels unpredictable; a ray whose
+      remaining levels fit in one tree gets that tree;
+    - a ray whose reach at its bracket top is below another ray's reach at
+      its bracket bottom, in both parameters, can no longer set a
+      half-width and is not refined further.
+    A criterion-08 fit makes about 6.4 calls (at most 8 over 120 fits),
+    where one call per step makes 61.
 
     Returns (half_widths, fully_bounded).
     """
@@ -347,7 +368,10 @@ def uncertainty_by_chi2_doubling(
     lo, hi = bounds[:, 0], bounds[:, 1]
     optimum = np.asarray(optimum, dtype=float)
     scale = hi - lo
-    level = chi2_min + max(chi2_min, 1e-30) / dof
+    # Python floats give numpy's bits without its warnings
+    chi2_min = float(chi2_min)
+    level = float(chi2_min + max(chi2_min, 1e-30) / dof)
+    target = math.sqrt(level - chi2_min)
     angles = 2.0 * math.pi * np.arange(n_rays) / n_rays
     directions = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     # largest normalized radius before each ray leaves the box; 0/0 where the
@@ -358,61 +382,95 @@ def uncertainty_by_chi2_doubling(
     limits = np.where(directions > 0, to_hi, np.where(directions < 0, to_lo, np.inf))
     r_max = np.clip(limits.min(axis=1), 0.0, None)
 
-    def evaluate(radii):
-        # radii[..., j] lie on ray j; clip shields the objective from float
-        # round-off past the box edge
-        pts = np.clip(optimum + radii[..., None] * directions * scale, lo, hi)
-        values = objective(pts.reshape(-1, optimum.size))
-        return np.asarray(values, dtype=float).reshape(radii.shape)
+    def reach(radii):
+        # per-parameter excursion of each ray, non-decreasing in its radius
+        return np.abs(radii[:, None] * directions * scale)
 
-    hi_vals = evaluate(r_max)
-    unbounded = hi_vals < level
-    if np.any(unbounded):
-        warnings.warn(
-            "chi-square doubling contour not bracketed within bounds on "
-            f"{int(unbounded.sum())}/{n_rays} rays; widths are one-sided there",
-            stacklevel=2,
-        )
-    # the brackets of one call form a heap-ordered tree: node i is the bracket
-    # (lows[i], highs[i]) with midpoint mids[i], nodes 2i + 1 and 2i + 2 are
-    # its lower and upper halves, and node 0 holds each ray's current bracket;
-    # the nodes below the last level are every bracket the call can end in
-    lows = np.zeros((2 ** (LEVELS_PER_CALL + 1) - 1, n_rays))
-    highs = np.empty_like(lows)
-    highs[0] = r_max
-    mids = np.empty((2**LEVELS_PER_CALL - 1, n_rays))
-    # per level: its nodes, their lower halves and their upper halves
-    tree_levels = [
-        (
-            slice(2**k - 1, 2 ** (k + 1) - 1),
-            slice(2 ** (k + 1) - 1, 2 ** (k + 2) - 1, 2),
-            slice(2 ** (k + 1), 2 ** (k + 2) - 1, 2),
-        )
-        for k in range(LEVELS_PER_CALL)
-    ]
-    active = ~unbounded
-    rays = np.arange(n_rays)
-    for first in range(0, bisection_steps, LEVELS_PER_CALL):
-        depth = min(LEVELS_PER_CALL, bisection_steps - first)
-        for nodes, lower, upper in tree_levels[:depth]:
-            np.add(lows[nodes], highs[nodes], out=mids[nodes])
-            mids[nodes] *= 0.5
-            lows[lower] = lows[nodes]
-            highs[lower] = mids[nodes]
-            lows[upper] = mids[nodes]
-            highs[upper] = highs[nodes]
-        vals = evaluate(mids[: 2**depth - 1])
-        # follow each ray down the tree: a value at or above the level keeps
-        # the lower half 2i + 1, any other (NaN included) the upper half 2i + 2
-        node = np.zeros(n_rays, dtype=int)
-        for _ in range(depth):
-            node = 2 * node + 2 - (vals[node, rays] >= level)
-        np.copyto(lows[0], lows[node, rays], where=active)
-        np.copyto(highs[0], highs[node, rays], where=active)
-    radii = np.where(unbounded, r_max, 0.5 * (lows[0] + highs[0]))
-    contour = radii[:, None] * directions * scale
-    half_widths = np.max(np.abs(contour), axis=0)
-    return half_widths, not bool(np.any(unbounded))
+    # per ray: its bracket, the objective at the bracket ends (+inf at the
+    # top until it is evaluated, which aims the first guess at 0) and the
+    # steps it has taken
+    lows, highs = [0.0] * n_rays, r_max.tolist()
+    low_values, high_values = [chi2_min] * n_rays, [math.inf] * n_rays
+    taken = [0] * n_rays
+    unbounded = np.zeros(n_rays, dtype=bool)
+    live = np.ones(n_rays, dtype=bool)
+    first = True
+    while True:
+        # each final radius lies in its ray's current bracket
+        floor = reach(np.where(unbounded, r_max, lows)).max(axis=0)
+        live &= ~(reach(np.where(unbounded, r_max, highs)) < floor).all(axis=1)
+        rays = [j for j in np.flatnonzero(live).tolist() if taken[j] < bisection_steps]
+        if not (first or rays):
+            break
+        radii = r_max.tolist() if first else []
+        owners = list(range(n_rays)) if first else []
+        # past CONTOUR_BATCH rays the first call evaluates only the tops
+        per_ray = max((CONTOUR_BATCH - len(radii)) // max(len(rays), 1), 0 if first else 1)
+        depth = (per_ray + 1).bit_length() - 1
+        head = depth - 1 if len(rays) <= TREE_RAYS else 0
+        plans = []
+        for j in rays:
+            a, b = lows[j], highs[j]
+            g_a = math.sqrt(max(low_values[j] - chi2_min, 0.0))
+            g_b = math.sqrt(max(high_values[j] - chi2_min, 0.0))
+            guess = a + (target - g_a) * (b - a) / (g_b - g_a) if g_b > g_a else b
+            remaining = bisection_steps - taken[j]
+            tree = remaining if remaining <= depth else head
+            steps = min(remaining, per_ray - 2**tree + 1 + tree)
+            # the tree's midpoints level by level, then the path below it
+            edges = [a, b]
+            for _ in range(tree):
+                mids = [0.5 * (x + y) for x, y in zip(edges, edges[1:])]
+                radii += mids
+                edges[1:] = [e for pair in zip(mids, edges[1:]) for e in pair]
+            for k in range(steps):
+                mid = 0.5 * (a + b)
+                if k >= tree:
+                    radii.append(mid)
+                if mid >= guess:
+                    b = mid
+                else:
+                    a = mid
+            owners += [j] * (2**tree - 1 + steps - tree)
+            plans.append((j, tree, steps, guess))
+        # radii[k] lies on ray owners[k]; clip shields the objective from float
+        # round-off past the box edge
+        pts = np.clip(optimum + np.array(radii)[:, None] * directions[owners] * scale, lo, hi)
+        values = np.asarray(objective(pts), dtype=float).reshape(len(radii)).tolist()
+        at = 0
+        if first:
+            high_values, at, first = values[:n_rays], n_rays, False
+            unbounded = np.array(high_values) < level
+            live &= ~unbounded
+            if np.any(unbounded):
+                warnings.warn(
+                    "chi-square doubling contour not bracketed within bounds on "
+                    f"{int(unbounded.sum())}/{n_rays} rays; widths are one-sided there",
+                    stacklevel=2,
+                )
+        for j, tree, steps, guess in plans:
+            # walk the tree (node i has halves 2i + 1 and 2i + 2), then the path
+            # while every decision so far was the guessed one; a value at or
+            # above the level keeps the lower half, any other (NaN too) the upper
+            a, b = lows[j], highs[j]
+            node, guessed, path = 0, True, at + 2**tree - 1 - tree
+            for k in range(steps):
+                if k >= tree and not guessed:
+                    break
+                value = values[at + node if k < tree else path + k]
+                mid = 0.5 * (a + b)
+                above = value >= level
+                guessed = guessed and above == (mid >= guess)
+                if above:
+                    b, high_values[j] = mid, value
+                else:
+                    a, low_values[j] = mid, value
+                node = 2 * node + 2 - above
+                taken[j] += 1
+            lows[j], highs[j] = a, b
+            at = path + steps
+    radii = np.where(unbounded, r_max, 0.5 * (np.array(lows) + np.array(highs)))
+    return reach(radii).max(axis=0), not bool(np.any(unbounded))
 
 
 def fit_source(measurements, config: DEConfig, noise_model: str = "numeric_oracle") -> FitResult:

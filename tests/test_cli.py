@@ -504,6 +504,7 @@ class TestFitCommand:
             b'[1, 2]',
             b'{"channels": [{"channel": "diff", "value": [0.15], "variance": 1e-6}]}',
             b'{"channels": [{"channel": "diff", "value": "abc", "variance": 1e-6}]}',
+            _sample_noises_with(0, "value", "0.15"),
             b'{"channels": [{"channel": "diff", "value": 0.15, "variance": 1e-6, "eta": null}]}',
             b'{"channels": [{"channel": "diff", "value": 1' + b"0" * 400 + b', "variance": 1}]}',
             b'{"channels": [{"channel": "diff\xff", "value": 0.15, "variance": 1e-6}]}',
@@ -517,6 +518,7 @@ class TestFitCommand:
             "list",
             "list-value",
             "text-value",
+            "numeric-text-value",
             "null-eta",
             "huge-int",
             "utf8",
@@ -568,6 +570,7 @@ class TestFitCommand:
         [
             (0, "value", 1e200, "log-scale variance"),
             (0, "value", math.inf, "log-scale variance"),
+            (0, "value", 1e-300, "log-scale variance"),
             (1, "variance", 5e-324, "log-scale variance"),
             (1, "eta", 1e-170, "eta is too small"),
         ],

@@ -8,8 +8,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
+    log_uniform,
     reference_chi_square_batch,
     reference_differential_evolution,
     sequential_chi2_doubling,
@@ -17,7 +20,6 @@ from oracles import (
 from qcrbench import inference
 from qcrbench.errors import NonPhysicalError, SchemaError
 from qcrbench.inference import (
-    LEVELS_PER_CALL,
     DEConfig,
     DEResult,
     NoiseMeasurement,
@@ -94,6 +96,39 @@ CONTOUR_CASES = {
     "chi2_fit_c": (lambda: fitted_objective(97, 1), True),
     "chi2_fit_printed": (lambda: fitted_objective(11, 3, "printed_formulas"), False),
 }
+
+
+@st.composite
+def contour_problems(draw):
+    """A bowl on BOX, maybe with plateaus, a NaN or inf hole, or jitter.
+
+    The centre lies on an edge, a corner or inside, the widths span four
+    decades of the box, plateaus make the secant through two values flat,
+    and a jitter of 1e-13 relative, a fixed function of the point, makes
+    the last bisection decisions unpredictable.
+    """
+    center = [draw(st.sampled_from(edge) | st.floats(*edge)) for edge in BOX]
+    widths = [(hi - lo) * draw(log_uniform(-4)) for lo, hi in BOX]
+    chi2_min = draw(st.just(0.0) | log_uniform(-3).map(lambda x: 30.0 * x))
+    plateau = draw(st.sampled_from([0.0, 1e-3, 0.3]))
+    hole = draw(st.sampled_from([None, np.nan, np.inf]))
+    hole_above = draw(st.floats(*BOX[1]))
+    jitter = draw(st.sampled_from([0.0, 1e-13]))
+
+    def objective(points):
+        ds = (points[:, 0] - center[0]) / widths[0]
+        dt = (points[:, 1] - center[1]) / widths[1]
+        values = ds * ds + dt * dt
+        if plateau:
+            values = np.floor(values / plateau) * plateau
+        values += chi2_min
+        if jitter:
+            values *= 1.0 + jitter * np.modf(1e7 * points[:, 0] + 3e7 * points[:, 1])[0]
+        if hole is not None:
+            values[points[:, 1] > hole_above] = hole
+        return values
+
+    return objective, np.array(center), chi2_min, draw(st.integers(1, 4))
 
 
 def same_bits(a, b) -> bool:
@@ -213,6 +248,8 @@ class TestNoiseMeasurement:
             (1e200, 1e-6),  # (N ln 10)^2 overflows
             (1.0, 5e-324),  # log variance underflows to 0
             (1e-160, 1.0),  # log variance overflows
+            (1e-300, 1e-6),  # (N ln 10)^2 underflows to 0
+            (5e-324, 1.0),  # (N ln 10)^2 underflows to 0
         ],
     )
     def test_log_variance_must_be_finite_and_positive(self, value, variance):
@@ -514,9 +551,13 @@ class TestChi2Doubling:
             )
         assert np.array_equal(widths, want_widths)
         assert bounded == want_bounded == closes
-        assert len(batch_sizes) == 1 + math.ceil(steps / LEVELS_PER_CALL)
-        depths = [min(LEVELS_PER_CALL, steps - k) for k in range(0, steps, LEVELS_PER_CALL)]
-        assert batch_sizes == [n_rays] + [(2**d - 1) * n_rays for d in depths]
+        # the first call evaluates every bracket top and the path of each ray
+        # that keeps halving its bracket; every call takes a step on each ray
+        # it refines
+        first_path = min(steps, (inference.CONTOUR_BATCH - n_rays) // n_rays)
+        assert batch_sizes[0] == n_rays * (1 + first_path)
+        assert len(batch_sizes) <= max(steps, 1)
+        assert max(batch_sizes) <= inference.CONTOUR_BATCH
 
     def test_optimum_on_box_edge_raises_no_runtime_warning(self):
         # the ray along the T_a = 0.5 edge divides 0 by 0 for its distance to it
@@ -530,6 +571,30 @@ class TestChi2Doubling:
                 )
         assert not bounded
         assert np.all(np.isfinite(widths)) and np.all(widths > 0.0)
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(problem=contour_problems(), steps=st.integers(0, 64), n_rays=st.integers(1, 100))
+    def test_matches_sequential_bisection(self, problem, steps, n_rays):
+        objective, optimum, chi2_min, dof = problem
+        batch_sizes = []
+
+        def counted(points):
+            batch_sizes.append(points.shape[0])
+            return objective(points)
+
+        with warnings.catch_warnings():
+            # unbracketed rays warn on both routes
+            warnings.simplefilter("ignore", UserWarning)
+            warnings.simplefilter("error", RuntimeWarning)
+            widths, bounded = uncertainty_by_chi2_doubling(
+                counted, optimum, chi2_min, dof, BOX, n_rays=n_rays, bisection_steps=steps
+            )
+            want_widths, want_bounded = sequential_chi2_doubling(
+                objective, optimum, chi2_min, dof, BOX, n_rays=n_rays, bisection_steps=steps
+            )
+        assert same_bits(widths, want_widths)
+        assert bounded == want_bounded
+        assert max(batch_sizes) <= inference.CONTOUR_BATCH
 
     def test_unbracketed_contour_warns(self):
         def flat(points):
@@ -629,9 +694,27 @@ class TestFitSource:
         assert len(calls) == len(de) + len(contour)
         assert len(de) == 1 + fit.generations
         assert de == [config.population] + [config.population - 1] * fit.generations
-        # 1 + ceil(60 bisection steps / LEVELS_PER_CALL) calls over 64 rays
-        assert len(contour) == 21
-        assert sum(contour) == 9024
+        # 60 bisection steps on 64 rays, which a call per step would make in 61
+        assert contour == [512, 512, 480, 306, 267, 260, 31]
+
+    def test_contour_calls_over_criterion_08_fits(self):
+        # the benchmark's fit_coverage inputs of seed 1; one bisection step
+        # per call would make 61 calls
+        calls = []
+        for i in range(1, 121):
+            objective, optimum, chi2_min, dof = fitted_objective(1, i)
+            batch_sizes = []
+
+            def counted(points):
+                batch_sizes.append(points.shape[0])
+                return objective(points)
+
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                uncertainty_by_chi2_doubling(counted, optimum, chi2_min, dof, BOX)
+            assert max(batch_sizes) <= inference.CONTOUR_BATCH
+            calls.append(len(batch_sizes))
+        assert np.mean(calls) <= 8
 
     def test_peak_memory_per_member(self):
         # the model's temporaries set the peak; the parent of the in-place
