@@ -5,7 +5,9 @@ The transmission estimator subtracts an electronically attenuated copy of
 the conjugate photocurrent from the probe photocurrent, n_p - g n_c, with g
 chosen to cancel as much common intensity noise as possible.  Its variance
 (in transmission units) is compared against the Gaussian bounds elsewhere;
-for this source family the optimized estimator saturates them.
+for this source family the optimized estimator saturates them.  At that
+optimal gain the variance in shot-noise units is set by the detected
+covariance alone, so it reads no displacement and no seed photon number.
 
 The spectrum-analyzer model follows the classic two-channel layout: split,
 mix against quadrature local oscillators, low-pass with the resolution
@@ -106,16 +108,16 @@ class MeasurementPlan:
 class RampResult:
     """Outcome of one simulated modulation ramp.
 
-    ``passes`` counts the window passes of the line fit (0 for a noiseless
-    ramp, which fits none), and ``converged`` is False only where the
-    pass cap, not the stopping rule of `_iterated_line_fit`, ended them.
+    ``passes`` counts the window passes of the line fit, and ``converged``
+    is False only where the pass cap, not the stopping rule of
+    `_iterated_line_fit`, ended them.
     """
 
     delta_T_at_snr1: float
     snr_trace: np.ndarray
-    amplitudes: np.ndarray = field(repr=False, default=None)
-    passes: int = 0
-    converged: bool = True
+    amplitudes: np.ndarray = field(repr=False)
+    passes: int
+    converged: bool
 
 
 def transmission_variance(chain, T: float, n_r: float = 1.0, g: float | None = None) -> float:
@@ -133,31 +135,33 @@ def transmission_variance(chain, T: float, n_r: float = 1.0, g: float | None = N
     so per incident photon, in shot-noise units and with no photon number,
     var_n = (T / eta_p) Var(n_p - g n_c) / <n_p>
           = root^2 sigma_pp + q (q sigma_cc - 2 root sigma_pc),
-    root = sqrt(T / eta_p), q = root g d_c / d_p (root sigma_pc / sigma_cc at
-    g*).  The errors are those of the 4x4 route on ``state_at(T)``
-    (``optimal_gain`` and ``estimator_variance`` in ``tests/oracles.py``).
-    The result is rescaled to n_r probing photons.
+    root = sqrt(T / eta_p) and q = root g d_c / d_p.  At g* the displacements
+    cancel, q = root sigma_pc / sigma_cc (0 for a dark conjugate, whose
+    sigma_pc is 0), and g = 0 gives q = 0: neither reads a displacement, so
+    the result does not depend on the seed's photon number.  Whether probe
+    light is seen is decided by the loss budget (T_p = 0 or eta_p = 0 is
+    dark).  A fixed gain g != 0 reads d_c / d_p and also rejects a probe or
+    conjugate displacement of 0, underflowed or not.  The result is rescaled
+    to n_r probing photons.
     """
     if not (0.0 < T <= 1.0):
         raise ValueError("transmission T must lie in (0, 1]")
     if not n_r > 0.0:
         raise ValueError("probing photon number must be positive")
-    d_p, d_c, s_pp, s_pc, s_cc = chain.sector_at(T)
-    # the guards test the sector itself, never a photon-number product that
-    # could underflow at one seed and not at another
-    if d_p == 0.0:
+    budget = chain.budget
+    if budget.T_p == 0.0 or budget.eta_p == 0.0:
         raise BrightLimitError("no probe light reaches the detector")
-    ratio = T / chain.budget.eta_p
+    d_p, d_c, s_pp, s_pc, s_cc = chain.sector_at(T)
+    ratio = T / budget.eta_p
     root = math.sqrt(ratio)
-    q = 0.0
-    if d_c == 0.0:
-        # a dark conjugate carries no usable correlation: g* = 0
-        if g is not None and g != 0.0:
-            raise BrightLimitError("bright-limit approximation invalid: mode 1 has zero mean field")
-    elif g is None:
-        if s_cc == 0.0:
-            raise NonPhysicalError("conjugate photocurrent has zero variance")
+    if g is None:
         q = root * s_pc / s_cc
+    elif g == 0.0:
+        q = 0.0
+    elif d_p == 0.0:
+        raise BrightLimitError("no probe light reaches the detector")
+    elif d_c == 0.0:
+        raise BrightLimitError("bright-limit approximation invalid: mode 1 has zero mean field")
     else:
         # root is folded in before q is squared: g d_c / d_p alone can overflow
         q = root * g * d_c / d_p
@@ -363,8 +367,9 @@ def snr_ramp_simulate(
 
     Each spectrum-analyzer bin of duration effective_time(filter) yields the
     demodulated power of the modulation tone plus Gaussian estimator noise
-    of variance `noise_variance` (from `transmission_variance`; finite and
-    >= 0, else `ValueError`); modulation amplitudes are in RMS transmission
+    of variance `noise_variance` (from `transmission_variance`, which never
+    returns 0; positive and finite, else `ValueError`: a noiseless ramp has
+    no SNR = 1 crossing); modulation amplitudes are in RMS transmission
     units.  Per bin, SNR = (P - mean noise power) / mean noise power, where
     the mean noise power is that of a noise-only reference trace of as many
     bins, drawn as the one Gamma variate it is distributed as.  The line
@@ -384,8 +389,8 @@ def snr_ramp_simulate(
     arithmetic runs in place in arrays of this call, with the bits of the
     plain expressions noted beside each step.
     """
-    if not (noise_variance >= 0.0 and math.isfinite(noise_variance)):
-        raise ValueError("noise variance must be finite and >= 0")
+    if not (noise_variance > 0.0 and math.isfinite(noise_variance)):
+        raise ValueError("noise variance must be positive and finite")
     n_bins = plan.trials
     # times = (np.arange(n_bins) + 0.5) * effective_time(plan.filter)
     times = np.arange(n_bins, dtype=float)
@@ -395,13 +400,6 @@ def snr_ramp_simulate(
     del times
     if amplitudes.shape != (n_bins,):
         raise ValueError(f"the modulation profile must give one amplitude per bin ({n_bins})")
-    if noise_variance == 0.0:
-        # noiseless limit: any modulation is resolved, the crossing sits at zero
-        return RampResult(
-            delta_T_at_snr1=0.0,
-            snr_trace=np.full(n_bins, np.inf),
-            amplitudes=amplitudes,
-        )
     scale = math.sqrt(noise_variance / 2.0)
     noise_rng = np.random.default_rng(np.random.SeedSequence([plan.rng_seed, 0]))
     signal_rng = np.random.default_rng(np.random.SeedSequence([plan.rng_seed, 1]))
@@ -411,11 +409,7 @@ def snr_ramp_simulate(
             # draws, noise_variance Gamma(1, 1), so its mean over the bins is the one
             # variate noise_variance Gamma(n_bins, 1) / n_bins
             noise_power = noise_variance * (noise_rng.standard_gamma(n_bins) / n_bins)
-            # standard_normal(out=draws) then *= scale: the bits of normal(0.0, scale, (2, n_bins))
-            draws = np.empty((2, n_bins))
-            signal_rng.standard_normal(out=draws)
-            draws *= scale
-            in_phase, quadrature = draws
+            in_phase, quadrature = signal_rng.normal(0.0, scale, (2, n_bins))
             # power = (amplitudes + in_phase) ** 2 + quadrature**2
             np.add(amplitudes, in_phase, out=in_phase)
             np.square(in_phase, out=in_phase)

@@ -245,16 +245,20 @@ def four_by_four_transmission_variance(chain: ProbeChain, T: float, g=None):
     T_a), the count d_c^2 / 4 of a lit conjugate that the gain reads (tiny
     s), or its squared count derivative (s = 0 at tiny T_a), is not a
     normal float, 0 included: there this route has lost its own precision
-    and has no value to compare.  Only a mode with no light at all is dark,
-    and its error comes first.
+    and has no value to compare.  A loss budget with T_p = 0 or eta_p = 0
+    is dark, and its error comes first; a fixed gain g != 0 also rejects a
+    probe or conjugate displacement of 0.
     """
+    if chain.budget.T_p == 0.0 or chain.budget.eta_p == 0.0:
+        raise BrightLimitError("no probe light reaches the detector")
     state = three_stage_state(chain, T)
     n_detected = bright_mean_photon(state, 0)
     conj_lit = state.mode_displacement(1).any()
-    if not state.mode_displacement(0).any():
-        raise BrightLimitError("no probe light reaches the detector")
-    if g is not None and g != 0.0 and not conj_lit:
-        raise BrightLimitError("bright-limit approximation invalid: mode 1 has zero mean field")
+    if g is not None and g != 0.0:
+        if not state.mode_displacement(0).any():
+            raise BrightLimitError("no probe light reaches the detector")
+        if not conj_lit:
+            raise BrightLimitError("bright-limit approximation invalid: mode 1 has zero mean field")
     counts = [n_detected]
     if conj_lit and (g is None or g != 0.0):
         counts.append(bright_mean_photon(state, 1))

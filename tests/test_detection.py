@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from oracles import (
     coherent_state,
     crossing_standard_error,
     estimator_variance,
+    log_uniform,
     optimal_gain,
     polyfit_iterated_line_fit,
     polyfit_windows,
@@ -156,21 +158,39 @@ class TestTransmissionVariance:
             transmission_variance(chain, 0.5) / 2e9, rel=1e-12
         )
 
-    def test_light_is_seen_whatever_the_seed(self):
-        # s = 0, T_a = 1e-300, T = 1e-30: at 10^4 seed photons the detected count
-        # d_p^2 / 4 underflows to 0, but d_p itself is a normal float
-        params = [SourceParams(s=0.0, T_a=1e-300, seed_photons=n) for n in (1e4, 1e12)]
-        chains = [build_chain(p, BUDGET) for p in params]
-        d_p = chains[0].sector_at(1e-30)[0]
-        assert d_p * d_p / 4.0 == 0.0 < d_p
-        dim, bright = (transmission_variance(chain, 1e-30) for chain in chains)
-        assert dim == bright == pytest.approx(qcrb_coherent(1e-30, 1.0, BUDGET.eta_p).var_n)
+    @pytest.mark.parametrize("t, eta_p", [(1e-30, 0.945), (1e-48, 1e-304)])
+    def test_light_is_seen_whatever_the_seed(self, t, eta_p):
+        # s = 0, T_a = 1e-300: at 10^4 seed photons the detected count d_p^2 / 4
+        # underflows to 0 at T = 1e-30, and at T = 1e-48, eta_p = 1e-304 so does
+        # d_p itself; g* and g = 0 read no displacement
+        budget = LossBudget(T_p=0.973, eta_p=eta_p, eta_c=0.919)
+        chains = [
+            build_chain(SourceParams(s=0.0, T_a=1e-300, seed_photons=n), budget)
+            for n in (1e4, 1e6, 1e12)
+        ]
+        d_p = chains[0].sector_at(t)[0]
+        assert d_p * d_p / 4.0 == 0.0
+        for g in (None, 0.0):
+            dim, mid, bright = (transmission_variance(chain, t, g=g) for chain in chains)
+            assert dim == mid == bright == pytest.approx(qcrb_coherent(t, 1.0, eta_p).var_n)
+
+    def test_fixed_gain_rejects_an_underflowed_probe(self):
+        # a lit conjugate and a d_p that underflows to 0 behind a lit budget:
+        # g* reads no displacement, a fixed gain would divide by d_p
+        budget = LossBudget(T_p=1e-300, eta_p=1e-304, eta_c=0.919)
+        chain = build_chain(SourceParams(s=0.5, T_a=1e-300, seed_photons=1e4), budget)
+        d_p, d_c = chain.sector_at(1e-48)[:2]
+        assert d_p == 0.0 < d_c
+        assert transmission_variance(chain, 1e-48) == pytest.approx(1e256)
+        with pytest.raises(BrightLimitError, match="no probe light"):
+            transmission_variance(chain, 1e-48, g=1.0)
 
     def test_dark_modes_rejected(self):
-        no_probe = build_chain(PARAMS, LossBudget(T_p=0.0, eta_p=0.945, eta_c=0.919))
-        with pytest.raises(BrightLimitError, match="no probe light"):
-            transmission_variance(no_probe, 0.5)
-        # without squeezing the conjugate is dark: only g = 0 reads it
+        for dark in (LossBudget(T_p=0.0, eta_p=0.945, eta_c=0.919), LossBudget(0.973, 0.0, 0.919)):
+            for g in (None, 0.0, 1.0):
+                with pytest.raises(BrightLimitError, match="no probe light"):
+                    transmission_variance(build_chain(PARAMS, dark), 0.5, g=g)
+        # without squeezing the conjugate is dark and sigma_pc is 0, so g* gives g = 0
         no_conjugate = build_chain(SourceParams(s=0.0, T_a=0.71), BUDGET)
         assert no_conjugate.sector_at(0.5)[1] == 0.0
         assert transmission_variance(no_conjugate, 0.5) == transmission_variance(
@@ -185,6 +205,56 @@ class TestTransmissionVariance:
         chain = build_chain(SourceParams(s=20.0, T_a=0.575), BUDGET)
         with pytest.raises(NonPhysicalError, match="not positive"):
             transmission_variance(chain, 0.85)
+
+
+def _outcome(params: SourceParams, budget: LossBudget, t: float, g):
+    """The bits of `transmission_variance` at t, or the type of its error."""
+    try:
+        return transmission_variance(build_chain(params, budget), t, g=g).hex()
+    except Exception as exc:
+        return type(exc)
+
+
+_EFFICIENCY = st.sampled_from([0.0, 1.0]) | log_uniform(-320.0)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(
+    s=st.just(0.0) | st.floats(0.0, 3.5),
+    t_a=log_uniform(-300.0),
+    t=log_uniform(-320.0),
+    budget=st.builds(LossBudget, T_p=_EFFICIENCY, eta_p=_EFFICIENCY, eta_c=_EFFICIENCY),
+    g=st.sampled_from([None, 0.0]),
+)
+def test_estimator_ignores_the_seed(s, t_a, t, budget, g):
+    # at g* and g = 0 the estimator reads no displacement, so the seed's
+    # photon number reaches neither its bits nor its errors, even where a
+    # detected displacement underflows at one seed and not at another
+    first, *others = (
+        _outcome(SourceParams(s=s, T_a=t_a, seed_photons=n), budget, t, g)
+        for n in (1e4, 1e6, 1e12)
+    )
+    assert all(other == first for other in others)
+
+
+def test_cli_simulate_ignores_the_seed_where_d_p_underflows(tmp_path):
+    # the detected probe displacement underflows to 0 at 10^4 seed photons,
+    # not at 10^12: simulate exits 0 at both, with the same data rows
+    sample = os.path.join(os.path.dirname(__file__), "..", "docs", "sample_config.txt")
+    with open(sample, encoding="utf-8") as handle:
+        text = handle.read()
+    for key, value in (("s", "0"), ("T_a", "1e-300"), ("T_grid", "1e-48"), ("eta_p", "1e-304")):
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    rows = []
+    for photons in ("1e4", "1e6", "1e12"):
+        config = tmp_path / f"dim-{photons}.txt"
+        config.write_text(re.sub(r"^seed_photons = .*$", f"seed_photons = {photons}", text, flags=re.M))
+        out = tmp_path / f"dim-{photons}.csv"
+        args = ["simulate", "--config", str(config), "--trials", "10000", "--seed", "7"]
+        assert main([*args, "--out", str(out)]) == 0
+        rows.append([row for row in out.read_text().splitlines() if not row.startswith("#")])
+    assert rows[0] == rows[1] == rows[2]
+    assert len(rows[0]) == 2
 
 
 class TestSnrRamp:
@@ -215,10 +285,14 @@ class TestSnrRamp:
         ramp = snr_ramp_simulate(plan, profile, var_t)
         assert ramp.delta_T_at_snr1 == pytest.approx(math.sqrt(var_t), rel=0.1)
 
-    def test_zero_noise_degenerates_to_zero(self):
-        plan = self.plan(trials=100)
-        ramp = snr_ramp_simulate(plan, linear_ramp(1.0, plan.ramp_duration), 0.0)
-        assert ramp.delta_T_at_snr1 == 0.0
+    def test_zero_noise_rejected_before_the_profile(self):
+        # transmission_variance never returns 0, and a noiseless ramp has no
+        # SNR = 1 crossing: zero noise is rejected before the profile is read
+        def profile(t):
+            raise AssertionError("the profile was evaluated")
+
+        with pytest.raises(ValueError, match="noise variance must be positive and finite"):
+            snr_ramp_simulate(self.plan(trials=100), profile, 0.0)
 
     def test_tiny_noise_recovers_ramp(self):
         var_t = 1e-12
@@ -264,10 +338,10 @@ class TestSnrRamp:
             # modulation never rises above a tiny fraction of the noise
             snr_ramp_simulate(plan, linear_ramp(1e-3, plan.ramp_duration), var_t)
 
-    @pytest.mark.parametrize("variance", [math.nan, math.inf, -math.inf, -1e-300])
+    @pytest.mark.parametrize("variance", [math.nan, math.inf, -math.inf, -1e-300, 0.0])
     def test_bad_noise_variance_rejected(self, variance):
         plan = self.plan(trials=500)
-        with pytest.raises(ValueError, match="noise variance must be finite and >= 0"):
+        with pytest.raises(ValueError, match="noise variance must be positive and finite"):
             snr_ramp_simulate(plan, linear_ramp(1.0, plan.ramp_duration), variance)
 
     def test_reference_power_is_one_gamma_variate(self, monkeypatch):
@@ -333,9 +407,8 @@ class TestSnrRamp:
         var_t = 0.04
         plan = self.plan(trials=2_000, seed=9)
         profile = linear_ramp(5.0 * math.sqrt(var_t), plan.ramp_duration)
-        for variance in (var_t, 0.0):
-            ramp = snr_ramp_simulate(plan, profile, variance)
-            assert not np.shares_memory(ramp.snr_trace, ramp.amplitudes)
+        ramp = snr_ramp_simulate(plan, profile, var_t)
+        assert not np.shares_memory(ramp.snr_trace, ramp.amplitudes)
 
     def test_peak_memory_in_bin_sized_arrays(self):
         bins = 100_000
@@ -684,8 +757,6 @@ class TestWindowStoppingRule:
         # without the rule this window alternated until the 10-pass cap
         ramp = snr_ramp_simulate(plan, profile, var_t)
         assert (ramp.passes, ramp.converged) == (3, True)
-        noiseless = snr_ramp_simulate(plan, profile, 0.0)
-        assert (noiseless.passes, noiseless.converged) == (0, True)
 
     def test_line_fit_unpacks_as_slope_and_intercept(self):
         mod_power = np.linspace(0.5, 4.0, 40)
