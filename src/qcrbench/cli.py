@@ -140,8 +140,9 @@ def _load_noise_file(path: str) -> list:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
-        except ValueError as exc:
-            # JSONDecodeError and UnicodeDecodeError (a file that is not UTF-8)
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError, UnicodeDecodeError (a file that is not UTF-8) and
+            # RecursionError (arrays or objects nested past the interpreter's limit)
             raise SchemaError(f"noise file is not valid UTF-8 JSON: {exc}") from exc
     channels = payload.get("channels") if isinstance(payload, dict) else None
     if not isinstance(channels, list):

@@ -181,4 +181,8 @@ def load_config(path: str | None) -> WorkbenchConfig:
     if path is None:
         return parse_config_text("")
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_config_text(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file is not valid UTF-8: {exc}") from exc
+    return parse_config_text(text)

@@ -120,13 +120,13 @@ class RampResult:
     converged: bool
 
 
-def transmission_variance(chain, T: float, n_r: float = 1.0, g: float | None = None) -> float:
+def transmission_variance(chain, T: float, n_r: float = 1.0) -> float:
     """Variance of the transmission estimate from the optimized measurement.
 
-    Var(T_est) = Var(n_p - g n_c) / (d<n_p - g n_c>/dT)^2, where the mean
-    conjugate count is T-independent and <n_p> is exactly linear in T, so
-    the derivative equals <n_p>/T at the detector.  With g = None the
-    optimal gain g* = Cov(n_p, n_c) / Var(n_c) is used.
+    Var(T_est) = Var(n_p - g n_c) / (d<n_p - g n_c>/dT)^2 at the optimal gain
+    g = Cov(n_p, n_c) / Var(n_c).  The mean conjugate count is T-independent
+    and <n_p> is exactly linear in T, so the derivative equals <n_p>/T at the
+    detector.
 
     `chain` is any chain builder exposing ``sector_at(T)``, the detected x
     sector (d_p, d_c, sigma_pp, sigma_pc, sigma_cc), and ``budget`` (e.g.
@@ -135,14 +135,12 @@ def transmission_variance(chain, T: float, n_r: float = 1.0, g: float | None = N
     so per incident photon, in shot-noise units and with no photon number,
     var_n = (T / eta_p) Var(n_p - g n_c) / <n_p>
           = root^2 sigma_pp + q (q sigma_cc - 2 root sigma_pc),
-    root = sqrt(T / eta_p) and q = root g d_c / d_p.  At g* the displacements
-    cancel, q = root sigma_pc / sigma_cc (0 for a dark conjugate, whose
-    sigma_pc is 0), and g = 0 gives q = 0: neither reads a displacement, so
-    the result does not depend on the seed's photon number.  Whether probe
-    light is seen is decided by the loss budget (T_p = 0 or eta_p = 0 is
-    dark).  A fixed gain g != 0 reads d_c / d_p and also rejects a probe or
-    conjugate displacement of 0, underflowed or not.  The result is rescaled
-    to n_r probing photons.
+    root = sqrt(T / eta_p) and q = root g d_c / d_p.  At the optimal gain the
+    displacements cancel, q = root sigma_pc / sigma_cc (0 for a dark
+    conjugate, whose sigma_pc is 0), so the result reads no displacement and
+    does not depend on the seed's photon number.  Whether probe light is
+    seen is decided by the loss budget (T_p = 0 or eta_p = 0 is dark).  The
+    result is rescaled to n_r probing photons.
     """
     if not (0.0 < T <= 1.0):
         raise ValueError("transmission T must lie in (0, 1]")
@@ -151,20 +149,10 @@ def transmission_variance(chain, T: float, n_r: float = 1.0, g: float | None = N
     budget = chain.budget
     if budget.T_p == 0.0 or budget.eta_p == 0.0:
         raise BrightLimitError("no probe light reaches the detector")
-    d_p, d_c, s_pp, s_pc, s_cc = chain.sector_at(T)
+    s_pp, s_pc, s_cc = chain.sector_at(T)[2:]
     ratio = T / budget.eta_p
     root = math.sqrt(ratio)
-    if g is None:
-        q = root * s_pc / s_cc
-    elif g == 0.0:
-        q = 0.0
-    elif d_p == 0.0:
-        raise BrightLimitError("no probe light reaches the detector")
-    elif d_c == 0.0:
-        raise BrightLimitError("bright-limit approximation invalid: mode 1 has zero mean field")
-    else:
-        # root is folded in before q is squared: g d_c / d_p alone can overflow
-        q = root * g * d_c / d_p
+    q = root * s_pc / s_cc
     var_n = ratio * s_pp + q * (q * s_cc - 2.0 * root * s_pc)
     variance = var_n / n_r
     if not (variance > 0.0 and math.isfinite(variance)):

@@ -257,13 +257,9 @@ def _coefficients(s, g, q):
     q = 0; any q > 0 stands in there, giving a = h = 0, G = 0 and M = I.
     """
     q = np.where(q > 0.0, q, 1.0)
-    qk = 0.25 * g
-    qk += q
-    h = 0.5 * s
-    h /= q
-    a = h * s
-    a /= qk
-    return q, qk, h, a
+    qk = 0.25 * g + q
+    h = 0.5 * s / q
+    return q, qk, h, h * s / qk
 
 
 def _vacuum_injection(s, g, q, qk, h, a):
@@ -462,6 +458,11 @@ def analytic_noises(s, T_a) -> NoiseTriple:
     xi = sqrt(16 s^2 + ln^2 T_a), and zeta = atanh(v) as ln(u / (1 - v)),
     which stays finite as s -> 0 where 1 + v cancels.  Accepts scalar or
     array input in the domain of `_source_domain`; scalar input gives floats.
+
+    The forms are finite in float64 up to xi ~ 712.5, where sinh(xi/4)^4 of
+    the difference form overflows: s up to 178.1 at T_a = 1, 43.7 at 1e-300,
+    9.7 at 1e-309 and no s > 0 below 3.5e-310.  `ValueError` names the first
+    (s, T_a) past that.
     """
     s, ta = _source_domain(s, T_a)
     pumped = s != 0.0
@@ -486,8 +487,13 @@ def analytic_noises(s, T_a) -> NoiseTriple:
             - 2.0 * root_ta * ((0.5 * u * u - 1.0) * np.cosh(0.5 * xi) + v * np.sinh(0.5 * xi))
         )
     diff, probe, conj = (np.where(pumped, x, 1.0) for x in (diff, probe, conj))
-    if not (np.isfinite(diff).all() and np.isfinite(probe).all() and np.isfinite(conj).all()):
-        raise ValueError("printed formulas overflow double precision (s above ~178)")
+    finite = np.isfinite(diff) & np.isfinite(probe) & np.isfinite(conj)
+    if not finite.all():
+        at = np.argmin(finite)  # flat index of the first overflow
+        raise ValueError(
+            "printed formulas overflow double precision at "
+            f"s = {float(s.flat[at])!r}, T_a = {float(ta.flat[at])!r}"
+        )
     if diff.ndim == 0:
         return NoiseTriple(diff=float(diff), probe=float(probe), conj=float(conj))
     return NoiseTriple(diff=diff, probe=probe, conj=conj)

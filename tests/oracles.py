@@ -12,7 +12,8 @@ Each recomputes a `qcrbench` result by an independent or more literal route:
 * the chain and the bounds: `three_stage_state`, the chain output from the
   full two-mode state, with `incident_photons`;
   `four_by_four_transmission_variance`, from the 4x4 photon-statistics
-  estimator `optimal_gain` and `estimator_variance`;
+  estimator `optimal_gain` and `estimator_variance`, also the only route
+  to the estimator at a fixed gain;
   `six_state_numeric_var_n`, the numeric bound from full chain states; and
   the `array_*` rate route to `qcrb_distributed`;
 * detection: `quadrature_effective_time`, `crossing_standard_error`, and the
@@ -239,8 +240,10 @@ def incident_photons(chain: ProbeChain) -> float:
 def four_by_four_transmission_variance(chain: ProbeChain, T: float, g=None):
     """Reference `transmission_variance` from the photon statistics of the two-mode state.
 
-    Takes `optimal_gain` and `estimator_variance` on `three_stage_state`, in
-    photon numbers normalized by the incident photons.  Returns None where
+    Takes `optimal_gain` (g = None) or the fixed gain g, and
+    `estimator_variance` on `three_stage_state`, in photon numbers
+    normalized by the incident photons; `transmission_variance` has only
+    the optimal gain, so fixed gains come from here alone.  Returns None where
     n_p or a variance d_i sigma_ii d_i / 4 of this route (T ~< 1e-295 at tiny
     T_a), the count d_c^2 / 4 of a lit conjugate that the gain reads (tiny
     s), or its squared count derivative (s = 0 at tiny T_a), is not a

@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import quadrature_effective_time
+from oracles import four_by_four_transmission_variance, quadrature_effective_time
 from qcrbench.bounds import (
     LossBudget,
     advantage_ratio,
@@ -121,8 +121,10 @@ def test_criterion_04_measurement_saturates_bound():
         bound = qcrb_numeric_gaussian(float(t), PARAMS, BUDGET, chain=chain).var_n
         measured = transmission_variance(chain, float(t))
         assert measured == pytest.approx(bound, rel=1e-6)
-        assert transmission_variance(chain, float(t), g=0.0) > bound * (1.0 + 1e-6)
-        assert transmission_variance(chain, float(t), g=1.0) > bound * (1.0 + 1e-6)
+        # fixed gains, discarding or fully subtracting the conjugate, from the
+        # photon statistics of the full state
+        assert four_by_four_transmission_variance(chain, float(t), 0.0) > bound * (1.0 + 1e-6)
+        assert four_by_four_transmission_variance(chain, float(t), 1.0) > bound * (1.0 + 1e-6)
     report(4, "optimized measurement saturates the bound")
 
 

@@ -432,19 +432,18 @@ def test_numeric_matches_closed_form_over_config_box(s, t_a, t, budget):
     t_a=log_uniform(-300.0),
     t=log_uniform(-300.0),
     budget=st.sampled_from(ORACLE_BUDGETS) | _BUDGETS,
-    g=st.sampled_from([None, 0.0, 1.0]),
 )
-def test_sector_variance_equals_four_by_four_route_over_config_box(s, t_a, t, budget, g):
+def test_sector_variance_equals_four_by_four_route_over_config_box(s, t_a, t, budget):
     # the estimator variance from the x sector keeps every error of the
     # two-mode photon statistics and its value to rounding
     chain = build_chain(SourceParams(s=s, T_a=t_a), budget)
     try:
-        expected = four_by_four_transmission_variance(chain, t, g)
+        expected = four_by_four_transmission_variance(chain, t)
     except WorkbenchError as exc:
         with pytest.raises(type(exc)):
-            transmission_variance(chain, t, g=g)
+            transmission_variance(chain, t)
         return
-    variance = transmission_variance(chain, t, g=g)
+    variance = transmission_variance(chain, t)
     if expected is None:
         assert 0.0 < variance < math.inf
     else:

@@ -1,11 +1,14 @@
 """Tests for the CLI, config parsing, and file emission contracts."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -224,6 +227,13 @@ class TestBoundsCommand:
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("bogus = 1\n")
         assert main(["bounds", "--config", str(cfg)]) == 3
+
+    def test_non_utf8_config_exits_3(self, tmp_path, capsys):
+        # a schema error, as for a noise file that is not UTF-8
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_bytes(b"s = \xff2.04\n")
+        assert main(["bounds", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err.startswith("error: config file is not valid UTF-8")
 
     def test_oversized_grid_exits_3(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
@@ -511,6 +521,7 @@ class TestFitCommand:
             _sample_noises_with(0, "value", True),
             _sample_noises_with(1, "variance", False),
             _sample_noises_with(1, "eta", True),
+            b"[" * 100_000,
         ],
         ids=[
             "null",
@@ -525,6 +536,7 @@ class TestFitCommand:
             "true-value",
             "false-variance",
             "true-eta",
+            "deep-nesting",
         ],
     )
     def test_malformed_noise_file_exits_3(self, tmp_path, capsys, body):
@@ -715,6 +727,169 @@ def test_usage_error_exits_2(argv, capsys):
     assert err.startswith("usage: qcrbench")
     last = err.splitlines()[-1]
     assert last.startswith("qcrbench") and ": error: " in last
+
+
+# values past or at the edge of the config domain, for any key, and per key
+_EDGE_VALUES = ["0", "-1", "1", "5e-324", "1e-320", "1e300", "1e400", "nan", "-inf", "", "abc"]
+_KEY_EDGES = {
+    "s": [repr(MAX_S), repr(math.nextafter(MAX_S, math.inf))],
+    "seed_photons": ["9999.999"],
+    "T_a": ["1e-300", "1e-315"],
+    "T_grid": [
+        "1e-320",
+        "1e-48",
+        "1",
+        "0.85:0.1:0.05",
+        "0.1:0.2:0",
+        "0.1:0.2",
+        "0.5,0.2",
+        "0.5,0.5",
+        ",",
+        f"0:1:{1.0 / MAX_GRID_POINTS!r}",
+    ],
+    "filter_kind": ["sync1", f"sync{MAX_POLES}", f"sync{MAX_POLES + 1}", "sync0", "syncx", "boxcar"],
+    "seed": ["-1", str(2**64), "1.5"],
+    "format": ["xml"],
+}
+
+
+@st.composite
+def _config_bodies(draw):
+    """A config file body: valid, with keys at or past their domain, or malformed."""
+    fault = draw(st.sampled_from(["none"] * 4 + ["edge", "edges", "line", "bytes"]))
+    lines = draw(_config_texts()).split("\n")
+    # the chain needs at least 10^4 seed photons; fewer is one of the edges
+    photons = draw(st.floats(1e4, 1e12))
+    lines = [f"seed_photons = {photons!r}" if x.startswith("seed_photons ") else x for x in lines]
+    for _ in range({"edge": 1, "edges": 2}.get(fault, 0)):
+        index = draw(st.integers(0, len(lines) - 1))
+        key = lines[index].split(" = ", 1)[0]
+        lines[index] = f"{key} = {draw(st.sampled_from(_EDGE_VALUES + _KEY_EDGES.get(key, [])))}"
+    if fault == "line":
+        lines.append(draw(st.sampled_from(["just words", "squeeze = 2.0", "s == 1"])))
+    body = "\n".join(lines).encode()
+    if fault == "bytes":
+        body = body.replace(b" = ", b" = \xff", 1)
+    return body
+
+
+_JSON_VALUES = [
+    "0.15", None, True, [0.15], {"v": 1}, math.nan, math.inf, -1.0, 0.0, -0.0,
+    1e-300, 5e-324, 1e300, 10**400, "diff",
+]
+
+
+@st.composite
+def _noise_bodies(draw):
+    """A noise file: the sample file with its JSON types, fields or channels broken, or raw bytes."""
+    kind = draw(st.sampled_from(["edit"] * 8 + ["truncate", "bytes"]))
+    if kind == "bytes":
+        return draw(
+            st.sampled_from(
+                [b"", b"{not json", b"[" * 100_000, b"\xff\xfe{}", b"null", b"[1, 2]", b'{"channels": {}}']
+            )
+        )
+    with open(_SAMPLE_NOISES) as handle:
+        data = json.load(handle)
+    channels = data["channels"]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+        entry = channels[draw(st.integers(0, len(channels) - 1))] if channels else {}
+        change = draw(st.sampled_from(["set", "drop", "extra", "copy", "remove", "rename"]))
+        key = draw(st.sampled_from(["channel", "value", "variance", "eta"]))
+        if change == "set":
+            entry[key] = draw(st.sampled_from(_JSON_VALUES))
+        elif change == "drop":
+            entry.pop(key, None)
+        elif change == "extra":
+            entry["gain"] = 1.0
+        elif change == "copy":
+            channels.append(dict(entry))
+        elif change == "remove" and channels:
+            channels.pop()
+        elif change == "rename":
+            entry["channel"] = draw(st.sampled_from(["DIFF", "probe", "conj", ""]))
+    # json.dumps writes NaN and Infinity, which json.load reads back
+    body = json.dumps(data).encode()
+    if kind == "truncate":
+        body = body[: draw(st.integers(0, len(body) - 1))]
+    return body
+
+
+_TOKENS = [
+    "bounds", "simulate", "fit", "sa-time", "--config", "--out", "--trials", "--seed", "--format",
+    "--population", "--max-generations", "--noise-model", "--filter", "--rbw", "--bogus", "-h",
+    "abc", "100", "-1", "1e400", "csv", "",
+]
+
+
+@st.composite
+def _invocations(draw, command):
+    """(argv, files): a `command` line over generated inputs, and the files it reads."""
+    if command == "argv":
+        # malformed command lines; a full default simulate is kept out for time
+        argv = draw(st.lists(st.sampled_from(_TOKENS), max_size=5))
+        if argv[:1] == ["simulate"]:
+            argv += ["--trials", "100"]
+        return argv, {}
+    if command == "sa-time":
+        rbw = draw(st.sampled_from(["51e3", "1", "0", "-1", "nan", "inf", "1e-320", "1e308", "abc"]))
+        kind = draw(st.sampled_from(["sync4", "gaussian", f"sync{MAX_POLES + 1}", "sync0", "x"]))
+        return ["sa-time", "--filter", kind, "--rbw", rbw], {}
+    # most runs read and write where they can, so that they reach the command
+    out = draw(st.sampled_from(["out.csv"] * 9 + [os.path.join("absent", "out.csv"), "."]))
+    if command == "fit":
+        argv = ["fit", "noises.json", "--out", out]
+        argv += ["--population", draw(st.sampled_from(["4", "16", "3", str(MAX_POPULATION + 1)]))]
+        argv += ["--max-generations", draw(st.sampled_from(["0", "3", "-3"]))]
+        argv += ["--seed", draw(st.sampled_from(["0", "5", "-1", str(2**70)]))]
+        argv += ["--noise-model", draw(st.sampled_from(["numeric_oracle", "printed_formulas"]))]
+        return argv, {"noises.json": draw(_noise_bodies())}
+    config = draw(st.sampled_from(["config.txt"] * 9 + ["absent.txt", "."]))
+    argv = [command, "--config", config, "--out", out]
+    argv += draw(st.sampled_from([[], ["--format", "json"], ["--format", "csv"]]))
+    if command == "simulate":
+        argv += ["--trials", draw(st.sampled_from(["100", "99", "-5", str(MAX_TRIALS + 1)]))]
+        argv += draw(st.sampled_from([[], ["--seed", "7"], ["--seed", "-7"], ["--seed", str(2**64)]]))
+    return argv, {"config.txt": draw(_config_bodies())}
+
+
+@pytest.mark.parametrize("command", ["bounds", "simulate", "fit", "sa-time", "argv"])
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_exit_code_contract_over_generated_input(command, data):
+    # 0 success, 2 I/O or usage, 3 schema, 4 domain: every failure is one of
+    # them with an error line, and no other exception (a RuntimeWarning
+    # included, which pytest makes an error here) leaves `main`
+    argv, files = data.draw(_invocations(command))
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)
+        try:
+            for name, body in files.items():
+                with open(name, "wb") as handle:
+                    handle.write(body)
+            err = io.StringIO()
+            usage = False
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                with warnings.catch_warnings():
+                    # an unbounded fit contour warns; that is not an error
+                    warnings.simplefilter("ignore", UserWarning)
+                    try:
+                        code = main(argv)
+                    except SystemExit as exc:
+                        code, usage = exc.code, True
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 2, 3, 4), (argv, code)
+    err = err.getvalue()
+    if code == 0:
+        return
+    if usage:
+        assert code == 2
+        last = err.splitlines()[-1]
+        assert last.startswith("qcrbench") and ": error: " in last, err
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 class TestLoadConfig:

@@ -15,6 +15,7 @@ from oracles import (
     coherent_state,
     crossing_standard_error,
     estimator_variance,
+    four_by_four_transmission_variance,
     log_uniform,
     optimal_gain,
     polyfit_iterated_line_fit,
@@ -38,7 +39,7 @@ from qcrbench.detection import (
     snr_ramp_simulate,
     transmission_variance,
 )
-from qcrbench.errors import BrightLimitError, NonPhysicalError
+from qcrbench.errors import BrightLimitError, NonPhysicalError, WorkbenchError
 from qcrbench.source import SourceParams
 
 PARAMS = SourceParams(s=2.04, T_a=0.71)
@@ -149,8 +150,8 @@ class TestTransmissionVariance:
     def test_discarding_conjugate_wastes_information(self):
         chain = build_chain(PARAMS, BUDGET)
         bound = qcrb_numeric_gaussian(0.84, PARAMS, BUDGET, chain=chain).var_n
-        assert transmission_variance(chain, 0.84, g=0.0) > bound * 10
-        assert transmission_variance(chain, 0.84, g=1.0) > bound * 1.5
+        assert four_by_four_transmission_variance(chain, 0.84, 0.0) > bound * 10
+        assert four_by_four_transmission_variance(chain, 0.84, 1.0) > bound * 1.5
 
     def test_photon_rescaling(self):
         chain = build_chain(PARAMS, BUDGET)
@@ -162,7 +163,7 @@ class TestTransmissionVariance:
     def test_light_is_seen_whatever_the_seed(self, t, eta_p):
         # s = 0, T_a = 1e-300: at 10^4 seed photons the detected count d_p^2 / 4
         # underflows to 0 at T = 1e-30, and at T = 1e-48, eta_p = 1e-304 so does
-        # d_p itself; g* and g = 0 read no displacement
+        # d_p itself; the estimator reads no displacement
         budget = LossBudget(T_p=0.973, eta_p=eta_p, eta_c=0.919)
         chains = [
             build_chain(SourceParams(s=0.0, T_a=1e-300, seed_photons=n), budget)
@@ -170,34 +171,20 @@ class TestTransmissionVariance:
         ]
         d_p = chains[0].sector_at(t)[0]
         assert d_p * d_p / 4.0 == 0.0
-        for g in (None, 0.0):
-            dim, mid, bright = (transmission_variance(chain, t, g=g) for chain in chains)
-            assert dim == mid == bright == pytest.approx(qcrb_coherent(t, 1.0, eta_p).var_n)
-
-    def test_fixed_gain_rejects_an_underflowed_probe(self):
-        # a lit conjugate and a d_p that underflows to 0 behind a lit budget:
-        # g* reads no displacement, a fixed gain would divide by d_p
-        budget = LossBudget(T_p=1e-300, eta_p=1e-304, eta_c=0.919)
-        chain = build_chain(SourceParams(s=0.5, T_a=1e-300, seed_photons=1e4), budget)
-        d_p, d_c = chain.sector_at(1e-48)[:2]
-        assert d_p == 0.0 < d_c
-        assert transmission_variance(chain, 1e-48) == pytest.approx(1e256)
-        with pytest.raises(BrightLimitError, match="no probe light"):
-            transmission_variance(chain, 1e-48, g=1.0)
+        dim, mid, bright = (transmission_variance(chain, t) for chain in chains)
+        assert dim == mid == bright == pytest.approx(qcrb_coherent(t, 1.0, eta_p).var_n)
 
     def test_dark_modes_rejected(self):
         for dark in (LossBudget(T_p=0.0, eta_p=0.945, eta_c=0.919), LossBudget(0.973, 0.0, 0.919)):
-            for g in (None, 0.0, 1.0):
-                with pytest.raises(BrightLimitError, match="no probe light"):
-                    transmission_variance(build_chain(PARAMS, dark), 0.5, g=g)
-        # without squeezing the conjugate is dark and sigma_pc is 0, so g* gives g = 0
+            with pytest.raises(BrightLimitError, match="no probe light"):
+                transmission_variance(build_chain(PARAMS, dark), 0.5)
+        # without squeezing the conjugate is dark and sigma_pc is 0, so the
+        # optimal gain is 0 and var_n is (T / eta_p) sigma_pp
         no_conjugate = build_chain(SourceParams(s=0.0, T_a=0.71), BUDGET)
         assert no_conjugate.sector_at(0.5)[1] == 0.0
-        assert transmission_variance(no_conjugate, 0.5) == transmission_variance(
-            no_conjugate, 0.5, g=0.0
+        assert transmission_variance(no_conjugate, 0.5) == (
+            0.5 / BUDGET.eta_p * no_conjugate.sector_at(0.5)[2]
         )
-        with pytest.raises(BrightLimitError, match="mode 1 has zero mean field"):
-            transmission_variance(no_conjugate, 0.5, g=1.0)
 
     def test_non_positive_variance_rejected(self):
         # far above config.MAX_S the estimator variance of the chain cancels in
@@ -207,11 +194,11 @@ class TestTransmissionVariance:
             transmission_variance(chain, 0.85)
 
 
-def _outcome(params: SourceParams, budget: LossBudget, t: float, g):
+def _outcome(params: SourceParams, budget: LossBudget, t: float):
     """The bits of `transmission_variance` at t, or the type of its error."""
     try:
-        return transmission_variance(build_chain(params, budget), t, g=g).hex()
-    except Exception as exc:
+        return transmission_variance(build_chain(params, budget), t).hex()
+    except (WorkbenchError, ValueError) as exc:
         return type(exc)
 
 
@@ -224,14 +211,13 @@ _EFFICIENCY = st.sampled_from([0.0, 1.0]) | log_uniform(-320.0)
     t_a=log_uniform(-300.0),
     t=log_uniform(-320.0),
     budget=st.builds(LossBudget, T_p=_EFFICIENCY, eta_p=_EFFICIENCY, eta_c=_EFFICIENCY),
-    g=st.sampled_from([None, 0.0]),
 )
-def test_estimator_ignores_the_seed(s, t_a, t, budget, g):
-    # at g* and g = 0 the estimator reads no displacement, so the seed's
-    # photon number reaches neither its bits nor its errors, even where a
-    # detected displacement underflows at one seed and not at another
+def test_estimator_ignores_the_seed(s, t_a, t, budget):
+    # the estimator reads no displacement, so the seed's photon number
+    # reaches neither its bits nor its errors, even where a detected
+    # displacement underflows at one seed and not at another
     first, *others = (
-        _outcome(SourceParams(s=s, T_a=t_a, seed_photons=n), budget, t, g)
+        _outcome(SourceParams(s=s, T_a=t_a, seed_photons=n), budget, t)
         for n in (1e4, 1e6, 1e12)
     )
     assert all(other == first for other in others)

@@ -523,8 +523,17 @@ class TestAnalyticNoises:
             analytic_noises(np.array([1.0, float("nan")]), 0.9)
         # sinh(xi/4)^4 overflows from s ~ 178, cosh(xi/2) from s ~ 355
         for s in (200.0, 400.0):
-            with pytest.raises(ValueError, match="overflow"):
+            with pytest.raises(ValueError, match=f"overflow .* at s = {s!r}, T_a = 0.9$"):
                 analytic_noises(np.array([1.0, s]), 0.9)
+
+    @pytest.mark.parametrize("s, ta", [(1e-9, 1e-315), (50.0, 1e-300)])
+    def test_overflow_names_the_point_at_small_internal_transmission(self, s, ta):
+        # xi = sqrt(16 s^2 + ln^2 T_a) passes ~712.5 far below s = 178 here,
+        # where the probe and conjugate forms are still finite
+        with pytest.raises(ValueError, match=f"overflow .* at s = {s!r}, T_a = {ta!r}$"):
+            analytic_noises(s, ta)
+        with pytest.raises(ValueError, match=f"at s = {s!r}, T_a = {ta!r}$"):
+            analytic_noises(np.array([0.5, s]), np.array([0.9, ta]))
 
     def test_vectorized_matches_scalar_loop(self):
         rng = np.random.default_rng(np.random.SeedSequence([2026, 5]))
