@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonPhysicalError
+from .errors import BrightLimitError, NonPhysicalError
 from .gaussian import GaussianState
 from .source import (
     SourceParams,
@@ -285,7 +285,7 @@ def _probe_derivative(chain: ProbeChain, T: float, d_p: float) -> None:
     fd = (plus - minus) / (2.0 * step)
     at_center = d_p if center == T else chain.sector_at(center)[0]
     reference = at_center / (2.0 * center)
-    # a product, not a ratio: with no probe light both are 0 and the Fisher check rejects T
+    # a product, not a ratio: where d_p underflows to 0 both are 0 and the Fisher check rejects T
     if abs(fd - reference) > _FD_MISMATCH_TOL * abs(reference):
         raise NonPhysicalError(
             f"analytic and finite-difference displacement derivatives disagree "
@@ -310,7 +310,9 @@ def qcrb_numeric_gaussian(
     for the n probe photons incident on the system.  In shot-noise units
     var_n = n / F = (T / eta_p) det / sigma_cc: no photon number, no seed.
     A pre-built `chain` shares its source sector and T_p stage over a T
-    grid; it must have been built from ``params`` and ``budget``.
+    grid; it must have been built from ``params`` and ``budget``.  A budget
+    with T_p = 0 is dark and raises `BrightLimitError`, as in
+    `detection.transmission_variance`.
     """
     _check_t_nr(T, n_r)
     if T == 0.0:
@@ -320,6 +322,9 @@ def qcrb_numeric_gaussian(
     elif (chain.params, chain.budget) != (params, budget):
         raise ValueError("the chain was built from other source parameters or loss budget")
     eta_p = _eta_p(budget.eta_p)
+    # a dark budget, named before the audit finds its 0 against 0
+    if budget.T_p == 0.0:
+        raise BrightLimitError("no probe light reaches the detector")
     d_p, _, s_pp, s_pc, s_cc = chain.sector_at(T)
     _probe_derivative(chain, T, d_p)
     det = s_pp * s_cc - s_pc * s_pc

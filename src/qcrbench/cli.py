@@ -104,6 +104,9 @@ def cmd_simulate(config: WorkbenchConfig, trials: int, out: str | None, fmt: str
         raise WorkbenchError("need at least 100 trials per transmission")
     if trials > MAX_TRIALS:
         raise WorkbenchError(f"at most {MAX_TRIALS} trials per transmission")
+    # the config accepts any integer seed; the ramps' SeedSequence needs one >= 0
+    if config.seed < 0:
+        raise WorkbenchError(f"--seed or config key 'seed' must be non-negative, not {config.seed}")
     chain = bounds.build_chain(config.source, config.budget)
     t_bin = detection.effective_time(config.filter)
     simulated = []

@@ -16,7 +16,10 @@ goes through it:
 All three enter the kernel through `_in_blocks`, which checks the domain.
 Every kernel step is elementwise, so `_in_blocks` runs batches larger than
 `_BLOCK` points one cache-sized block at a time, with the bits of a single
-whole-batch pass.
+whole-batch pass.  Each pass of a block is one plain (unmasked) SIMD loop:
+each kernel writes its last steps straight into the caller's slice of the
+outputs, so no block is copied, and `_exprel` fixes its x = 0 entries up
+around a plain divide instead of running a masked one.
 
 The finite stack stays as an independent audit of that limit:
 `layered_source` runs N slices and `converged_source` doubles N until the
@@ -216,12 +219,13 @@ def _source_domain(s, T_a):
     """
     s = np.asarray(s, dtype=float)
     ta = np.asarray(T_a, dtype=float)
-    s, ta = np.broadcast_arrays(s, ta)
-    # written so that NaN fails each test; the array method skips the
-    # dispatch wrapper of np.all, a few us a call
-    if not ((s >= 0.0) & (s < np.inf)).all():
+    if s.shape != ta.shape:
+        s, ta = np.broadcast_arrays(s, ta)
+    # min and max carry a NaN through and are written so that it fails each
+    # test; an empty batch has no value to reject
+    if s.size and not (s.min() >= 0.0 and s.max() < np.inf):
         raise ValueError("squeezing parameter s must be finite and >= 0")
-    if not ((ta > 0.0) & (ta <= 1.0)).all():
+    if ta.size and not (ta.min() > 0.0 and ta.max() <= 1.0):
         raise ValueError("internal transmission T_a must lie in (0, 1]")
     return s, ta
 
@@ -241,9 +245,16 @@ def _slice_rates(s, T_a):
 
 
 def _exprel(x: np.ndarray) -> np.ndarray:
-    """(e^x - 1)/x with its limit 1 at x = 0, written over the array x."""
+    """(e^x - 1)/x with its limit 1 at x = 0, written over the array x.
+
+    The x = 0 entries are set to 1 before a plain divide, so it raises no
+    0/0, and set to the limit 1 after it: a divide masked to skip them runs
+    about twice as long.
+    """
     zero = x == 0.0
-    np.divide(np.expm1(x), x, out=x, where=~zero)
+    numerator = np.expm1(x)
+    x[zero] = 1.0
+    np.divide(numerator, x, out=x)
     x[zero] = 1.0
     return x
 
@@ -255,8 +266,9 @@ def _coefficients(s, g, q):
     b e^{-qz}, h (e^{qz} - e^{-qz})), with a = (q - k)/2q = s^2/(2q(q + k)),
     b = 1 - a = (q + k)/2q and h = s/2q, so ab = h^2.  Only s = g = 0 has
     q = 0; any q > 0 stands in there, giving a = h = 0, G = 0 and M = I.
+    That 1 is written into q, the array `_slice_rates` made for the block.
     """
-    q = np.where(q > 0.0, q, 1.0)
+    q[q == 0.0] = 1.0
     qk = 0.25 * g + q
     h = 0.5 * s / q
     return q, qk, h, h * s / qk
@@ -310,6 +322,18 @@ def _vacuum_injection(s, g, q, qk, h, a):
     return g00, g01, g11
 
 
+def _exponentials(s, g, qk):
+    """(e^{q-k}, e^{-(q+k)}) with q - k = s^2/(q + k), over the spent q + k."""
+    e_up = s * s
+    e_up /= qk
+    # q + k = g/2 + (q - k); it is 0 at s = g = 0
+    e_down = np.multiply(g, -0.5, out=qk)
+    e_down -= e_up
+    np.exp(e_down, out=e_down)
+    np.exp(e_up, out=e_up)
+    return e_up, e_down
+
+
 def _propagator(s, g, q, qk, h, a):
     """Depth-1 x-sector propagator M = [[m11, m21], [m21, m22]] as (m11, m21, m22).
 
@@ -324,13 +348,7 @@ def _propagator(s, g, q, qk, h, a):
     arrays, which it spends, or into an array it owns, so a block holds no
     more arrays than it needs.
     """
-    e_up = s * s
-    e_up /= qk
-    # q + k = g/2 + (q - k), over the spent q + k; it is 0 at s = g = 0
-    e_down = np.multiply(g, -0.5, out=qk)
-    e_down -= e_up
-    np.exp(e_down, out=e_down)
-    np.exp(e_up, out=e_up)
+    e_up, e_down = _exponentials(s, g, qk)
     m21 = e_up - e_down
     m21 *= h
     b = np.subtract(1.0, a, out=q)
@@ -343,22 +361,42 @@ def _propagator(s, g, q, qk, h, a):
     return m11, m21, m22
 
 
-def _amplitude_sector(s, g, q):
-    """(m11, m21) of M and (s00, s01, s11) of sigma = M M^T + G, over 1-d arrays.
+def _amplitude_sector(s, g, q, s00, s11):
+    """M and sigma = M M^T + G over 1-d arrays, with s00 and s11 written into the given arrays.
 
-    Called on one block of points at a time (see `_in_blocks`), so its peak
-    is about 15 block-sized arrays however large the batch.
+    Returns (m11, m21, m11^2, m21^2, m11^2 + m21^2, s01), the squares for
+    the noise kernel to reuse.  Called on one block of points at a time (see
+    `_in_blocks`), so its peak is about 15 block-sized arrays however large
+    the batch.
     """
     coefficients = _coefficients(s, g, q)
-    s00, s01, s11 = _vacuum_injection(s, g, *coefficients)
+    g00, s01, g11 = _vacuum_injection(s, g, *coefficients)
     m11, m21, m22 = _propagator(s, g, *coefficients)
     # drop the spent scratch before the products below, which hold peak memory
     del coefficients
-    # M is symmetric (m12 = m21)
-    s00 += m11 * m11 + m21 * m21
-    s01 += m21 * (m11 + m22)
-    s11 += m21 * m21 + m22 * m22
-    return m11, m21, s00, s01, s11
+    # M is symmetric (m12 = m21): s00 = G00 + (m11^2 + m21^2)
+    w_p = m11 * m11
+    w_c = m21 * m21
+    power = w_p + w_c
+    np.add(g00, power, out=s00)
+    # s11 = G11 + (m21^2 + m22^2), over the spent G00
+    square = np.multiply(m22, m22, out=g00)
+    np.add(w_c, square, out=square)
+    np.add(g11, square, out=s11)
+    # s01 = G01 + m21 (m11 + m22)
+    np.add(m11, m22, out=m22)
+    np.multiply(m21, m22, out=m22)
+    s01 += m22
+    return m11, m21, w_p, w_c, power, s01
+
+
+def _sector_kernel(s, g, q, out):
+    """(m11, m21, s00, s01, s11) of the amplitude sector into the arrays of `out`."""
+    m11_out, m21_out, s00, s01_out, s11 = out
+    m11, m21, _, _, _, s01 = _amplitude_sector(s, g, q, s00, s11)
+    np.copyto(m11_out, m11)
+    np.copyto(m21_out, m21)
+    np.copyto(s01_out, s01)
 
 
 def continuum_sector(params: SourceParams) -> tuple:
@@ -367,7 +405,7 @@ def continuum_sector(params: SourceParams) -> tuple:
     Floats (d_p, d_c, sigma_pp, sigma_pc, sigma_cc): d = 2 sqrt(seed photons)
     (m11, m21) and sigma = M M^T + G of (x_probe, x_conj).
     """
-    m11, m21, s00, s01, s11 = map(float, _in_blocks(_amplitude_sector, 5, params.s, params.T_a))
+    m11, m21, s00, s01, s11 = map(float, _in_blocks(_sector_kernel, 5, params.s, params.T_a))
     amplitude = 2.0 * math.sqrt(params.seed_photons)
     return amplitude * m11, amplitude * m21, s00, s01, s11
 
@@ -389,42 +427,56 @@ def _mirrored_moments(d_p, d_c, s00, s01, s11) -> tuple[np.ndarray, np.ndarray]:
 def _in_blocks(kernel, outputs: int, s, T_a) -> tuple:
     """`kernel` over the checked, flattened points of (s, T_a), one block at a time.
 
-    `kernel(s, g, q)` maps 1-d arrays to `outputs` arrays of the same length
-    by elementwise steps only, so splitting the points changes no bit.  A
-    batch of at most `_BLOCK` points returns the kernel's own arrays; a
-    larger one fills outputs allocated once, so the kernel's temporaries stay
-    block-sized and in cache.  Outputs take the broadcast shape of the input;
-    scalar input gives scalars.
+    `kernel(s, g, q, out)` takes 1-d arrays of one block and writes its
+    `outputs` results into `out`, the block's slices of output arrays
+    allocated once, by elementwise steps only, so splitting the points
+    changes no bit.  Its last step writes each slice directly, so no block
+    is copied, and its temporaries stay block-sized and in cache.  It may
+    spend q, which `_slice_rates` makes for that block alone.  Outputs take
+    the broadcast shape of the input; scalar input gives scalars.
     """
     s, ta = _source_domain(s, T_a)
     shape = s.shape
     s, ta = s.ravel(), ta.ravel()
-    if s.size <= _BLOCK:
-        results = kernel(s, *_slice_rates(s, ta))
-    else:
-        results = tuple(np.empty(s.size) for _ in range(outputs))
-        for start in range(0, s.size, _BLOCK):
-            block = slice(start, start + _BLOCK)
-            parts = kernel(s[block], *_slice_rates(s[block], ta[block]))
-            for out, part in zip(results, parts):
-                out[block] = part
+    results = tuple(np.empty(s.size) for _ in range(outputs))
+    for start in range(0, s.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        kernel(s[block], *_slice_rates(s[block], ta[block]), [out[block] for out in results])
     return tuple(x.reshape(shape)[()] for x in results)
 
 
-def _noise_kernel(s, g, q) -> tuple:
-    """(diff, probe, conj) noises over 1-d arrays, from the amplitude sector."""
-    m11, m21, s00, s01, s11 = _amplitude_sector(s, g, q)
-    w_p = m11 * m11
-    w_c = m21 * m21
-    diff = (w_p * s00 + w_c * s11 - 2.0 * m11 * m21 * s01) / (w_p + w_c)
-    return diff, s00, s11
+def _noise_kernel(s, g, q, out):
+    """(diff, probe, conj) noises into the arrays of `out`, from the amplitude sector.
+
+    probe = s00 and conj = s11; diff = (m11^2 s00 + m21^2 s11 - 2 m11 m21 s01)
+    / (m11^2 + m21^2), over the squares the sector formed.
+    """
+    diff, probe, conj = out
+    m11, m21, w_p, w_c, power, s01 = _amplitude_sector(s, g, q, probe, conj)
+    w_p *= probe
+    w_c *= conj
+    w_p += w_c
+    np.multiply(2.0, m11, out=m11)
+    m11 *= m21
+    m11 *= s01
+    w_p -= m11
+    np.divide(w_p, power, out=diff)
 
 
-def _gain_kernel(s, g, q) -> tuple:
-    """(m11^2,) over 1-d arrays: the probe photon gain."""
-    m11, _, _ = _propagator(s, g, *_coefficients(s, g, q))
-    m11 *= m11
-    return (m11,)
+def _gain_kernel(s, g, q, out):
+    """The probe photon gain m11^2 into the array of `out`.
+
+    Forms only m11 = a e^{q-k} + (1 - a) e^{-(q+k)} of M, by the steps
+    `_propagator` takes for it, not m21 and m22.
+    """
+    (gain,) = out
+    q, qk, h, a = _coefficients(s, g, q)
+    e_up, e_down = _exponentials(s, g, qk)
+    b = np.subtract(1.0, a, out=q)
+    m11 = np.multiply(a, e_up, out=h)
+    b *= e_down
+    m11 += b
+    np.multiply(m11, m11, out=gain)
 
 
 def continuum_noises(s, T_a) -> NoiseTriple:

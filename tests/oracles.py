@@ -8,7 +8,9 @@ Each recomputes a `qcrbench` result by an independent or more literal route:
 * the source: `continuum_state`, the two-mode state of
   `source.continuum_sector`; `printed_noises_loop`, the printed noise
   formulas term by term in float math (with the literal cos(xi/2) probe
-  form); and `gauss_legendre_noises`, the continuum noises by quadrature;
+  form); `gauss_legendre_noises`, the continuum noises by quadrature; and
+  `plain_continuum_kernel`, the closed-form kernel as whole-array
+  expressions, which the blocked kernel must match bit for bit;
 * the chain and the bounds: `three_stage_state`, the chain output from the
   full two-mode state, with `incident_photons`;
   `four_by_four_transmission_variance`, from the 4x4 photon-statistics
@@ -223,6 +225,58 @@ def gauss_legendre_noises(s, T_a) -> NoiseTriple:
     w_c = m21 * m21
     diff = (w_p * s00 + w_c * s11 - 2.0 * m11 * m21 * s01) / (w_p + w_c)
     return NoiseTriple(diff=diff, probe=s00, conj=s11)
+
+
+def _plain_exprel(x):
+    """(e^x - 1)/x with its limit 1 at x = 0, by a divide and a select."""
+    with np.errstate(invalid="ignore"):
+        return np.where(x == 0.0, 1.0, np.expm1(x) / x)
+
+
+def plain_continuum_kernel(s, T_a) -> dict:
+    """The closed-form source kernel as whole-array expressions, one per quantity.
+
+    The same IEEE operations on the same operands in the same order as the
+    blocked, in-place kernel of `qcrbench.source`, so its outputs must match
+    these bit for bit, NaN and inf included.  Returns the arrays m11, m21,
+    s00, s01, s11, diff and gain over the broadcast shape of (s, T_a).
+    """
+    s, T_a = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(T_a, dtype=float))
+    g, q = _slice_rates(s, T_a)
+    # the coefficients of source._coefficients; q = 0 only at s = g = 0
+    q = np.where(q > 0.0, q, 1.0)
+    qk = 0.25 * g + q
+    h = 0.5 * s / q
+    a = h * s / qk
+    # the vacuum injection G
+    b = 0.5 * qk / q
+    e_up = _plain_exprel(s * s * 2.0 / qk)
+    e_down = _plain_exprel(-2.0 * qk)
+    e_mid = _plain_exprel(-0.5 * g)
+    g00 = (a * a * e_up + h * h * e_mid * 2.0 + b * b * e_down) * g
+    g11 = (e_up + e_down - e_mid - e_mid) * h * h * g
+    g01 = ((e_up - e_mid) * a + (e_mid - e_down) * b) * h * g
+    # the depth-1 propagator M
+    up = s * s / qk  # q - k
+    grow = np.exp(up)
+    decay = np.exp(g * -0.5 - up)
+    m21 = (grow - decay) * h
+    m11 = a * grow + (1.0 - a) * decay
+    m22 = (1.0 - a) * grow + a * decay
+    # sigma = M M^T + G and the noises
+    s00 = g00 + (m11 * m11 + m21 * m21)
+    s01 = g01 + m21 * (m11 + m22)
+    s11 = g11 + (m21 * m21 + m22 * m22)
+    diff = (m11 * m11 * s00 + m21 * m21 * s11 - 2.0 * m11 * m21 * s01) / (m11 * m11 + m21 * m21)
+    return {
+        "m11": m11,
+        "m21": m21,
+        "s00": s00,
+        "s01": s01,
+        "s11": s11,
+        "diff": diff,
+        "gain": m11 * m11,
+    }
 
 
 def three_stage_state(chain: ProbeChain, T: float):

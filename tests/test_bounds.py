@@ -42,7 +42,7 @@ from qcrbench.bounds import (
 from qcrbench.cli import main
 from qcrbench.config import MAX_S
 from qcrbench.detection import transmission_variance
-from qcrbench.errors import NonPhysicalError, WorkbenchError
+from qcrbench.errors import BrightLimitError, NonPhysicalError, WorkbenchError
 from qcrbench.gaussian import (
     ChannelOp,
     GaussianState,
@@ -362,9 +362,9 @@ class TestNumericGaussianBound:
 
     @pytest.mark.parametrize("t", [0.5, 1.0])
     def test_no_probe_light_rejected(self, t):
-        # the audit sees 0 against 0 and passes the point to the Fisher check
+        # the dark budget is named before the audit, which would see 0 against 0
         chain = build_chain(PARAMS, LossBudget(T_p=0.0, eta_p=0.945, eta_c=0.919))
-        with pytest.raises(NonPhysicalError, match="non-positive Fisher information"):
+        with pytest.raises(BrightLimitError, match="no probe light reaches the detector"):
             qcrb_numeric_gaussian(t, PARAMS, chain.budget, chain=chain)
 
     def test_zero_transmission_rejected(self):

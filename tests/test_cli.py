@@ -251,6 +251,17 @@ class TestBoundsCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    def test_dark_probe_budget_exits_4_naming_it(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("T_p = 0\n")
+        out = tmp_path / "bounds.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["bounds", "--config", str(cfg), "--out", str(out)])
+        assert rc == 4
+        assert capsys.readouterr().err == "error: no probe light reaches the detector\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("t", ["2e-318", "1e-320", "5e-324"])
     def test_transmission_below_the_audit_step_exits_4(self, tmp_path, capsys, t):
         # the numeric bound's finite-difference step 1e-6 T underflows to 0 here
@@ -430,6 +441,20 @@ class TestSimulateCommand:
 
     def test_too_few_trials_exits_4(self, tmp_path):
         assert main(["simulate", "--trials", "10", "--out", str(tmp_path / "x.csv")]) == 4
+
+    @pytest.mark.parametrize(
+        "config_text, argv",
+        [("", ["--seed", "-7"]), ("seed = -1\n", [])],
+        ids=["option", "config_key"],
+    )
+    def test_negative_seed_exits_4_naming_it(self, tmp_path, capsys, config_text, argv):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(config_text)
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), *argv]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: --seed or config key 'seed' must be non-negative, not -")
+        assert err.count("\n") == 1 and not out.exists()
 
     def test_too_many_trials_exits_4_before_any_ramp(self, tmp_path, capsys, monkeypatch):
         def no_ramp(*args, **kwargs):

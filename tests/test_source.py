@@ -7,7 +7,12 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import continuum_state, gauss_legendre_noises, printed_noises_loop
+from oracles import (
+    continuum_state,
+    gauss_legendre_noises,
+    plain_continuum_kernel,
+    printed_noises_loop,
+)
 from qcrbench.config import MAX_S
 from qcrbench.errors import ConvergenceError
 from qcrbench.gaussian import ChannelOp, apply_loss, bright_mean_photon, two_mode_squeezer
@@ -391,6 +396,88 @@ class TestBlockEvaluation:
         # the three outputs plus the kernel's block-sized temporaries, about
         # 15 of them, with margin
         assert peak < 3 * 8 * n + 24 * 8 * _BLOCK
+
+
+def _plain_kernel_inputs():
+    rng = np.random.default_rng(20261020)
+    n = 3 * _BLOCK + 7
+    edges_s = np.array([0.0, 5e-324, 1e-310, 1e-9, 2.04, MAX_S])
+    edges_ta = np.array([1.0, 0.71, 1e-30, 1e-300])
+    grid_s, grid_ta = np.meshgrid(edges_s, edges_ta)
+    box_s = rng.uniform(0.0, MAX_S, n)
+    # the config box: every T_a in (0, 1], over decades and near 1
+    decades = 10.0 ** rng.uniform(-300.0, 0.0, n)
+    box_ta = np.where(rng.random(n) < 0.5, decades, rng.uniform(0.0, 1.0, n))
+    box_ta[box_ta == 0.0] = 1.0
+    # the edge grid spread over the blocks, so some edges sit at block boundaries
+    spots = [0, _BLOCK - 3, 2 * _BLOCK - 3, n - grid_s.size // 4]
+    mixed_s, mixed_ta = box_s.copy(), box_ta.copy()
+    for k, (s, ta) in enumerate(zip(grid_s.ravel(), grid_ta.ravel())):
+        at = spots[k % 4] + k // 4
+        mixed_s[at], mixed_ta[at] = s, ta
+    return {
+        "config_box": (box_s, box_ta),
+        "config_box_with_edges": (mixed_s, mixed_ta),
+        "edge_grid": (grid_s, grid_ta),
+        "s_0": (np.zeros(7), rng.uniform(1e-3, 1.0, 7)),
+        "T_a_1": (rng.uniform(0.0, MAX_S, 7), np.ones(7)),
+        "s_0_and_T_a_1": (np.zeros(3), np.ones(3)),
+        "scalar": (2.04, 0.71),
+        "scalar_s_0_T_a_1": (0.0, 1.0),
+        "zero_dimensional": (np.array(1e-310), np.array(1e-300)),
+        "shape_3x5": (rng.uniform(0.0, MAX_S, (3, 5)), rng.uniform(1e-30, 1.0, (3, 5))),
+        "size_1": (box_s[:1], box_ta[:1]),
+        "size_block": (box_s[:_BLOCK], box_ta[:_BLOCK]),
+        "size_block_plus_1": (box_s[: _BLOCK + 1], box_ta[: _BLOCK + 1]),
+    }
+
+
+PLAIN_KERNEL_INPUTS = _plain_kernel_inputs()
+
+
+class TestPlainKernelBits:
+    """The blocked, in-place kernel equals the plain whole-array expressions bit for bit.
+
+    Block-against-slice comparisons cannot see a change that moves the same
+    bits in every block; this oracle can.  uint64 views make NaN and inf
+    patterns count.
+    """
+
+    @staticmethod
+    def _assert_bits(s, ta):
+        plain = plain_continuum_kernel(s, ta)
+        triple = continuum_noises(s, ta)
+        gain = continuum_gain(s, ta)
+        outputs = {"diff": triple.diff, "s00": triple.probe, "s11": triple.conj, "gain": gain}
+        for name, value in outputs.items():
+            assert np.shape(value) == plain[name].shape, name
+            assert np.array_equal(_bits(value), _bits(plain[name])), name
+
+    @pytest.mark.parametrize("case", sorted(PLAIN_KERNEL_INPUTS))
+    def test_noises_and_gain(self, case):
+        self._assert_bits(*PLAIN_KERNEL_INPUTS[case])
+
+    def test_overflowing_squeezing(self):
+        # at s = 300 the products in diff overflow to inf, and inf - inf is NaN
+        s = np.full(4, 300.0)
+        ta = np.array([1.0, 0.5, 1e-30, 1e-300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            self._assert_bits(s, ta)
+            assert np.isnan(continuum_noises(s, ta).diff).any()
+
+    @pytest.mark.parametrize("ta", [1.0, 0.71, 1e-30, 1e-300])
+    @pytest.mark.parametrize("s", [0.0, 5e-324, 1e-310, 2.04, MAX_S])
+    def test_sector(self, s, ta):
+        params = SourceParams(s=s, T_a=ta)
+        plain = plain_continuum_kernel(s, ta)
+        amplitude = 2.0 * math.sqrt(params.seed_photons)
+        expected = (
+            amplitude * float(plain["m11"]),
+            amplitude * float(plain["m21"]),
+            *(float(plain[name]) for name in ("s00", "s01", "s11")),
+        )
+        assert _bits(continuum_sector(params)).tolist() == _bits(expected).tolist()
 
 
 TINY_TRANSMISSIONS = [1e-30, 1e-100, 1e-300]
