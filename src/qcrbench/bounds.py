@@ -59,21 +59,16 @@ class LossBudget:
 class BoundPoint:
     """One bound evaluated at system transmission T.
 
-    ``var_n`` is Var(T) * n_r; the variance at the requested photon number is
-    exposed as ``variance``.
+    ``var_n`` is Var(T) * n_r, the photon-number-normalized variance, which
+    does not depend on n_r; it is the only value a bound reports.
     """
 
     T: float
     var_n: float
-    n_r: float = 1.0
 
     def __post_init__(self):
         if not math.isfinite(self.var_n):
             raise ValueError("bound value must be finite")
-
-    @property
-    def variance(self) -> float:
-        return self.var_n / self.n_r
 
 
 def _check_t_nr(T: float, n_r: float):
@@ -186,7 +181,7 @@ def distributed_reduction(s: float, T_a: float) -> float:
 def qcrb_coherent(T: float, n_r: float, eta_p: float) -> BoundPoint:
     """Optimal classical bound: Var(T) >= T / (eta_p n_r), linear in T."""
     _check_t_nr(T, n_r)
-    return BoundPoint(T=T, var_n=T / _eta_p(eta_p), n_r=n_r)
+    return BoundPoint(T=T, var_n=T / _eta_p(eta_p))
 
 
 def qcrb_pure_btmss(T: float, n_r: float, s: float, budget: LossBudget) -> BoundPoint:
@@ -196,7 +191,7 @@ def qcrb_pure_btmss(T: float, n_r: float, s: float, budget: LossBudget) -> Bound
     factor = conjugate_factor(budget.eta_c, s)
     reduction = 1.0 - 1.0 / math.cosh(2.0 * s)
     var_n = T / _eta_p(budget.eta_p) - T * T * budget.T_p * factor * reduction
-    return BoundPoint(T=T, var_n=var_n, n_r=n_r)
+    return BoundPoint(T=T, var_n=var_n)
 
 
 def qcrb_distributed(T: float, n_r: float, params: SourceParams, budget: LossBudget) -> BoundPoint:
@@ -207,7 +202,7 @@ def qcrb_distributed(T: float, n_r: float, params: SourceParams, budget: LossBud
         float(budget.eta_c), float(params.s), float(params.T_a)
     )
     var_n = T / _eta_p(budget.eta_p) - T * T * budget.T_p * factor * reduction
-    return BoundPoint(T=T, var_n=var_n, n_r=n_r)
+    return BoundPoint(T=T, var_n=var_n)
 
 
 def qcrb_ultimate(T: float, n_r: float, budget: LossBudget, lossless: bool = False) -> BoundPoint:
@@ -215,7 +210,7 @@ def qcrb_ultimate(T: float, n_r: float, budget: LossBudget, lossless: bool = Fal
     _check_t_nr(T, n_r)
     t_p, eta_p = (1.0, 1.0) if lossless else (budget.T_p, _eta_p(budget.eta_p))
     var_n = T / eta_p - T * T * t_p
-    return BoundPoint(T=T, var_n=var_n, n_r=n_r)
+    return BoundPoint(T=T, var_n=var_n)
 
 
 def _loss_stage(sector, x_p: float, x_c: float):
@@ -331,7 +326,7 @@ def qcrb_numeric_gaussian(
     if d_p == 0.0 or not (det > 0.0 and s_cc > 0.0):
         raise NonPhysicalError("non-positive Fisher information")
     var_n = T / eta_p * det / s_cc
-    return BoundPoint(T=T, var_n=var_n, n_r=n_r)
+    return BoundPoint(T=T, var_n=var_n)
 
 
 def advantage_ratio(T: float, params: SourceParams, budget: LossBudget) -> float:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BrightLimitError, NonPhysicalError
+from .errors import BrightLimitError, NonPhysicalError, _require_integers
 
 #: exact SI values (2019 redefinition) for the photon energy h c / lambda
 PLANCK_H = 6.62607015e-34
@@ -48,6 +48,7 @@ class FilterModel:
             raise ValueError(f"unknown filter kind {self.kind!r}")
         if not (self.rbw > 0.0 and math.isfinite(self.rbw)):
             raise ValueError("RBW must be positive and finite")
+        _require_integers(poles=self.poles)
         if self.poles < 1:
             raise ValueError("need at least one pole")
         if self.poles > MAX_POLES:
@@ -98,8 +99,11 @@ class MeasurementPlan:
     ramp_duration: float = 14.0
 
     def __post_init__(self):
+        _require_integers(trials=self.trials, rng_seed=self.rng_seed)
         if self.trials < 1:
             raise ValueError("need at least one trial bin")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be non-negative, not {self.rng_seed}")
         if not self.ramp_duration > 0.0:
             raise ValueError("ramp duration must be positive")
 
@@ -274,24 +278,7 @@ def _fit_window(run: np.ndarray, slope: float, intercept: float):
     return start, bisect.bisect_right(bins, hi, lo=start, key=fitted)
 
 
-@dataclass(frozen=True)
-class LineFit:
-    """The line of the last window pass, with how the passes ended.
-
-    Unpacks as ``slope, intercept``.  ``converged`` is False only where
-    the pass cap ended the passes.
-    """
-
-    slope: float
-    intercept: float
-    passes: int
-    converged: bool
-
-    def __iter__(self):
-        return iter((self.slope, self.intercept))
-
-
-def _iterated_line_fit(mod_power: np.ndarray, snr: np.ndarray) -> LineFit:
+def _iterated_line_fit(mod_power: np.ndarray, snr: np.ndarray):
     """Least-squares line through (modulation power, SNR), iterating the window.
 
     The per-bin SNR responds linearly to the modulation *power* (the
@@ -313,8 +300,11 @@ def _iterated_line_fit(mod_power: np.ndarray, snr: np.ndarray) -> LineFit:
     crossing c = (1 - intercept) / slope moved from the previous pass's by
     less than `_CROSSING_TOLERANCE` (1/4) of this pass's least-squares
     standard error; those end them converged.  Otherwise the pass cap
-    (`_MAX_WINDOW_PASSES`, 10) ends them.  The returned line is that of the
-    last pass, on the last window fitted.
+    (`_MAX_WINDOW_PASSES`, 10) ends them.
+
+    Returns (slope, intercept, passes, converged): the line of the last
+    pass, on the last window fitted, the number of passes, and False only
+    where the pass cap ended them.
     """
     usable = mod_power > 0.0
     usable &= np.isfinite(snr)
@@ -340,12 +330,12 @@ def _iterated_line_fit(mod_power: np.ndarray, snr: np.ndarray) -> LineFit:
         crossing = (1.0 - intercept) / slope if slope else math.inf
         # the move is NaN on the first pass and inf next to a line of slope 0: no stop
         if abs(crossing - previous) < _CROSSING_TOLERANCE * crossing_se:
-            return LineFit(slope, intercept, passes, True)
+            return slope, intercept, passes, True
         window = _fit_window(run, slope, intercept)
         if window == (start, stop):
-            return LineFit(slope, intercept, passes, True)
+            return slope, intercept, passes, True
         previous = crossing
-    return LineFit(slope, intercept, passes, False)
+    return slope, intercept, passes, False
 
 
 def snr_ramp_simulate(
@@ -411,8 +401,7 @@ def snr_ramp_simulate(
         raise NonPhysicalError(
             f"SNR ramp powers at noise variance {noise_variance:.6g} leave the float64 range"
         ) from None
-    fit = _iterated_line_fit(mod_power, snr)
-    slope, intercept = fit
+    slope, intercept, passes, converged = _iterated_line_fit(mod_power, snr)
     if slope <= 0.0:
         raise NonPhysicalError("SNR=1 not bracketed: non-increasing SNR ramp")
     crossing_power = (1.0 - intercept) / slope
@@ -422,8 +411,8 @@ def snr_ramp_simulate(
         delta_T_at_snr1=float(math.sqrt(crossing_power)),
         snr_trace=snr,
         amplitudes=amplitudes,
-        passes=fit.passes,
-        converged=fit.converged,
+        passes=passes,
+        converged=converged,
     )
 
 

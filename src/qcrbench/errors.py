@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by the workbench modules."""
+"""Exception hierarchy shared by the workbench modules, and their integer-field check."""
+
+import numpy as np
 
 
 class WorkbenchError(Exception):
@@ -23,3 +25,10 @@ class SchemaError(WorkbenchError):
 
 class ConfigError(SchemaError):
     """A workbench config file contains unknown or malformed entries."""
+
+
+def _require_integers(**values):
+    """Reject a value that is not an int or numpy integer (bool included) by name."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, not {value!r}")

@@ -22,11 +22,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .errors import BrightLimitError
 
-Array = NDArray[np.float64]
+Array = np.ndarray
 
 SYMMETRY_TOL = 1e-12
 SYMPLECTIC_TOL = 1e-10

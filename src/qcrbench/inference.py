@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonPhysicalError, SchemaError
+from .errors import NonPhysicalError, SchemaError, _require_integers
 from .source import NoiseTriple, analytic_noises, continuum_noises
 
 CHANNELS = ("diff", "probe", "conj")
@@ -98,10 +98,9 @@ class DEConfig:
 
     def __post_init__(self):
         # these messages start with the field name; `fit` maps it to its option
-        for name in ("population", "max_generations", "rng_seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
+        _require_integers(
+            population=self.population, max_generations=self.max_generations, rng_seed=self.rng_seed
+        )
         if self.population < 4:
             raise ValueError("population must be at least 4")
         if self.population > MAX_POPULATION:

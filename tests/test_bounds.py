@@ -325,11 +325,21 @@ class TestNumericGaussianBound:
         b = qcrb_numeric_gaussian(0.5, rich, BUDGET).var_n
         assert a == b
 
-    def test_doubling_photons_halves_variance(self):
-        one = qcrb_numeric_gaussian(0.5, PARAMS, BUDGET, n_r=1e6)
-        two = qcrb_numeric_gaussian(0.5, PARAMS, BUDGET, n_r=2e6)
-        assert one.var_n == two.var_n
-        assert one.variance == pytest.approx(2.0 * two.variance, rel=1e-12)
+    def test_var_n_does_not_depend_on_n_r(self):
+        # var_n = Var(T) n_r is the photon-number-normalized figure of merit
+        chain = build_chain(PARAMS, BUDGET)
+
+        def points(n_r):
+            return [
+                qcrb_numeric_gaussian(0.5, PARAMS, BUDGET, n_r, chain=chain),
+                qcrb_distributed(0.5, n_r, PARAMS, BUDGET),
+                qcrb_pure_btmss(0.5, n_r, PARAMS.s, BUDGET),
+                qcrb_coherent(0.5, n_r, BUDGET.eta_p),
+                qcrb_ultimate(0.5, n_r, BUDGET),
+            ]
+
+        for n_r in (1e-3, 1e6, 2e6):
+            assert points(n_r) == points(1.0)
 
     def test_dim_seed_rejected(self):
         with pytest.raises(ValueError, match="at least 10000 photons"):

@@ -228,6 +228,35 @@ class TestBoundsCommand:
         cfg.write_text("bogus = 1\n")
         assert main(["bounds", "--config", str(cfg)]) == 3
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("T_grid = 0.1:0.5", "T_grid range must be start:stop:step"),
+            ("T_grid = 0.5:0.1:0.1", "T_grid range must increase with a positive step"),
+            ("T_grid = ,", "T_grid is empty"),
+            ("filter_kind = syncx", "bad filter kind 'syncx'; use gaussian or sync<poles>"),
+            ("seed = 1.5", "seed must be an integer"),
+            ("T_p = 1.5", "T_p must lie in [0, 1]"),
+            ("n_r = 0", "n_r must be positive"),
+        ],
+        ids=[
+            "grid-without-step",
+            "falling-grid",
+            "empty-grid",
+            "syncx",
+            "seed-1.5",
+            "T_p-1.5",
+            "n_r-0",
+        ],
+    )
+    def test_config_off_schema_exits_3_naming_it(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "bounds.csv"
+        assert main(["bounds", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_non_utf8_config_exits_3(self, tmp_path, capsys):
         # a schema error, as for a noise file that is not UTF-8
         cfg = tmp_path / "cfg.txt"
@@ -570,6 +599,20 @@ class TestFitCommand:
         assert main(["fit", str(noise), "--population", "16", "--max-generations", "5"]) == 3
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_channel_entry_not_an_object_exits_3_naming_it(self, tmp_path, capsys):
+        noise = tmp_path / "bad.json"
+        noise.write_text('{"channels": [1]}')
+        assert main(["fit", str(noise)]) == 3
+        assert capsys.readouterr().err == "error: each channel entry must be an object\n"
+
+    def test_stdout_holds_the_bytes_out_writes(self, tmp_path, capsysbinary):
+        args = ["fit", _SAMPLE_NOISES, "--population", "16", "--max-generations", "5"]
+        out = tmp_path / "fit.json"
+        assert main([*args, "--out", str(out)]) == 0
+        assert capsysbinary.readouterr().out == f"wrote {out}\n".encode()
+        assert main(args) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
+
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["fit", str(tmp_path / "absent.json")]) == 2
 
@@ -711,6 +754,20 @@ def test_cli_import_loads_no_numpy_random():
     )
     before, after = result.stdout.split()
     assert after == before
+
+
+def test_cli_import_loads_no_numpy_typing():
+    # the Gaussian-state module's array alias needs no numpy.typing at run time
+    src = os.path.dirname(os.path.dirname(qcrbench.__file__))
+    probe = "import sys, qcrbench.cli\nprint('numpy.typing' in sys.modules)\n"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout == "False\n"
 
 
 def test_package_boundary():

@@ -102,6 +102,44 @@ class TestEffectiveTime:
                 effective_time(filt)
 
 
+class TestIntegerFields:
+    """`poles`, `trials` and `rng_seed` are ints or numpy integers, checked at construction."""
+
+    OTHER_FIELDS = {
+        "poles": (FilterModel, {"kind": "sync_tuned", "rbw": 51e3}),
+        "trials": (MeasurementPlan, {"filter": SYNC4, "rng_seed": 0}),
+        "rng_seed": (MeasurementPlan, {"filter": SYNC4, "trials": 100}),
+    }
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("poles", 4.5, "must be an integer, not 4.5"),
+            ("poles", True, "must be an integer, not True"),
+            ("trials", 20000.0, "must be an integer, not 20000.0"),
+            ("trials", True, "must be an integer, not True"),
+            ("rng_seed", 1.5, "must be an integer, not 1.5"),
+            ("rng_seed", -1, "must be non-negative, not -1"),
+        ],
+        ids=["poles-4.5", "poles-True", "trials-20000.0", "trials-True", "seed-1.5", "seed-neg"],
+    )
+    def test_rejected_naming_the_field(self, field, value, message):
+        cls, others = self.OTHER_FIELDS[field]
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{field} {message}')}$"):
+            cls(**others, **{field: value})
+
+    def test_numpy_integers_accepted(self):
+        filt = FilterModel("sync_tuned", 51e3, poles=np.int64(4))
+        assert effective_time(filt) == effective_time(SYNC4)
+        var_t = 0.04
+        duration = 2_000 * effective_time(SYNC4)
+        plan = MeasurementPlan(filt, np.int32(2_000), np.uint64(3), duration)
+        same = MeasurementPlan(SYNC4, 2_000, 3, duration)
+        profile = linear_ramp(5.0 * math.sqrt(var_t), duration)
+        ramps = [snr_ramp_simulate(p, profile, var_t).delta_T_at_snr1 for p in (plan, same)]
+        assert ramps[0] == ramps[1]
+
+
 class TestOptimalGain:
     def test_uncorrelated_pair_needs_no_subtraction(self):
         assert optimal_gain(coherent_state([2.0, 1.5])) == 0.0
@@ -470,7 +508,7 @@ def assert_same_line(result, expected, mod_power, snr):
     usable = (mod_power > 0.0) & np.isfinite(snr)
     ends = mod_power[usable][[0, -1]]
     span = np.ptp(snr[usable])
-    (slope, intercept), (want_slope, want_intercept) = result, expected
+    (slope, intercept, *_), (want_slope, want_intercept) = result, expected
     gap = np.abs((intercept + slope * ends) - (want_intercept + want_slope * ends))
     assert np.all(gap <= 1e-12 * span), (gap / span, result, expected)
 
@@ -648,8 +686,8 @@ class TestLineFitMatchesPolyfit:
         rng = np.random.default_rng(4)
         mod_power = np.linspace(1.0, 30.0, 400)
         snr = 0.1 + 0.2 * mod_power + rng.normal(0.0, 0.3, 400)
-        slope, intercept = detection._iterated_line_fit(mod_power, snr)
-        tiny_slope, tiny_intercept = detection._iterated_line_fit(mod_power * 2.0**-560, snr)
+        slope, intercept, *_ = detection._iterated_line_fit(mod_power, snr)
+        tiny_slope, tiny_intercept, *_ = detection._iterated_line_fit(mod_power * 2.0**-560, snr)
         assert tiny_slope == slope * 2.0**560 and tiny_intercept == intercept
 
 
@@ -690,7 +728,7 @@ class TestWindowStoppingRule:
         assert all(ramp.converged for ramp in ramps)
         assert np.mean([ramp.passes for ramp in ramps]) <= 4.0
         for ramp, (mod_power, snr, result) in zip(ramps, recorded_fits):
-            assert (ramp.passes, ramp.converged) == (result.passes, result.converged)
+            assert (ramp.passes, ramp.converged) == result[2:]
             windows, line = polyfit_windows(mod_power, snr)
             last = windows[-1]
             se = crossing_standard_error(mod_power[last], snr[last], *line)
@@ -744,13 +782,14 @@ class TestWindowStoppingRule:
         ramp = snr_ramp_simulate(plan, profile, var_t)
         assert (ramp.passes, ramp.converged) == (3, True)
 
-    def test_line_fit_unpacks_as_slope_and_intercept(self):
+    def test_line_fit_returns_line_passes_and_convergence(self):
         mod_power = np.linspace(0.5, 4.0, 40)
         snr = 0.3 + 0.9 * mod_power + 0.05 * np.sin(np.arange(40.0))
-        fit = detection._iterated_line_fit(mod_power, snr)
-        slope, intercept = fit
-        assert (slope, intercept) == (fit.slope, fit.intercept)
-        assert 1 <= fit.passes <= detection._MAX_WINDOW_PASSES
+        result = detection._iterated_line_fit(mod_power, snr)
+        slope, intercept, passes, converged = result
+        assert_same_line(result, polyfit_iterated_line_fit(mod_power, snr), mod_power, snr)
+        assert type(passes) is int and 1 <= passes <= detection._MAX_WINDOW_PASSES
+        assert converged is True
 
 
 class TestSpectrumAnalyzerChain:
