@@ -228,7 +228,8 @@ class ProbeChain:
     so the chain carries the x sector (d_p, d_c, sigma_pp, sigma_pc,
     sigma_cc) of `source.continuum_sector`: ``incident`` after T_p, and
     ``sector_at(T)`` after the T and then the (eta_p, eta_c) stage.
-    ``state_at(T)`` expands it to the state for the audits.  `build_chain` makes the chain.
+    ``state_at(T)`` expands it to the state for the audits.  A chain is lit
+    and bright-seeded: T_p, eta_p > 0 and a seed of `MIN_BRIGHT_PHOTONS` or more.
     """
 
     params: SourceParams
@@ -236,6 +237,12 @@ class ProbeChain:
     incident: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.params.seed_photons < MIN_BRIGHT_PHOTONS:
+            raise ValueError(
+                f"bright-limit chain needs a seed of at least {MIN_BRIGHT_PHOTONS:g} photons"
+            )
+        if self.budget.T_p == 0.0 or self.budget.eta_p == 0.0:
+            raise BrightLimitError("no probe light reaches the detector")
         sector = continuum_sector(self.params)
         object.__setattr__(self, "incident", _loss_stage(sector, math.sqrt(self.budget.T_p), 1.0))
 
@@ -252,10 +259,6 @@ class ProbeChain:
 
 def build_chain(params: SourceParams, budget: LossBudget) -> ProbeChain:
     """Pass the closed-form source sector through the T_p stage of the loss budget."""
-    if params.seed_photons < MIN_BRIGHT_PHOTONS:
-        raise ValueError(
-            f"bright-limit chain needs a seed of at least {MIN_BRIGHT_PHOTONS:g} photons"
-        )
     return ProbeChain(params, budget)
 
 
@@ -293,7 +296,8 @@ def qcrb_numeric_gaussian(
     params: SourceParams,
     budget: LossBudget,
     n_r: float = 1.0,
-    chain: ProbeChain | None = None,
+    *,
+    chain: ProbeChain,
 ) -> BoundPoint:
     """Bright-limit Gaussian bound computed from the full chain moments.
 
@@ -304,28 +308,21 @@ def qcrb_numeric_gaussian(
     and d_p ~ sqrt(T) (`_probe_derivative`) makes (d d_p/dT)^2 = n eta_p / T
     for the n probe photons incident on the system.  In shot-noise units
     var_n = n / F = (T / eta_p) det / sigma_cc: no photon number, no seed.
-    A pre-built `chain` shares its source sector and T_p stage over a T
-    grid; it must have been built from ``params`` and ``budget``.  A budget
-    with T_p = 0 is dark and raises `BrightLimitError`, as in
-    `detection.transmission_variance`.
+    The `chain` shares its source sector and T_p stage over a T grid; it
+    must have been built from ``params`` and ``budget``, and being a
+    `ProbeChain` it is lit (eta_p > 0 and T_p > 0).
     """
     _check_t_nr(T, n_r)
     if T == 0.0:
         raise ValueError("the numeric bound needs T > 0")
-    if chain is None:
-        chain = build_chain(params, budget)
-    elif (chain.params, chain.budget) != (params, budget):
+    if (chain.params, chain.budget) != (params, budget):
         raise ValueError("the chain was built from other source parameters or loss budget")
-    eta_p = _eta_p(budget.eta_p)
-    # a dark budget, named before the audit finds its 0 against 0
-    if budget.T_p == 0.0:
-        raise BrightLimitError("no probe light reaches the detector")
     d_p, _, s_pp, s_pc, s_cc = chain.sector_at(T)
     _probe_derivative(chain, T, d_p)
     det = s_pp * s_cc - s_pc * s_pc
     if d_p == 0.0 or not (det > 0.0 and s_cc > 0.0):
         raise NonPhysicalError("non-positive Fisher information")
-    var_n = T / eta_p * det / s_cc
+    var_n = T / budget.eta_p * det / s_cc
     return BoundPoint(T=T, var_n=var_n)
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BrightLimitError, NonPhysicalError, _require_integers
+from .errors import NonPhysicalError, _require_integers
 
 #: exact SI values (2019 redefinition) for the photon energy h c / lambda
 PLANCK_H = 6.62607015e-34
@@ -132,9 +132,10 @@ def transmission_variance(chain, T: float, n_r: float = 1.0) -> float:
     and <n_p> is exactly linear in T, so the derivative equals <n_p>/T at the
     detector.
 
-    `chain` is any chain builder exposing ``sector_at(T)``, the detected x
-    sector (d_p, d_c, sigma_pp, sigma_pc, sigma_cc), and ``budget`` (e.g.
-    `bounds.ProbeChain`).  The bright-limit counts are sector products,
+    `chain` is a `bounds.ProbeChain`, whose ``sector_at(T)`` gives the
+    detected x sector (d_p, d_c, sigma_pp, sigma_pc, sigma_cc), and whose
+    construction guarantees that probe light reaches the detector (T_p > 0
+    and eta_p > 0).  The bright-limit counts are sector products,
     n_p = d_p^2 / 4, Var(n_i) = d_i sigma_ii d_i / 4, Cov = d_p sigma_pc d_c / 4,
     so per incident photon, in shot-noise units and with no photon number,
     var_n = (T / eta_p) Var(n_p - g n_c) / <n_p>
@@ -142,29 +143,24 @@ def transmission_variance(chain, T: float, n_r: float = 1.0) -> float:
     root = sqrt(T / eta_p) and q = root g d_c / d_p.  At the optimal gain the
     displacements cancel, q = root sigma_pc / sigma_cc (0 for a dark
     conjugate, whose sigma_pc is 0), so the result reads no displacement and
-    does not depend on the seed's photon number.  Whether probe light is
-    seen is decided by the loss budget (T_p = 0 or eta_p = 0 is dark).  The
-    result is rescaled to n_r probing photons.
+    does not depend on the seed's photon number.  Like every bound, it is
+    var_n = Var(T) n_r, the same for every valid n_r.
     """
     if not (0.0 < T <= 1.0):
         raise ValueError("transmission T must lie in (0, 1]")
     if not n_r > 0.0:
         raise ValueError("probing photon number must be positive")
-    budget = chain.budget
-    if budget.T_p == 0.0 or budget.eta_p == 0.0:
-        raise BrightLimitError("no probe light reaches the detector")
     s_pp, s_pc, s_cc = chain.sector_at(T)[2:]
-    ratio = T / budget.eta_p
+    ratio = T / chain.budget.eta_p
     root = math.sqrt(ratio)
     q = root * s_pc / s_cc
     var_n = ratio * s_pp + q * (q * s_cc - 2.0 * root * s_pc)
-    variance = var_n / n_r
-    if not (variance > 0.0 and math.isfinite(variance)):
+    if not (var_n > 0.0 and math.isfinite(var_n)):
         # an ill-conditioned chain covariance (very large s) can cancel below zero
         raise NonPhysicalError(
-            f"transmission variance {variance:.6g} at T = {T} is not positive and finite"
+            f"transmission variance {var_n:.6g} at T = {T} is not positive and finite"
         )
-    return variance
+    return var_n
 
 
 def linear_ramp(initial_amplitude: float, duration: float):
@@ -175,8 +171,8 @@ def linear_ramp(initial_amplitude: float, duration: float):
     and non-increasing there: the form `snr_ramp_simulate` requires.  The
     profile leaves its input as it is; a scalar t gives a numpy scalar.
     """
-    if initial_amplitude < 0.0 or duration <= 0.0:
-        raise ValueError("ramp needs a non-negative amplitude and positive duration")
+    if not (0.0 <= initial_amplitude < math.inf and 0.0 < duration < math.inf):
+        raise ValueError("ramp needs a finite non-negative amplitude and finite positive duration")
 
     def profile(t):
         amplitude = np.array(t, dtype=float)
@@ -449,11 +445,14 @@ def photons_from_voltage(v_dc: float, volts_per_watt: float, wavelength: float, 
     """Photon number from a DC photodetector voltage.
 
     <n> = (lambda / h c) (t / m) V_dc with m the detector responsivity in
-    volts per watt and t the effective measurement time.
+    volts per watt and t the effective measurement time.  Every argument
+    must be finite (NaN fails each check), and so must the photon number.
     """
-    if volts_per_watt <= 0.0:
-        raise ValueError("detector responsivity must be positive")
-    if v_dc < 0.0 or wavelength <= 0.0 or t < 0.0:
-        raise ValueError("voltage, wavelength, and time must be non-negative")
-    flux = (v_dc / volts_per_watt) * wavelength / (PLANCK_H * SPEED_OF_LIGHT)
-    return flux * t
+    if not 0.0 < volts_per_watt < math.inf:
+        raise ValueError("detector responsivity must be positive and finite")
+    if not (0.0 <= v_dc < math.inf and 0.0 < wavelength < math.inf and 0.0 <= t < math.inf):
+        raise ValueError("voltage and time must be non-negative, wavelength positive, all finite")
+    photons = (v_dc / volts_per_watt) * wavelength / (PLANCK_H * SPEED_OF_LIGHT) * t
+    if not math.isfinite(photons):
+        raise ValueError("photon number overflows double precision")
+    return photons

@@ -320,9 +320,9 @@ class TestNumericGaussianBound:
         assert numeric == pytest.approx(closed, rel=1e-6)
 
     def test_var_n_is_seed_independent(self):
-        a = qcrb_numeric_gaussian(0.5, PARAMS, BUDGET).var_n
+        a = qcrb_numeric_gaussian(0.5, PARAMS, BUDGET, chain=build_chain(PARAMS, BUDGET)).var_n
         rich = SourceParams(s=2.04, T_a=0.71, seed_photons=4e8)
-        b = qcrb_numeric_gaussian(0.5, rich, BUDGET).var_n
+        b = qcrb_numeric_gaussian(0.5, rich, BUDGET, chain=build_chain(rich, BUDGET)).var_n
         assert a == b
 
     def test_var_n_does_not_depend_on_n_r(self):
@@ -344,6 +344,17 @@ class TestNumericGaussianBound:
     def test_dim_seed_rejected(self):
         with pytest.raises(ValueError, match="at least 10000 photons"):
             build_chain(SourceParams(s=1.0, T_a=0.9, seed_photons=100.0), BUDGET)
+
+    @pytest.mark.parametrize("budget", [(0.0, 0.945, 0.919), (0.973, 0.0, 0.919)])
+    def test_dark_budget_builds_no_chain(self, budget):
+        # T_p = 0 or eta_p = 0: the one darkness rule, decided where the chain is made
+        dark = LossBudget(*budget)
+        for make in (build_chain, ProbeChain):
+            with pytest.raises(BrightLimitError, match="^no probe light reaches the detector$"):
+                make(PARAMS, dark)
+            # the seed floor is checked first
+            with pytest.raises(ValueError, match="at least 10000 photons"):
+                make(SourceParams(s=1.0, T_a=0.9, seed_photons=100.0), dark)
 
     def test_chain_accepts_coherent_source(self):
         # at s = 0 and T_a = 1 the source passes a coherent seed beside a vacuum conjugate
@@ -372,36 +383,38 @@ class TestNumericGaussianBound:
 
     @pytest.mark.parametrize("t", [0.5, 1.0])
     def test_no_probe_light_rejected(self, t):
-        # the dark budget is named before the audit, which would see 0 against 0
-        chain = build_chain(PARAMS, LossBudget(T_p=0.0, eta_p=0.945, eta_c=0.919))
+        # the dark budget builds no chain, so no bound reaches the audit's 0 against 0
         with pytest.raises(BrightLimitError, match="no probe light reaches the detector"):
+            chain = build_chain(PARAMS, LossBudget(T_p=0.0, eta_p=0.945, eta_c=0.919))
             qcrb_numeric_gaussian(t, PARAMS, chain.budget, chain=chain)
 
     def test_zero_transmission_rejected(self):
         with pytest.raises(ValueError):
-            qcrb_numeric_gaussian(0.0, PARAMS, BUDGET)
+            qcrb_numeric_gaussian(0.0, PARAMS, BUDGET, chain=build_chain(PARAMS, BUDGET))
 
     @pytest.mark.parametrize("t", [2e-318, 1e-320, 5e-324])
     def test_transmission_below_the_audit_step_rejected(self, t):
         # the audit step 1e-6 T underflows to 0 below T ~ 2.47e-318
         with pytest.raises(NonPhysicalError, match="finite-difference audit step"):
-            qcrb_numeric_gaussian(t, PARAMS, BUDGET)
+            qcrb_numeric_gaussian(t, PARAMS, BUDGET, chain=build_chain(PARAMS, BUDGET))
 
 
 def test_bounds_dividing_by_eta_p_reject_zero():
     # T / eta_p has no value at eta_p = 0; a Python float division would
-    # raise ZeroDivisionError, which is not a domain error
+    # raise ZeroDivisionError, which is not a domain error.  The numeric
+    # bound needs a chain, and a dark budget builds none
     dark = LossBudget(T_p=0.973, eta_p=0.0, eta_c=0.919)
     routes = [
         lambda: qcrb_coherent(0.5, 1.0, 0.0),
         lambda: qcrb_pure_btmss(0.5, 1.0, 2.04, dark),
         lambda: qcrb_distributed(0.5, 1.0, PARAMS, dark),
         lambda: qcrb_ultimate(0.5, 1.0, dark),
-        lambda: qcrb_numeric_gaussian(0.5, PARAMS, dark),
     ]
     for route in routes:
         with pytest.raises(ValueError, match=r"eta_p must lie in \(0, 1\]"):
             route()
+    with pytest.raises(BrightLimitError, match="no probe light reaches the detector"):
+        qcrb_numeric_gaussian(0.5, PARAMS, dark, chain=build_chain(PARAMS, dark))
     assert qcrb_ultimate(0.5, 1.0, dark, lossless=True).var_n == 0.25
 
 
@@ -426,7 +439,7 @@ _BUDGETS = st.one_of(
 def test_numeric_matches_closed_form_over_config_box(s, t_a, t, budget):
     # criterion 03 wherever a config is accepted, not only on the paper's grid
     params = SourceParams(s=s, T_a=t_a)
-    numeric = qcrb_numeric_gaussian(t, params, budget).var_n
+    numeric = qcrb_numeric_gaussian(t, params, budget, chain=build_chain(params, budget)).var_n
     closed = qcrb_distributed(t, 1.0, params, budget).var_n
     assert abs(numeric - closed) <= 1e-6 * abs(closed)
     if budget.eta_c >= 0.5:

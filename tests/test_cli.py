@@ -269,7 +269,9 @@ class TestBoundsCommand:
         cfg.write_text("T_grid = 0.1:1:1e-12\n")
         assert main(["bounds", "--config", str(cfg)]) == 3
 
-    @pytest.mark.parametrize("eta_p, message", [("0", "eta_p must lie"), ("1e-310", "finite")])
+    @pytest.mark.parametrize(
+        "eta_p, message", [("0", "no probe light reaches the detector"), ("1e-310", "finite")]
+    )
     def test_dark_or_subnormal_detection_efficiency_exits_4(self, tmp_path, capsys, eta_p, message):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(f"eta_p = {eta_p}\n")
@@ -279,17 +281,6 @@ class TestBoundsCommand:
         assert rc == 4
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
-
-    def test_dark_probe_budget_exits_4_naming_it(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text("T_p = 0\n")
-        out = tmp_path / "bounds.csv"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rc = main(["bounds", "--config", str(cfg), "--out", str(out)])
-        assert rc == 4
-        assert capsys.readouterr().err == "error: no probe light reaches the detector\n"
-        assert not out.exists()
 
     @pytest.mark.parametrize("t", ["2e-318", "1e-320", "5e-324"])
     def test_transmission_below_the_audit_step_exits_4(self, tmp_path, capsys, t):
@@ -494,6 +485,21 @@ class TestSimulateCommand:
         assert main(argv) == 4
         assert str(MAX_TRIALS) in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["T_p", "eta_p"])
+@pytest.mark.parametrize("command", ["bounds", "simulate"])
+def test_dark_budget_exits_4_with_one_shared_line(tmp_path, capsys, command, key):
+    # the chain decides darkness, so both commands name it in the same words
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"{key} = 0\n")
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([command, "--config", str(cfg), "--out", str(out)])
+    assert rc == 4
+    assert capsys.readouterr().err == "error: no probe light reaches the detector\n"
+    assert not out.exists()
 
 
 class TestFitCommand:

@@ -14,10 +14,19 @@ PARAMS = SourceParams(s=2.04, T_a=0.71)
 BUDGET = LossBudget(T_p=0.973, eta_p=0.945, eta_c=0.919)
 SYNC4 = FilterModel(kind="sync_tuned", rbw=51e3, poles=4)
 ETAS = {"diff": 0.919, "probe": 0.973 * 0.945, "conj": 0.919}
+NAN, INF = float("nan"), float("inf")
+RAMP = "ramp needs a finite non-negative amplitude and finite positive duration"
+PHOTONS = "voltage and time must be non-negative, wavelength positive, all finite"
+RESPONSIVITY = "detector responsivity must be positive and finite"
 
 
 def _transmission_variance(T, n_r=1.0):
     return detection.transmission_variance(build_chain(PARAMS, BUDGET), T, n_r)
+
+
+def _photons(**overrides):
+    arguments = {"v_dc": 1.0, "volts_per_watt": 1e3, "wavelength": 795e-9, "t": 1e-5}
+    return detection.photons_from_voltage(**{**arguments, **overrides})
 
 
 def _fit_source(noise_model):
@@ -59,7 +68,9 @@ DOMAIN_ERRORS = {
         "probing photon number must be positive",
     ),
     "numeric-n_r-nan": (
-        lambda: bounds.qcrb_numeric_gaussian(0.5, PARAMS, BUDGET, float("nan")),
+        lambda: bounds.qcrb_numeric_gaussian(
+            0.5, PARAMS, BUDGET, float("nan"), chain=build_chain(PARAMS, BUDGET)
+        ),
         "probing photon number must be positive",
     ),
     "distributed-factor-eta_c-above-1": (
@@ -78,14 +89,12 @@ DOMAIN_ERRORS = {
         lambda: MeasurementPlan(filter=SYNC4, trials=100, rng_seed=0, ramp_duration=0.0),
         "ramp duration must be positive",
     ),
-    "linear-ramp-negative-amplitude": (
-        lambda: detection.linear_ramp(-1.0, 1.0),
-        "ramp needs a non-negative amplitude and positive duration",
-    ),
-    "linear-ramp-duration-0": (
-        lambda: detection.linear_ramp(1.0, 0.0),
-        "ramp needs a non-negative amplitude and positive duration",
-    ),
+    "linear-ramp-negative-amplitude": (lambda: detection.linear_ramp(-1.0, 1.0), RAMP),
+    "linear-ramp-duration-0": (lambda: detection.linear_ramp(1.0, 0.0), RAMP),
+    "linear-ramp-nan-amplitude": (lambda: detection.linear_ramp(NAN, 1.0), RAMP),
+    "linear-ramp-inf-amplitude": (lambda: detection.linear_ramp(INF, 1.0), RAMP),
+    "linear-ramp-nan-duration": (lambda: detection.linear_ramp(1.0, NAN), RAMP),
+    "linear-ramp-inf-duration": (lambda: detection.linear_ramp(1.0, INF), RAMP),
     "sa-chain-2d-series": (
         lambda: detection.sa_chain_simulate(np.zeros((2, 8)), 1e6, SYNC4, 1e3),
         "input series must be a 1-D array",
@@ -94,17 +103,25 @@ DOMAIN_ERRORS = {
         lambda: detection.sa_chain_simulate(np.zeros(1), 1e6, SYNC4, 1e3),
         "input series must be a 1-D array",
     ),
-    "photons-negative-voltage": (
-        lambda: detection.photons_from_voltage(-1.0, 1e3, 795e-9, 1e-5),
-        "voltage, wavelength, and time must be non-negative",
+    "photons-negative-voltage": (lambda: _photons(v_dc=-1.0), PHOTONS),
+    "photons-zero-wavelength": (lambda: _photons(wavelength=0.0), PHOTONS),
+    "photons-negative-time": (lambda: _photons(t=-1e-5), PHOTONS),
+    "photons-nan-voltage": (lambda: _photons(v_dc=NAN), PHOTONS),
+    "photons-inf-voltage": (lambda: _photons(v_dc=INF), PHOTONS),
+    "photons-nan-wavelength": (lambda: _photons(wavelength=NAN), PHOTONS),
+    "photons-inf-wavelength": (lambda: _photons(wavelength=INF), PHOTONS),
+    "photons-nan-time": (lambda: _photons(t=NAN), PHOTONS),
+    "photons-inf-time": (lambda: _photons(t=INF), PHOTONS),
+    "photons-nan-responsivity": (lambda: _photons(volts_per_watt=NAN), RESPONSIVITY),
+    "photons-inf-responsivity": (lambda: _photons(volts_per_watt=INF), RESPONSIVITY),
+    "photons-overflow": (
+        lambda: _photons(v_dc=1e300, volts_per_watt=1e-300),
+        "photon number overflows double precision",
     ),
-    "photons-zero-wavelength": (
-        lambda: detection.photons_from_voltage(1.0, 1e3, 0.0, 1e-5),
-        "voltage, wavelength, and time must be non-negative",
-    ),
-    "photons-negative-time": (
-        lambda: detection.photons_from_voltage(1.0, 1e3, 795e-9, -1e-5),
-        "voltage, wavelength, and time must be non-negative",
+    # the flux overflows to inf, and inf * 0 would be NaN
+    "photons-overflow-at-time-0": (
+        lambda: _photons(v_dc=1e300, volts_per_watt=1e-300, t=0.0),
+        "photon number overflows double precision",
     ),
     "de-falling-bound": (
         lambda: inference.DEConfig(bounds=((0.0, 3.0), (1.0, 0.5))),
