@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -157,6 +158,28 @@ def holed_unit_bowl(hole):
 
 
 UNIT_BOX = ((0.0, 1.0), (0.0, 1.0))
+
+
+def enabled_dispatch_targets() -> tuple:
+    """The numpy SIMD dispatch targets this process may run, lowest first."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return tuple(t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t))
+
+
+# sha256 of the per-fit lines of `test_contour_pinned_over_criterion_08_fits`
+# for `fitted_objective(1, i)`, i = 1..120, by numpy version and the dispatch
+# targets enabled: the X86_V4 kernels and the X86_V3 ones round differently
+_PIN_V3 = "38282ecfffd9289e3c9e3609d3ec3ac610035ae544d6e07b411c73805668d98c"
+_PIN_V4 = "d5e05d7b792bccae6012e63342341270b47d8af024fcd0ede9181733cb7aa9d1"
+CONTOUR_PIN_DIGESTS = {
+    ("2.4.6", ("X86_V3",)): _PIN_V3,
+    ("2.4.6", ("X86_V3", "X86_V4")): _PIN_V4,
+    ("2.4.6", ("X86_V3", "X86_V4", "AVX512_ICL")): _PIN_V4,
+    ("2.4.6", ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")): _PIN_V4,
+}
 
 # name -> (objective, config) maker for the DE oracle comparison
 DE_CASES = {
@@ -715,6 +738,30 @@ class TestFitSource:
             assert max(batch_sizes) <= inference.CONTOUR_BATCH
             calls.append(len(batch_sizes))
         assert np.mean(calls) <= 8
+
+    def test_contour_pinned_over_criterion_08_fits(self):
+        # each fit's batch sizes, widths and DE optimum, bit for bit, as one
+        # digest; the chi-square's exp and log round differently per numpy
+        # version and SIMD dispatch level, so each one recorded has its own
+        level = (np.__version__, enabled_dispatch_targets())
+        if level not in CONTOUR_PIN_DIGESTS:
+            pytest.skip(f"no contour digest recorded for numpy and dispatch targets {level}")
+        lines = []
+        for i in range(1, 121):
+            objective, optimum, chi2_min, dof = fitted_objective(1, i)
+            batch_sizes = []
+
+            def counted(points):
+                batch_sizes.append(points.shape[0])
+                return objective(points)
+
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                widths, _ = uncertainty_by_chi2_doubling(counted, optimum, chi2_min, dof, BOX)
+            bits = [float(x).hex() for x in (*widths, *optimum, chi2_min)]
+            lines.append(f"{i} {batch_sizes} {' '.join(bits)}")
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == CONTOUR_PIN_DIGESTS[level]
 
     def test_peak_memory_per_member(self):
         # the model's temporaries set the peak; the parent of the in-place
