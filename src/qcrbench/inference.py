@@ -40,6 +40,8 @@ _LN10 = math.log(10.0)
 # most rays to refine whose points start with a bisection tree
 CONTOUR_BATCH = 512
 TREE_RAYS = 4
+# the contour's bracket rows, bottom and top, by the decision that moves them
+_SIDES = np.array([[False], [True]])
 
 
 @dataclass(frozen=True)
@@ -202,34 +204,30 @@ def chi_square_batch(measurements, points: np.ndarray, noise_model: str = "numer
     Var(log10 N) = Var(N) / (N ln 10)^2.  Points where any channel's model
     noise is not > 0 (NaN included) get +inf.
 
-    Each channel's term is built in place in one array the call owns; where
-    the model noise is not > 0 it holds log10 of the measured noise, so its
-    term there is 0 and, with the finite positive `log_variance` every
-    `NoiseMeasurement` has, raises no floating-point warning.  The first
-    channel's term becomes the total (0 + t is t, as terms are >= +0).
+    The three channels' terms are built in place in one (3, ...) array the
+    call owns, by one numpy call per step.  Where the model noise is not > 0
+    it holds 0, so, with the finite positive `log_variance` every
+    `NoiseMeasurement` has, no step raises a floating-point warning, and
+    +inf is written there last.  The total adds the terms in channel order.
     """
     by_channel = _by_channel(measurements)
+    triple = [by_channel[channel] for channel in CHANNELS]
     points = np.asarray(points, dtype=float)
-    shape = points.shape[:-1]
     model = _model_noises(points[..., 0], points[..., 1], noise_model)
-    total = physical = None
-    for channel in CHANNELS:
-        m = by_channel[channel]
-        theory = np.asarray(getattr(model, channel), dtype=float)
-        positive = theory > 0.0
-        log_value = np.log10(m.value)
-        term = np.empty(shape)
-        term.fill(log_value)
-        np.log10(theory, out=term, where=positive)
-        np.subtract(log_value, term, out=term)
-        np.square(term, out=term)
-        term /= m.log_variance
-        if total is None:
-            total, physical = term, positive
-        else:
-            total += term
-            physical &= positive
-    total[~physical] = np.inf
+    theory = np.array([model.diff, model.probe, model.conj], dtype=float)
+    # one column per channel, broadcast over the points
+    column = (3,) + (1,) * (theory.ndim - 1)
+    log_values = np.log10([m.value for m in triple]).reshape(column)
+    log_variances = np.array([m.log_variance for m in triple]).reshape(column)
+    positive = theory > 0.0
+    terms = np.zeros(theory.shape)
+    np.log10(theory, out=terms, where=positive)
+    np.subtract(log_values, terms, out=terms)
+    np.square(terms, out=terms)
+    terms /= log_variances
+    np.copyto(terms, np.inf, where=~positive)
+    total = terms[0] + terms[1]
+    total += terms[2]
     # a single point gives a numpy scalar, as whole-array arithmetic would
     return total if total.ndim else total[()]
 
@@ -254,7 +252,9 @@ def differential_evolution(objective, config: DEConfig) -> DEResult:
     count is reported on the result).  Deterministic for a fixed rng_seed.
 
     A generation draws, in this order, the two difference-vector index
-    arrays, any redraws of colliding picks and the acceptance variates.  Its
+    arrays, any redraws of colliding picks and the acceptance variates.
+    Each pair of index draws is one (2, n) draw, which takes the stream's
+    values in the order of the j draw followed by the k draw.  Its
     candidates are built in place as pop[k] - pop[j], divided by the box
     diagonal, plus the best point, then clipped to the box.
     """
@@ -269,15 +269,15 @@ def differential_evolution(objective, config: DEConfig) -> DEResult:
     finite = np.isfinite(values)
     discarded = values.size - int(np.count_nonzero(finite))
     values = np.where(finite, values, np.inf)
+    n = size - 1
     generation = 0
     spread = _spread(pop)
     for generation in range(1, config.max_generations + 1):
         best = int(values.argmin())
-        others = np.arange(size - 1)
+        others = np.arange(n)
         others[best:] += 1
-        n = others.size
-        j = rng.integers(0, size, size=n)
-        k = rng.integers(0, size, size=n)
+        picks = rng.integers(0, size, size=(2, n))
+        j, k = picks
         # redraw any pick that collides with the target, the best point, or itself
         while True:
             bad = j == k
@@ -288,25 +288,28 @@ def differential_evolution(objective, config: DEConfig) -> DEResult:
             redraws = np.count_nonzero(bad)
             if not redraws:
                 break
-            j[bad] = rng.integers(0, size, size=redraws)
-            k[bad] = rng.integers(0, size, size=redraws)
+            j[bad], k[bad] = rng.integers(0, size, size=(2, redraws))
         acceptance = rng.random(n)
-        candidates = pop[k]
-        candidates -= pop[j]
+        candidates = pop.take(k, axis=0)
+        candidates -= pop.take(j, axis=0)
         candidates /= diagonal
         candidates += pop[best]
-        np.clip(candidates, lo, hi, out=candidates)
+        candidates.clip(lo, hi, out=candidates)
         cand_values = np.asarray(objective(candidates), dtype=float)
         finite = np.isfinite(cand_values)
         discarded += cand_values.size - int(np.count_nonzero(finite))
         # a non-finite value counts as +inf, which replaces nothing
-        replace = cand_values < values[others]
+        replace = cand_values < values.take(others)
         replace &= finite
         replace &= acceptance < config.acceptance_prob
-        pop[others[replace]] = candidates[replace]
-        values[others[replace]] = cand_values[replace]
+        chosen = replace.nonzero()[0]
+        rows = others.take(chosen)
+        pop[rows] = candidates.take(chosen, axis=0)
+        values[rows] = cand_values.take(chosen)
+        # no index array of this generation lives through the next objective call
+        del chosen, rows
         spread = _spread(pop)
-        if (spread < config.spread_tol).all():
+        if all(x < config.spread_tol for x in spread.tolist()):
             break
     best = int(values.argmin())
     return DEResult(
@@ -359,16 +362,33 @@ def uncertainty_by_chi2_doubling(
     A criterion-08 fit makes about 6.4 calls (at most 8 over 120 fits),
     where one call per step makes 61.
 
+    The state of the rays lives in arrays over the rays: each bracket, the
+    objective at its ends, the steps taken, and whether the ray is still
+    refined or was never bracketed.  A call prunes, makes the secant
+    guesses and sizes each ray's tree and path as whole-array steps; only
+    the halving towards each guess, in Python floats, and the walk down a
+    tree (on at most `TREE_RAYS` rays, or a ray's last levels) run ray by
+    ray.  The walk compares every value with the level once, finds each
+    ray's first decision that differs from its guessed one, and reads the
+    new brackets and their values off the evaluated points by index.
+
     Returns (half_widths, fully_bounded).
     """
     if dof < 1:
         raise ValueError("need at least one degree of freedom")
+    _require_integers(n_rays=n_rays, bisection_steps=bisection_steps)
+    if n_rays < 1:
+        raise ValueError(f"n_rays must be at least 1, not {n_rays}")
+    if bisection_steps < 0:
+        raise ValueError(f"bisection_steps must be non-negative, not {bisection_steps}")
+    # Python floats give numpy's bits without its warnings
+    chi2_min = float(chi2_min)
+    if not 0.0 <= chi2_min < math.inf:
+        raise ValueError(f"chi2_min must be finite and non-negative, not {chi2_min!r}")
     bounds = np.asarray(bounds, dtype=float)
     lo, hi = bounds[:, 0], bounds[:, 1]
     optimum = np.asarray(optimum, dtype=float)
     scale = hi - lo
-    # Python floats give numpy's bits without its warnings
-    chi2_min = float(chi2_min)
     level = float(chi2_min + max(chi2_min, 1e-30) / dof)
     target = math.sqrt(level - chi2_min)
     angles = 2.0 * math.pi * np.arange(n_rays) / n_rays
@@ -380,102 +400,159 @@ def uncertainty_by_chi2_doubling(
         to_lo = (lo - optimum) / (directions * scale)
     limits = np.where(directions > 0, to_hi, np.where(directions < 0, to_lo, np.inf))
     r_max = np.clip(limits.min(axis=1), 0.0, None)
+    # |r d scale| of a radius r >= 0 is (r |d|) |scale|, bit for bit, here
+    # by parameter
+    abs_directions, abs_scale = np.abs(directions.T), np.abs(scale)[:, None]
+    # positions in the largest batch a call walks
+    index = np.arange(max(CONTOUR_BATCH, n_rays))
 
-    def reach(radii):
-        # per-parameter excursion of each ray, non-decreasing in its radius
-        return np.abs(radii[:, None] * directions * scale)
-
-    # per ray: its bracket, the objective at the bracket ends (+inf at the
-    # top until it is evaluated, which aims the first guess at 0) and the
-    # steps it has taken
-    lows, highs = [0.0] * n_rays, r_max.tolist()
-    low_values, high_values = [chi2_min] * n_rays, [math.inf] * n_rays
-    taken = [0] * n_rays
-    unbounded = np.zeros(n_rays, dtype=bool)
+    # per ray, bottom in row 0 and top in row 1: its bracket and the objective
+    # at the bracket ends (+inf at the top until it is evaluated, which aims
+    # the first guess at 0); and the steps it has taken and whether it is
+    # still refined.  An unbracketed ray's bracket becomes [r_max, r_max].
+    brackets = np.zeros((2, n_rays))
+    brackets[1] = r_max
+    end_values = np.array([[chi2_min], [np.inf]]).repeat(n_rays, axis=1)
+    taken = np.zeros(n_rays, dtype=np.intp)
     live = np.ones(n_rays, dtype=bool)
-    first = True
+    unbounded = np.zeros(n_rays, dtype=bool)
+    # the first call also evaluates the bracket tops, ahead of its paths
+    tops = n_rays
     while True:
-        # each final radius lies in its ray's current bracket
-        floor = reach(np.where(unbounded, r_max, lows)).max(axis=0)
-        live &= ~(reach(np.where(unbounded, r_max, highs)) < floor).all(axis=1)
-        rays = [j for j in np.flatnonzero(live).tolist() if taken[j] < bisection_steps]
-        if not (first or rays):
+        if not tops:
+            # each final radius lies in its ray's current bracket (at the
+            # first call every bottom is 0 and no ray is pruned)
+            reach = brackets[:, None, :] * abs_directions
+            reach *= abs_scale
+            top = reach[1] >= np.maximum.reduce(reach[0], axis=1, keepdims=True)
+            live &= top[0] | top[1]
+        rays = (live & (taken < bisection_steps)).nonzero()[0]
+        if not (tops or rays.size):
             break
-        radii = r_max.tolist() if first else []
-        owners = list(range(n_rays)) if first else []
         # past CONTOUR_BATCH rays the first call evaluates only the tops
-        per_ray = max((CONTOUR_BATCH - len(radii)) // max(len(rays), 1), 0 if first else 1)
+        per_ray = max((CONTOUR_BATCH - tops) // max(rays.size, 1), 0 if tops else 1)
         depth = (per_ray + 1).bit_length() - 1
-        head = depth - 1 if len(rays) <= TREE_RAYS else 0
-        plans = []
-        for j in rays:
-            a, b = lows[j], highs[j]
-            g_a = math.sqrt(max(low_values[j] - chi2_min, 0.0))
-            g_b = math.sqrt(max(high_values[j] - chi2_min, 0.0))
-            guess = a + (target - g_a) * (b - a) / (g_b - g_a) if g_b > g_a else b
-            remaining = bisection_steps - taken[j]
-            tree = remaining if remaining <= depth else head
-            steps = min(remaining, per_ray - 2**tree + 1 + tree)
-            # the tree's midpoints level by level, then the path below it
-            edges = [a, b]
-            for _ in range(tree):
-                mids = [0.5 * (x + y) for x, y in zip(edges, edges[1:])]
-                radii += mids
-                edges[1:] = [e for pair in zip(mids, edges[1:]) for e in pair]
-            for k in range(steps):
-                mid = 0.5 * (a + b)
-                if k >= tree:
-                    radii.append(mid)
+        head = depth - 1 if rays.size <= TREE_RAYS else 0
+        remaining = bisection_steps - taken.take(rays)
+        trees = np.where(remaining <= depth, remaining, head)
+        nodes = (1 << trees) - 1
+        steps = np.minimum(remaining, per_ray - nodes + trees)
+        counts = nodes + steps - trees
+        bracket, bracket_values = brackets.take(rays, axis=1), end_values.take(rays, axis=1)
+        a, b = bracket
+        # Python floats made these steps without warnings; where g_b <= g_a
+        # (or is NaN) the secant is not used
+        with np.errstate(all="ignore"):
+            g_a, g_b = np.sqrt(np.maximum(bracket_values - chi2_min, 0.0))
+            guesses = np.where(g_b > g_a, a + (target - g_a) * (b - a) / (g_b - g_a), b)
+        radii = r_max.tolist() if tops else []
+        append = radii.append
+        for a_j, b_j, guess, tree, step in zip(
+            *bracket.tolist(), guesses.tolist(), trees.tolist(), steps.tolist()
+        ):
+            # the tree's midpoints level by level, then the path below it,
+            # whose first `tree` midpoints the tree holds
+            if tree:
+                edges = [a_j, b_j]
+                for _ in range(tree):
+                    mids = [0.5 * (x + y) for x, y in zip(edges, edges[1:])]
+                    radii += mids
+                    halves = edges + mids
+                    halves[::2], halves[1::2] = edges, mids
+                    edges = halves
+            for _ in range(step):
+                mid = 0.5 * (a_j + b_j)
+                append(mid)
                 if mid >= guess:
-                    b = mid
+                    b_j = mid
                 else:
-                    a = mid
-            owners += [j] * (2**tree - 1 + steps - tree)
-            plans.append((j, tree, steps, guess))
+                    a_j = mid
+            if tree:
+                del radii[len(radii) - step : len(radii) - step + tree]
+        radii = np.fromiter(radii, float, len(radii))
+        owners = rays.repeat(counts)
+        if tops:
+            owners = np.concatenate((index[:n_rays], owners))
         # radii[k] lies on ray owners[k]; clip shields the objective from float
         # round-off past the box edge
-        pts = np.clip(optimum + np.array(radii)[:, None] * directions[owners] * scale, lo, hi)
-        values = np.asarray(objective(pts), dtype=float).reshape(len(radii)).tolist()
-        at = 0
-        if first:
-            high_values, at, first = values[:n_rays], n_rays, False
-            unbounded = np.array(high_values) < level
-            live &= ~unbounded
-            if np.any(unbounded):
+        points = radii[:, None] * directions.take(owners, axis=0)
+        points *= scale
+        points += optimum
+        points.clip(lo, hi, out=points)
+        values = np.asarray(objective(points), dtype=float).reshape(radii.size)
+        if tops:
+            end_values[1] = values[:tops]
+            unbounded = end_values[1] < level
+            if unbounded.any():
                 warnings.warn(
                     "chi-square doubling contour not bracketed within bounds on "
                     f"{int(unbounded.sum())}/{n_rays} rays; widths are one-sided there",
                     stacklevel=2,
                 )
-        for j, tree, steps, guess in plans:
-            # walk the tree (node i has halves 2i + 1 and 2i + 2), then the path
-            # while every decision so far was the guessed one; a value at or
-            # above the level keeps the lower half, any other (NaN too) the upper
-            a, b = lows[j], highs[j]
-            node, guessed, path = 0, True, at + 2**tree - 1 - tree
-            for k in range(steps):
-                if k >= tree and not guessed:
-                    break
-                value = values[at + node if k < tree else path + k]
-                mid = 0.5 * (a + b)
-                above = value >= level
-                guessed = guessed and above == (mid >= guess)
-                if above:
-                    b, high_values[j] = mid, value
-                else:
-                    a, low_values[j] = mid, value
-                node = 2 * node + 2 - above
-                taken[j] += 1
-            lows[j], highs[j] = a, b
-            at = path + steps
-    radii = np.where(unbounded, r_max, 0.5 * (np.array(lows) + np.array(highs)))
-    return reach(radii).max(axis=0), not bool(np.any(unbounded))
+            radii, values = radii[tops:], values[tops:]
+            # a top the walk does not move keeps its value
+            bracket_values[1] = end_values[1].take(rays)
+        if radii.size:
+            # walk each ray's tree (node i has halves 2i + 1 and 2i + 2), then
+            # its path while every decision so far was the guessed one; a value
+            # at or above the level keeps the lower half, any other (NaN too)
+            # the upper
+            above = values >= level
+            flipped = above != (radii >= guesses.repeat(counts))
+            positions = index[: radii.size]
+            ends = counts.cumsum()
+            paths = ends - counts + nodes
+            # a path's last step is its first flip; a ray with an empty path
+            # may start at the batch's end, where `clip` reads the last point
+            next_flip = np.where(flipped, positions, radii.size)
+            next_flip = np.minimum.accumulate(next_flip[::-1])[::-1]
+            stops = np.minimum(next_flip.take(paths, mode="clip") + 1, ends)
+            # the last point of each tree's route below and above the level
+            tree_ends = -1
+            if np.count_nonzero(trees):
+                tree_ends = np.full((2, rays.size), -1)
+                up, flip = above.tolist(), flipped.tolist()
+                for i in trees.nonzero()[0].tolist():
+                    route, node, start = [-1, -1], 0, int(ends[i] - counts[i])
+                    for _ in range(int(trees[i])):
+                        at = start + node
+                        route[up[at]] = at
+                        # a tree that strays from the guess ends the walk
+                        if flip[at]:
+                            stops[i] = paths[i]
+                        node = 2 * node + 2 - up[at]
+                    tree_ends[:, i] = route
+            taken[rays] += trees + stops - paths
+            # the last point below and above the level of each walk; one
+            # before its path is its tree's, or no step's (stops > 0: a path
+            # starts after its tree or has a point)
+            at = np.where(above == _SIDES, positions, -1)
+            at = np.maximum.accumulate(at, axis=1)[:, stops - 1]
+            at = np.where(at >= paths, at, tree_ends)
+            moved = at >= 0
+            brackets[:, rays] = np.where(moved, radii.take(at), bracket)
+            end_values[:, rays] = np.where(moved, values.take(at), bracket_values)
+        if tops:
+            # an unbracketed ray's width is its reach at r_max
+            live &= ~unbounded
+            brackets[:, unbounded] = r_max[unbounded]
+            tops = 0
+    lows, highs = brackets
+    radii = np.where(unbounded, r_max, 0.5 * (lows + highs))
+    return np.abs(radii[:, None] * directions * scale).max(axis=0), not bool(np.any(unbounded))
 
 
 def fit_source(measurements, config: DEConfig, noise_model: str = "numeric_oracle") -> FitResult:
     """Full inference: backtrack, minimize chi-square, attach uncertainties."""
     if noise_model not in NOISE_MODELS:
         raise ValueError(f"unknown noise model {noise_model!r}")
+    box = np.asarray(config.bounds, dtype=float)
+    # DEConfig holds every pair finite with lo < hi
+    if box.shape != (2, 2) or not (box[0, 0] >= 0.0 and box[1, 0] > 0.0 and box[1, 1] <= 1.0):
+        raise ValueError(
+            "bounds must be two (lo, hi) pairs inside s >= 0, 0 < T_a <= 1, "
+            f"not {config.bounds!r}"
+        )
     raw = list(measurements)
     _by_channel(raw)
     at_source = [backtrack_measurement(m) for m in raw]

@@ -29,9 +29,9 @@ def _photons(**overrides):
     return detection.photons_from_voltage(**{**arguments, **overrides})
 
 
-def _fit_source(noise_model):
+def _fit_source(noise_model="numeric_oracle", bounds=((0.0, 3.0), (0.5, 1.0))):
     measurements = inference.synthetic_noise_measurements(2.04, 0.71, ETAS)
-    config = inference.DEConfig(population=8, max_generations=1)
+    config = inference.DEConfig(population=8, max_generations=1, bounds=bounds)
     return inference.fit_source(measurements, config, noise_model=noise_model)
 
 
@@ -40,13 +40,17 @@ def _chi_square_batch(noise_model):
     return inference.chi_square_batch(measurements, np.array([[2.04, 0.71]]), noise_model)
 
 
-def _contour(dof):
+def _contour(dof=1, chi2_min=0.0, **rays):
     def objective(points):
         return np.zeros(len(points))
 
     return inference.uncertainty_by_chi2_doubling(
-        objective, np.array([1.0, 0.7]), 0.0, dof, ((0.0, 3.0), (0.5, 1.0))
+        objective, np.array([1.0, 0.7]), chi2_min, dof, ((0.0, 3.0), (0.5, 1.0)), **rays
     )
+
+
+def _fit_box(bounds):
+    return f"bounds must be two (lo, hi) pairs inside s >= 0, 0 < T_a <= 1, not {bounds!r}"
 
 
 # (call, message): each call raises ValueError with exactly this message
@@ -136,6 +140,51 @@ DOMAIN_ERRORS = {
         "acceptance probability must lie in [0, 1]",
     ),
     "contour-dof-0": (lambda: _contour(0), "need at least one degree of freedom"),
+    "contour-n_rays-0": (lambda: _contour(n_rays=0), "n_rays must be at least 1, not 0"),
+    "contour-n_rays-fraction": (
+        lambda: _contour(n_rays=2.5),
+        "n_rays must be an integer, not 2.5",
+    ),
+    "contour-bisection_steps-negative": (
+        lambda: _contour(bisection_steps=-1),
+        "bisection_steps must be non-negative, not -1",
+    ),
+    "contour-bisection_steps-fraction": (
+        lambda: _contour(bisection_steps=7.0),
+        "bisection_steps must be an integer, not 7.0",
+    ),
+    "contour-chi2_min-nan": (
+        lambda: _contour(chi2_min=NAN),
+        "chi2_min must be finite and non-negative, not nan",
+    ),
+    "contour-chi2_min-inf": (
+        lambda: _contour(chi2_min=INF),
+        "chi2_min must be finite and non-negative, not inf",
+    ),
+    "contour-chi2_min-negative": (
+        lambda: _contour(chi2_min=-1.0),
+        "chi2_min must be finite and non-negative, not -1.0",
+    ),
+    "fit-box-one-parameter": (
+        lambda: _fit_source(bounds=((0.0, 3.0),)),
+        _fit_box(((0.0, 3.0),)),
+    ),
+    "fit-box-three-parameters": (
+        lambda: _fit_source(bounds=((0.0, 3.0), (0.5, 1.0), (0.0, 1.0))),
+        _fit_box(((0.0, 3.0), (0.5, 1.0), (0.0, 1.0))),
+    ),
+    "fit-box-negative-s": (
+        lambda: _fit_source(bounds=((-1.0, 3.0), (0.5, 1.0))),
+        _fit_box(((-1.0, 3.0), (0.5, 1.0))),
+    ),
+    "fit-box-T_a-from-0": (
+        lambda: _fit_source(bounds=((0.0, 3.0), (0.0, 1.0))),
+        _fit_box(((0.0, 3.0), (0.0, 1.0))),
+    ),
+    "fit-box-T_a-above-1": (
+        lambda: _fit_source(bounds=((0.0, 3.0), (0.5, 2.0))),
+        _fit_box(((0.0, 3.0), (0.5, 2.0))),
+    ),
     "fit-unknown-noise-model": (
         lambda: _fit_source("bogus"),
         "unknown noise model 'bogus'",
