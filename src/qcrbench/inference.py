@@ -415,8 +415,8 @@ def uncertainty_by_chi2_doubling(
     end_values = np.array([[chi2_min], [np.inf]]).repeat(n_rays, axis=1)
     taken = np.zeros(n_rays, dtype=np.intp)
     live = np.ones(n_rays, dtype=bool)
-    unbounded = np.zeros(n_rays, dtype=bool)
-    # the first call also evaluates the bracket tops, ahead of its paths
+    # the first call also evaluates the bracket tops, ahead of its paths,
+    # and finds the rays left `unbounded`
     tops = n_rays
     while True:
         if not tops:
