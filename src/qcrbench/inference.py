@@ -435,9 +435,10 @@ def uncertainty_by_chi2_doubling(
         head = depth - 1 if rays.size <= TREE_RAYS else 0
         remaining = bisection_steps - taken.take(rays)
         trees = np.where(remaining <= depth, remaining, head)
-        nodes = (1 << trees) - 1
-        steps = np.minimum(remaining, per_ray - nodes + trees)
-        counts = nodes + steps - trees
+        # a tree's points beyond the path steps it covers
+        extra = (1 << trees) - 1 - trees
+        steps = np.minimum(remaining, per_ray - extra)
+        counts = steps + extra
         bracket, bracket_values = brackets.take(rays, axis=1), end_values.take(rays, axis=1)
         a, b = bracket
         # Python floats made these steps without warnings; where g_b <= g_a
@@ -501,16 +502,14 @@ def uncertainty_by_chi2_doubling(
             flipped = above != (radii >= guesses.repeat(counts))
             positions = index[: radii.size]
             ends = counts.cumsum()
-            paths = ends - counts + nodes
-            # a path's last step is its first flip; a ray with an empty path
-            # may start at the batch's end, where `clip` reads the last point
-            next_flip = np.where(flipped, positions, radii.size)
-            next_flip = np.minimum.accumulate(next_flip[::-1])[::-1]
-            stops = np.minimum(next_flip.take(paths, mode="clip") + 1, ends)
-            # the last point of each tree's route below and above the level
-            tree_ends = -1
+            paths = ends - steps + trees
+            # a path's last step is its first flip, or its last point
+            flips = flipped.nonzero()[0]
+            stops = np.concatenate((flips, ends[-1:])).take(flips.searchsorted(paths))
+            stops = np.minimum(stops + 1, ends)
+            # a tree's route leaves the bracket its path starts from: the last
+            # points of the route below and above the level
             if np.count_nonzero(trees):
-                tree_ends = np.full((2, rays.size), -1)
                 up, flip = above.tolist(), flipped.tolist()
                 for i in trees.nonzero()[0].tolist():
                     route, node, start = [-1, -1], 0, int(ends[i] - counts[i])
@@ -521,15 +520,16 @@ def uncertainty_by_chi2_doubling(
                         if flip[at]:
                             stops[i] = paths[i]
                         node = 2 * node + 2 - up[at]
-                    tree_ends[:, i] = route
+                    for side, at in enumerate(route):
+                        if at >= 0:
+                            bracket[side, i], bracket_values[side, i] = radii[at], values[at]
             taken[rays] += trees + stops - paths
-            # the last point below and above the level of each walk; one
-            # before its path is its tree's, or no step's (stops > 0: a path
-            # starts after its tree or has a point)
+            # the last point below and above the level of each path walked;
+            # one before the path is its tree's or another ray's (stops > 0: a
+            # path starts after its tree or has a point)
             at = np.where(above == _SIDES, positions, -1)
             at = np.maximum.accumulate(at, axis=1)[:, stops - 1]
-            at = np.where(at >= paths, at, tree_ends)
-            moved = at >= 0
+            moved = at >= paths
             brackets[:, rays] = np.where(moved, radii.take(at), bracket)
             end_values[:, rays] = np.where(moved, values.take(at), bracket_values)
         if tops:
