@@ -26,18 +26,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BrightLimitError, NonPhysicalError
+from .errors import DOMAIN, BrightLimitError, NonPhysicalError
 from .gaussian import GaussianState
-from .source import (
-    SourceParams,
-    _mirrored_moments,
-    _require_scalars,
-    _slice_rates,
-    _source_domain,
-    continuum_sector,
-)
+from .source import SourceParams, _mirrored_moments, _slice_rates, continuum_sector
 
-MIN_BRIGHT_PHOTONS = 1e4  # smallest seed (photons per window) of the bright-limit chain
+_S, _T_A, _ETA_C = DOMAIN["s"], DOMAIN["T_a"], DOMAIN["eta_c"]
+_T, _POSITIVE_T, _N_R = DOMAIN["T"], DOMAIN["positive T"], DOMAIN["n_r"]
+_ETA_P = DOMAIN["positive eta_p"]
 
 
 @dataclass(frozen=True)
@@ -49,10 +44,8 @@ class LossBudget:
     eta_c: float
 
     def __post_init__(self):
-        _require_scalars(T_p=self.T_p, eta_p=self.eta_p, eta_c=self.eta_c)
         for name in ("T_p", "eta_p", "eta_c"):
-            if not (0.0 <= getattr(self, name) <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1]")
+            DOMAIN[name].check(getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -69,20 +62,6 @@ class BoundPoint:
     def __post_init__(self):
         if not math.isfinite(self.var_n):
             raise ValueError("bound value must be finite")
-
-
-def _check_t_nr(T: float, n_r: float):
-    if not (0.0 <= T <= 1.0):
-        raise ValueError("transmission T must lie in [0, 1]")
-    if not n_r > 0.0:
-        raise ValueError("probing photon number must be positive")
-
-
-def _eta_p(eta_p: float) -> float:
-    """eta_p of a bound that divides by it: T / eta_p has no value at eta_p = 0."""
-    if not (0.0 < eta_p <= 1.0):
-        raise ValueError("eta_p must lie in (0, 1]")
-    return eta_p
 
 
 def _finite(value: float, s: float) -> float:
@@ -159,10 +138,9 @@ def conjugate_factor_distributed(eta_c: float, s: float, T_a: float) -> float:
     the published expression but regular at eta_c = 0.  Reduces to
     `conjugate_factor` at T_a = 1.
     """
-    _require_scalars(eta_c=eta_c, s=s, T_a=T_a)
-    if not (0.0 <= eta_c <= 1.0):
-        raise ValueError("eta_c must lie in [0, 1]")
-    _source_domain(s, T_a)
+    _ETA_C.check(eta_c)
+    _S.check(s)
+    _T_A.check(T_a)
     return _distributed_terms(float(eta_c), float(s), float(T_a))[0]
 
 
@@ -172,43 +150,51 @@ def distributed_reduction(s: float, T_a: float) -> float:
     Plays the role of 1 - sech(2s) in the pure-source bound and reduces to
     it at T_a = 1; tends to 1 as s -> infinity.
     """
-    _require_scalars(s=s, T_a=T_a)
-    _source_domain(s, T_a)
+    _S.check(s)
+    _T_A.check(T_a)
     # the reduction does not depend on eta_c; 1/2 keeps the factor's denominator positive
     return _distributed_terms(0.5, float(s), float(T_a))[1]
 
 
 def qcrb_coherent(T: float, n_r: float, eta_p: float) -> BoundPoint:
-    """Optimal classical bound: Var(T) >= T / (eta_p n_r), linear in T."""
-    _check_t_nr(T, n_r)
-    return BoundPoint(T=T, var_n=T / _eta_p(eta_p))
+    """Optimal classical bound: Var(T) >= T / (eta_p n_r), linear in T.
+
+    Like every bound that divides by eta_p, it needs eta_p > 0.
+    """
+    _T.check(T)
+    _N_R.check(n_r)
+    return BoundPoint(T=T, var_n=T / _ETA_P.check(eta_p))
 
 
 def qcrb_pure_btmss(T: float, n_r: float, s: float, budget: LossBudget) -> BoundPoint:
     """Bound for a pure bright two-mode squeezed probe with external losses."""
-    _check_t_nr(T, n_r)
+    _T.check(T)
+    _N_R.check(n_r)
+    _S.check(s)
     # the factor rejects every s where 2 sinh^2 s, that is cosh(2 s) - 1, overflows
     factor = conjugate_factor(budget.eta_c, s)
     reduction = 1.0 - 1.0 / math.cosh(2.0 * s)
-    var_n = T / _eta_p(budget.eta_p) - T * T * budget.T_p * factor * reduction
+    var_n = T / _ETA_P.check(budget.eta_p) - T * T * budget.T_p * factor * reduction
     return BoundPoint(T=T, var_n=var_n)
 
 
 def qcrb_distributed(T: float, n_r: float, params: SourceParams, budget: LossBudget) -> BoundPoint:
     """Bound for the source with loss distributed through the gain medium."""
-    _check_t_nr(T, n_r)
+    _T.check(T)
+    _N_R.check(n_r)
     # SourceParams and LossBudget hold validated values
     factor, reduction = _distributed_terms(
         float(budget.eta_c), float(params.s), float(params.T_a)
     )
-    var_n = T / _eta_p(budget.eta_p) - T * T * budget.T_p * factor * reduction
+    var_n = T / _ETA_P.check(budget.eta_p) - T * T * budget.T_p * factor * reduction
     return BoundPoint(T=T, var_n=var_n)
 
 
 def qcrb_ultimate(T: float, n_r: float, budget: LossBudget, lossless: bool = False) -> BoundPoint:
     """Lowest bound over all probe states at fixed photon number."""
-    _check_t_nr(T, n_r)
-    t_p, eta_p = (1.0, 1.0) if lossless else (budget.T_p, _eta_p(budget.eta_p))
+    _T.check(T)
+    _N_R.check(n_r)
+    t_p, eta_p = (1.0, 1.0) if lossless else (budget.T_p, _ETA_P.check(budget.eta_p))
     var_n = T / eta_p - T * T * t_p
     return BoundPoint(T=T, var_n=var_n)
 
@@ -229,7 +215,8 @@ class ProbeChain:
     sigma_cc) of `source.continuum_sector`: ``incident`` after T_p, and
     ``sector_at(T)`` after the T and then the (eta_p, eta_c) stage.
     ``state_at(T)`` expands it to the state for the audits.  A chain is lit
-    and bright-seeded: T_p, eta_p > 0 and a seed of `MIN_BRIGHT_PHOTONS` or more.
+    and bright-seeded: T_p, eta_p > 0 and a seed in the ``bright seed_photons``
+    row of `errors.DOMAIN`.
     """
 
     params: SourceParams
@@ -237,10 +224,7 @@ class ProbeChain:
     incident: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.params.seed_photons < MIN_BRIGHT_PHOTONS:
-            raise ValueError(
-                f"bright-limit chain needs a seed of at least {MIN_BRIGHT_PHOTONS:g} photons"
-            )
+        DOMAIN["bright seed_photons"].check(self.params.seed_photons)
         if self.budget.T_p == 0.0 or self.budget.eta_p == 0.0:
             raise BrightLimitError("no probe light reaches the detector")
         sector = continuum_sector(self.params)
@@ -248,8 +232,7 @@ class ProbeChain:
 
     def sector_at(self, T: float) -> tuple:
         """Detected x sector (d_p, d_c, sigma_pp, sigma_pc, sigma_cc) at T."""
-        if not (0.0 <= T <= 1.0):
-            raise ValueError("transmission T must lie in [0, 1]")
+        _T.check(T)
         sector = _loss_stage(self.incident, math.sqrt(T), 1.0)
         return _loss_stage(sector, math.sqrt(self.budget.eta_p), math.sqrt(self.budget.eta_c))
 
@@ -312,9 +295,8 @@ def qcrb_numeric_gaussian(
     must have been built from ``params`` and ``budget``, and being a
     `ProbeChain` it is lit (eta_p > 0 and T_p > 0).
     """
-    _check_t_nr(T, n_r)
-    if T == 0.0:
-        raise ValueError("the numeric bound needs T > 0")
+    _POSITIVE_T.check(T)
+    _N_R.check(n_r)
     if (chain.params, chain.budget) != (params, budget):
         raise ValueError("the chain was built from other source parameters or loss budget")
     d_p, _, s_pp, s_pc, s_cc = chain.sector_at(T)

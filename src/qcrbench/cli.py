@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import bounds, detection, inference
-from .config import WorkbenchConfig, load_config, parse_filter_spec
+from .config import WorkbenchConfig, check_key, load_config, parse_filter_spec
 from .errors import SchemaError, WorkbenchError
 
 EXIT_OK = 0
@@ -104,9 +104,6 @@ def cmd_simulate(config: WorkbenchConfig, trials: int, out: str | None, fmt: str
         raise WorkbenchError("need at least 100 trials per transmission")
     if trials > MAX_TRIALS:
         raise WorkbenchError(f"at most {MAX_TRIALS} trials per transmission")
-    # the config accepts any integer seed; the ramps' SeedSequence needs one >= 0
-    if config.seed < 0:
-        raise WorkbenchError(f"--seed or config key 'seed' must be non-negative, not {config.seed}")
     chain = bounds.build_chain(config.source, config.budget)
     t_bin = detection.effective_time(config.filter)
     simulated = []
@@ -266,7 +263,8 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             config = load_config(args.config)
             if args.seed is not None:
-                config = dataclasses.replace(config, seed=args.seed)
+                seed = check_key("seed", args.seed, "--seed or config key 'seed'")
+                config = dataclasses.replace(config, seed=seed)
             return cmd_simulate(config, args.trials, args.out, args.format or config.format)
         if args.command == "fit":
             return cmd_fit(

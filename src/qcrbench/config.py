@@ -6,14 +6,13 @@ and re-running with that embedded configuration reproduces the file
 byte for byte.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import LossBudget
 from .detection import FilterModel
-from .errors import ConfigError
+from .errors import DOMAIN, ConfigError
 from .source import SourceParams
 
 #: reference source and loss budget used for the bundled studies
@@ -36,15 +35,27 @@ DEFAULTS = {
 #: most T_grid points a config may ask for, checked before any grid is built
 MAX_GRID_POINTS = 100_000
 
-#: largest squeezing parameter a config may set (about 30 dB).  The numeric
-#: chain loses precision as s grows; up to here its bound agrees with the
-#: closed form to 1e-6 over T_a and T in (0, 1] for any loss budget.  The
-#: lossless budget is the worst case, at T_a and T near 1: with the
-#: closed-form source state it is off by 1.4e-10 at s = 3.5, 6.4e-10 at s = 4,
-#: 1.1e-8 at s = 5 and 2.2e-6 at s = 6.
-MAX_S = 3.5
+#: the `errors.DOMAIN` row each number of the config lies in: a value
+#: outside it is a `ConfigError` before any command runs.  ``filter_kind``
+#: stands for the poles of ``sync<poles>`` and ``T_grid step`` for the step
+#: of a ``start:stop:step`` grid.
+KEY_ROWS = {
+    "s": DOMAIN["capped s"],
+    "T_a": DOMAIN["T_a"],
+    "seed_photons": DOMAIN["bright seed_photons"],
+    "T_p": DOMAIN["T_p"],
+    "eta_p": DOMAIN["eta_p"],
+    "eta_c": DOMAIN["eta_c"],
+    "n_r": DOMAIN["n_r"],
+    "filter_kind": DOMAIN["poles"],
+    "rbw_hz": DOMAIN["rbw"],
+    "T_grid": DOMAIN["positive T"],
+    "T_grid step": DOMAIN["T_grid step"],
+    "seed": DOMAIN["rng_seed"],
+}
 
-_FLOAT_KEYS = ("s", "T_a", "seed_photons", "T_p", "eta_p", "eta_c", "n_r", "rbw_hz")
+#: largest squeezing parameter a config may set
+MAX_S = KEY_ROWS["s"].high
 
 
 @dataclass(frozen=True)
@@ -81,14 +92,19 @@ class WorkbenchConfig:
         return list(values.items())
 
 
+def check_key(key: str, value, subject: str | None = None):
+    """`value` if it lies in the `KEY_ROWS` row of `key`, else a `ConfigError` naming it."""
+    try:
+        return KEY_ROWS[key].check(value, subject or f"config key {key!r}")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _parse_float(key: str, raw: str) -> float:
     try:
-        value = float(raw)
+        return float(raw)
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: {raw!r} is not a number") from exc
-    if not math.isfinite(value):
-        raise ConfigError(f"config key {key!r} must be finite")
-    return value
 
 
 def _parse_grid(raw: str) -> np.ndarray:
@@ -97,7 +113,8 @@ def _parse_grid(raw: str) -> np.ndarray:
         if len(parts) != 3:
             raise ConfigError("T_grid range must be start:stop:step")
         start, stop, step = (_parse_float("T_grid", p) for p in parts)
-        if step <= 0.0 or stop < start:
+        check_key("T_grid step", step, "config key 'T_grid' step")
+        if stop < start:
             raise ConfigError("T_grid range must increase with a positive step")
         span = (stop - start) / step
         if span >= MAX_GRID_POINTS - 0.5:  # the grid has round(span) + 1 points
@@ -111,8 +128,10 @@ def _parse_grid(raw: str) -> np.ndarray:
         grid = np.array([_parse_float("T_grid", p) for p in parts])
     if grid.size == 0:
         raise ConfigError("T_grid is empty")
-    if np.any(grid <= 0.0) or np.any(grid > 1.0):
-        raise ConfigError("T_grid entries must lie in (0, 1]")
+    try:
+        KEY_ROWS["T_grid"].check_array(grid, "config key 'T_grid'")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if np.any(np.diff(grid) <= 0.0):
         raise ConfigError("T_grid entries must be strictly increasing")
     return grid
@@ -145,9 +164,10 @@ def parse_config_text(text: str) -> "WorkbenchConfig":
         if key not in DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         entries[key] = raw
-    numbers = {key: _parse_float(key, entries[key]) for key in _FLOAT_KEYS}
-    if numbers["s"] > MAX_S:
-        raise ConfigError(f"config key 's' = {numbers['s']!r} exceeds the maximum {MAX_S}")
+    numbers = {
+        key: check_key(key, _parse_float(key, entries[key]))
+        for key in ("s", "T_a", "seed_photons", "T_p", "eta_p", "eta_c", "n_r", "rbw_hz")
+    }
     if entries["format"] not in ("csv", "json"):
         raise ConfigError("format must be csv or json")
     try:
@@ -155,22 +175,18 @@ def parse_config_text(text: str) -> "WorkbenchConfig":
     except ValueError as exc:
         raise ConfigError("seed must be an integer") from exc
     try:
-        source = SourceParams(
-            s=numbers["s"], T_a=numbers["T_a"], seed_photons=numbers["seed_photons"]
-        )
-        budget = LossBudget(T_p=numbers["T_p"], eta_p=numbers["eta_p"], eta_c=numbers["eta_c"])
         filt = parse_filter_spec(entries["filter_kind"], numbers["rbw_hz"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if not numbers["n_r"] > 0.0:
-        raise ConfigError("n_r must be positive")
     return WorkbenchConfig(
-        source=source,
-        budget=budget,
+        source=SourceParams(
+            s=numbers["s"], T_a=numbers["T_a"], seed_photons=numbers["seed_photons"]
+        ),
+        budget=LossBudget(T_p=numbers["T_p"], eta_p=numbers["eta_p"], eta_c=numbers["eta_c"]),
         n_r=numbers["n_r"],
         filter=filt,
         T_grid=_parse_grid(entries["T_grid"]),
-        seed=seed,
+        seed=check_key("seed", seed),
         out_dir=entries["out_dir"],
         format=entries["format"],
     )

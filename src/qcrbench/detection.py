@@ -24,15 +24,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonPhysicalError, _require_integers
+from .errors import DOMAIN, NonPhysicalError
 
 #: exact SI values (2019 redefinition) for the photon energy h c / lambda
 PLANCK_H = 6.62607015e-34
 SPEED_OF_LIGHT = 299792458.0
 
-#: most poles a sync-tuned filter may have; the effective time is a product
-#: over poles - 1 factors
-MAX_POLES = 1000
+#: most poles a sync-tuned filter may have
+MAX_POLES = int(DOMAIN["poles"].high)
+
+_POSITIVE_T, _N_R, _RAMP_DURATION = DOMAIN["positive T"], DOMAIN["n_r"], DOMAIN["ramp_duration"]
 
 
 @dataclass(frozen=True)
@@ -46,13 +47,8 @@ class FilterModel:
     def __post_init__(self):
         if self.kind not in ("gaussian", "sync_tuned"):
             raise ValueError(f"unknown filter kind {self.kind!r}")
-        if not (self.rbw > 0.0 and math.isfinite(self.rbw)):
-            raise ValueError("RBW must be positive and finite")
-        _require_integers(poles=self.poles)
-        if self.poles < 1:
-            raise ValueError("need at least one pole")
-        if self.poles > MAX_POLES:
-            raise ValueError(f"at most {MAX_POLES} poles are supported")
+        DOMAIN["rbw"].check(self.rbw)
+        DOMAIN["poles"].check(self.poles)
 
     @property
     def corner(self) -> float:
@@ -99,13 +95,9 @@ class MeasurementPlan:
     ramp_duration: float = 14.0
 
     def __post_init__(self):
-        _require_integers(trials=self.trials, rng_seed=self.rng_seed)
-        if self.trials < 1:
-            raise ValueError("need at least one trial bin")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be non-negative, not {self.rng_seed}")
-        if not self.ramp_duration > 0.0:
-            raise ValueError("ramp duration must be positive")
+        DOMAIN["trials"].check(self.trials)
+        DOMAIN["rng_seed"].check(self.rng_seed)
+        _RAMP_DURATION.check(self.ramp_duration)
 
 
 @dataclass(frozen=True)
@@ -146,10 +138,8 @@ def transmission_variance(chain, T: float, n_r: float = 1.0) -> float:
     does not depend on the seed's photon number.  Like every bound, it is
     var_n = Var(T) n_r, the same for every valid n_r.
     """
-    if not (0.0 < T <= 1.0):
-        raise ValueError("transmission T must lie in (0, 1]")
-    if not n_r > 0.0:
-        raise ValueError("probing photon number must be positive")
+    _POSITIVE_T.check(T)
+    _N_R.check(n_r)
     s_pp, s_pc, s_cc = chain.sector_at(T)[2:]
     ratio = T / chain.budget.eta_p
     root = math.sqrt(ratio)
@@ -171,8 +161,8 @@ def linear_ramp(initial_amplitude: float, duration: float):
     and non-increasing there: the form `snr_ramp_simulate` requires.  The
     profile leaves its input as it is; a scalar t gives a numpy scalar.
     """
-    if not (0.0 <= initial_amplitude < math.inf and 0.0 < duration < math.inf):
-        raise ValueError("ramp needs a finite non-negative amplitude and finite positive duration")
+    DOMAIN["initial_amplitude"].check(initial_amplitude)
+    _RAMP_DURATION.check(duration)
 
     def profile(t):
         amplitude = np.array(t, dtype=float)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonPhysicalError, SchemaError, _require_integers
+from .errors import DOMAIN, NonPhysicalError, SchemaError
 from .source import NoiseTriple, analytic_noises, continuum_noises
 
 CHANNELS = ("diff", "probe", "conj")
@@ -80,11 +80,8 @@ class NoiseMeasurement:
         return self.variance / (self.value * _LN10) ** 2
 
 
-#: largest DE population, checked before any population is drawn.  A fit
-#: peaks at about 203 bytes per member at 10^4 members and 133 at 10^5 and
-#: 10^6, where the source kernel runs in blocks (tracemalloc), so the cap
-#: holds a fit near 135 MB.
-MAX_POPULATION = 1_000_000
+#: largest DE population, checked before any population is drawn
+MAX_POPULATION = int(DOMAIN["population"].high)
 
 
 @dataclass
@@ -100,26 +97,17 @@ class DEConfig:
 
     def __post_init__(self):
         # these messages start with the field name; `fit` maps it to its option
-        _require_integers(
-            population=self.population, max_generations=self.max_generations, rng_seed=self.rng_seed
-        )
-        if self.population < 4:
-            raise ValueError("population must be at least 4")
-        if self.population > MAX_POPULATION:
-            raise ValueError(f"population must be at most {MAX_POPULATION}")
-        if self.max_generations < 0:
-            raise ValueError(f"max_generations must be non-negative, not {self.max_generations}")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be non-negative, not {self.rng_seed}")
-        if not 0.0 <= self.spread_tol < math.inf:
-            raise ValueError(
-                f"spread_tol must be finite and non-negative, not {self.spread_tol!r}"
-            )
-        for lo, hi in self.bounds:
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-                raise ValueError("each bound must be a finite (lo, hi) with lo < hi")
-        if not (0.0 <= self.acceptance_prob <= 1.0):
-            raise ValueError("acceptance probability must lie in [0, 1]")
+        for name in ("population", "max_generations", "rng_seed", "spread_tol"):
+            DOMAIN[name].check(getattr(self, name))
+        try:
+            box = np.asarray(self.bounds, dtype=float)
+        except (TypeError, ValueError):  # not numbers, or pairs of unequal length
+            box = np.empty(0)
+        if box.ndim != 2 or box.shape[1] != 2 or not (
+            np.isfinite(box).all() and np.all(box[:, 0] < box[:, 1])
+        ):
+            raise ValueError("each bound must be a finite (lo, hi) with lo < hi")
+        DOMAIN["acceptance_prob"].check(self.acceptance_prob)
 
 
 @dataclass
@@ -374,17 +362,10 @@ def uncertainty_by_chi2_doubling(
 
     Returns (half_widths, fully_bounded).
     """
-    if dof < 1:
-        raise ValueError("need at least one degree of freedom")
-    _require_integers(n_rays=n_rays, bisection_steps=bisection_steps)
-    if n_rays < 1:
-        raise ValueError(f"n_rays must be at least 1, not {n_rays}")
-    if bisection_steps < 0:
-        raise ValueError(f"bisection_steps must be non-negative, not {bisection_steps}")
+    for name, value in (("dof", dof), ("n_rays", n_rays), ("bisection_steps", bisection_steps)):
+        DOMAIN[name].check(value)
     # Python floats give numpy's bits without its warnings
-    chi2_min = float(chi2_min)
-    if not 0.0 <= chi2_min < math.inf:
-        raise ValueError(f"chi2_min must be finite and non-negative, not {chi2_min!r}")
+    chi2_min = float(DOMAIN["chi2_min"].check(chi2_min))
     bounds = np.asarray(bounds, dtype=float)
     lo, hi = bounds[:, 0], bounds[:, 1]
     optimum = np.asarray(optimum, dtype=float)
@@ -547,11 +528,12 @@ def fit_source(measurements, config: DEConfig, noise_model: str = "numeric_oracl
     if noise_model not in NOISE_MODELS:
         raise ValueError(f"unknown noise model {noise_model!r}")
     box = np.asarray(config.bounds, dtype=float)
+    s, t_a = DOMAIN["s"], DOMAIN["T_a"]
     # DEConfig holds every pair finite with lo < hi
-    if box.shape != (2, 2) or not (box[0, 0] >= 0.0 and box[1, 0] > 0.0 and box[1, 1] <= 1.0):
+    if box.shape != (2, 2) or not (s.holds(box[0]) and t_a.holds(box[1])):
         raise ValueError(
-            "bounds must be two (lo, hi) pairs inside s >= 0, 0 < T_a <= 1, "
-            f"not {config.bounds!r}"
+            f"bounds must be two (lo, hi) pairs inside s in {s.interval} and T_a in "
+            f"{t_a.interval}, not {config.bounds!r}"
         )
     raw = list(measurements)
     _by_channel(raw)

@@ -23,7 +23,10 @@ Each recomputes a `qcrbench` result by an independent or more literal route:
   `ten_pass_line_fit`;
 * inference: `reference_chi_square_batch`,
   `reference_differential_evolution` and `sequential_chi2_doubling`;
-* `log_uniform`, the Hypothesis strategy for values over decades.
+* the Hypothesis strategies `log_uniform`, for values over decades, and
+  `inside`, for the values of a row of `errors.DOMAIN`, with `edges`, the
+  values at and next to each end of a row, and `CONFIG_CAPS`, where the
+  config box cuts the infinite ends of `config.KEY_ROWS`.
 
 Test modules import them as ``from oracles import ...``: pytest's default
 import mode puts this directory on ``sys.path``.  There is no conftest.
@@ -39,6 +42,7 @@ from scipy import integrate
 
 from qcrbench import detection, inference
 from qcrbench.bounds import _FD_MISMATCH_TOL, ProbeChain
+from qcrbench.errors import Field
 from qcrbench.errors import BrightLimitError, NonPhysicalError
 from qcrbench.gaussian import (
     Array,
@@ -618,6 +622,38 @@ def sequential_chi2_doubling(
     return np.max(np.abs(contour), axis=0), not bool(np.any(unbounded))
 
 
-def log_uniform(lowest_exponent):
-    """Floats 10^e for e uniform in [lowest_exponent, 0]."""
-    return st.floats(lowest_exponent, 0.0).map(lambda e: 10.0**e)
+def log_uniform(lowest_exponent, highest_exponent=0.0):
+    """Floats 10^e for e uniform in [lowest_exponent, highest_exponent]."""
+    return st.floats(lowest_exponent, highest_exponent).map(lambda e: 10.0**e)
+
+
+#: where the config box cuts the infinite upper end of a key's row
+CONFIG_CAPS = {"seed_photons": 1e12, "n_r": 1e12, "rbw_hz": 1e8, "seed": 2**63}
+
+
+def inside(row: Field, cap: float = math.inf):
+    """Hypothesis strategy of the values of a `DOMAIN` row, its upper end cut at `cap`.
+
+    An int row draws from its integers.  A float row open at 0 spans
+    decades, so it draws 10^e with e uniform from -300 to its top; any other
+    float row draws Hypothesis floats between its ends.
+    """
+    high = min(row.high, cap)
+    if row.integer:
+        return st.integers(int(row.low), int(high))
+    if row.low == 0.0 and row.interval[0] == "(":
+        return log_uniform(-300.0, math.log10(high))
+    return st.floats(row.low, high, exclude_max=high == row.high and row.interval[-1] == ")")
+
+
+def edges(row: Field) -> list:
+    """Each finite end of a row and its nearest neighbours on either side, then NaN and ±inf.
+
+    An int row gives ints, the end and one either side; a float row gives
+    floats, the end and `math.nextafter` of it either way.
+    """
+    ends = [end for end in (row.low, row.high) if math.isfinite(end)]
+    if row.integer:
+        return sorted({int(end) + step for end in ends for step in (-1, 0, 1)})
+    near = [math.nextafter(end, towards) for end in ends for towards in (-math.inf, math.inf)]
+    return sorted(set(ends + near)) + [math.nan, math.inf, -math.inf]

@@ -342,7 +342,7 @@ class TestNumericGaussianBound:
             assert points(n_r) == points(1.0)
 
     def test_dim_seed_rejected(self):
-        with pytest.raises(ValueError, match="at least 10000 photons"):
+        with pytest.raises(ValueError, match="seed_photons must be finite and at least 10000, not 100.0"):
             build_chain(SourceParams(s=1.0, T_a=0.9, seed_photons=100.0), BUDGET)
 
     @pytest.mark.parametrize("budget", [(0.0, 0.945, 0.919), (0.973, 0.0, 0.919)])
@@ -353,7 +353,7 @@ class TestNumericGaussianBound:
             with pytest.raises(BrightLimitError, match="^no probe light reaches the detector$"):
                 make(PARAMS, dark)
             # the seed floor is checked first
-            with pytest.raises(ValueError, match="at least 10000 photons"):
+            with pytest.raises(ValueError, match="seed_photons must be finite and at least 10000, not 100.0"):
                 make(SourceParams(s=1.0, T_a=0.9, seed_photons=100.0), dark)
 
     def test_chain_accepts_coherent_source(self):

@@ -17,9 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcrbench
-from oracles import log_uniform
+from oracles import CONFIG_CAPS, edges, inside
 from qcrbench.cli import MAX_TRIALS, main
-from qcrbench.config import MAX_GRID_POINTS, MAX_S, load_config, parse_config_text
+from qcrbench.config import KEY_ROWS, MAX_GRID_POINTS, MAX_S, load_config, parse_config_text
 from qcrbench.detection import MAX_POLES
 from qcrbench.errors import ConfigError
 from qcrbench.inference import MAX_POPULATION, synthetic_noise_measurements
@@ -108,6 +108,11 @@ class TestConfigParsing:
         assert np.array_equal(again.T_grid, config.T_grid)
 
 
+def _key_values(key):
+    """Valid values of a numeric config key, from its row cut at `CONFIG_CAPS`."""
+    return inside(KEY_ROWS[key], CONFIG_CAPS.get(key, math.inf))
+
+
 @st.composite
 def _config_texts(draw):
     """A valid config body that sets every key: range or list grid, either filter kind."""
@@ -117,22 +122,21 @@ def _config_texts(draw):
         stop = start + step * draw(st.integers(0, 9))
         grid = f"{start!r}:{stop!r}:{step!r}"
     else:
-        points = draw(st.lists(log_uniform(-300.0), min_size=1, max_size=8, unique=True))
+        points = draw(st.lists(_key_values("T_grid"), min_size=1, max_size=8, unique=True))
         grid = ",".join(repr(t) for t in sorted(points))
-    sync = st.integers(1, MAX_POLES).map(lambda poles: f"sync{poles}")
-    unit = st.floats(0.0, 1.0)
+    sync = _key_values("filter_kind").map(lambda poles: f"sync{poles}")
     values = {
-        "s": draw(st.floats(0.0, MAX_S)),
-        "T_a": draw(log_uniform(-300.0)),
-        "seed_photons": draw(st.floats(0.0, 1e12)),
-        "T_p": draw(unit),
-        "eta_p": draw(unit),
-        "eta_c": draw(unit),
-        "n_r": draw(st.floats(1e-6, 1e12)),
+        "s": draw(_key_values("s")),
+        "T_a": draw(_key_values("T_a")),
+        "seed_photons": draw(_key_values("seed_photons")),
+        "T_p": draw(_key_values("T_p")),
+        "eta_p": draw(_key_values("eta_p")),
+        "eta_c": draw(_key_values("eta_c")),
+        "n_r": draw(_key_values("n_r")),
         "filter_kind": draw(st.one_of(st.just("gaussian"), sync)),
-        "rbw_hz": draw(st.floats(1.0, 1e8)),
+        "rbw_hz": draw(_key_values("rbw_hz")),
         "T_grid": grid,
-        "seed": draw(st.integers(-(2**63), 2**63)),
+        "seed": draw(_key_values("seed")),
         "out_dir": draw(st.text("abcXYZ019_-./", min_size=1, max_size=12)),
         "format": draw(st.sampled_from(["csv", "json"])),
     }
@@ -236,8 +240,8 @@ class TestBoundsCommand:
             ("T_grid = ,", "T_grid is empty"),
             ("filter_kind = syncx", "bad filter kind 'syncx'; use gaussian or sync<poles>"),
             ("seed = 1.5", "seed must be an integer"),
-            ("T_p = 1.5", "T_p must lie in [0, 1]"),
-            ("n_r = 0", "n_r must be positive"),
+            ("T_p = 1.5", "config key 'T_p' must lie in [0, 1], not 1.5"),
+            ("n_r = 0", "config key 'n_r' must be finite and positive, not 0.0"),
         ],
         ids=[
             "grid-without-step",
@@ -463,17 +467,21 @@ class TestSimulateCommand:
         assert main(["simulate", "--trials", "10", "--out", str(tmp_path / "x.csv")]) == 4
 
     @pytest.mark.parametrize(
-        "config_text, argv",
-        [("", ["--seed", "-7"]), ("seed = -1\n", [])],
+        "config_text, argv, subject",
+        [
+            ("", ["--seed", "-7"], "--seed or config key 'seed'"),
+            ("seed = -1\n", [], "config key 'seed'"),
+        ],
         ids=["option", "config_key"],
     )
-    def test_negative_seed_exits_4_naming_it(self, tmp_path, capsys, config_text, argv):
+    def test_negative_seed_exits_3_naming_it(self, tmp_path, capsys, config_text, argv, subject):
+        # the seed's row is checked before any chain or ramp is built
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(config_text)
         out = tmp_path / "sim.csv"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out), *argv]) == 4
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), *argv]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: --seed or config key 'seed' must be non-negative, not -")
+        assert err.startswith(f"error: {subject} must be non-negative, not -")
         assert err.count("\n") == 1 and not out.exists()
 
     def test_too_many_trials_exits_4_before_any_ramp(self, tmp_path, capsys, monkeypatch):
@@ -701,7 +709,7 @@ class TestSaTimeCommand:
 
     def test_infinite_rbw_exits_4(self, capsys):
         assert main(["sa-time", "--filter", "sync4", "--rbw", "inf"]) == 4
-        assert "RBW" in capsys.readouterr().err
+        assert "rbw must be finite" in capsys.readouterr().err
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
@@ -817,28 +825,26 @@ def test_usage_error_exits_2(argv, capsys):
     assert last.startswith("qcrbench") and ": error: " in last
 
 
-# values past or at the edge of the config domain, for any key, and per key
+# values past or at the edge of the config domain, for any key, and per key: the
+# edges of each key's row, then values the rows do not show
 _EDGE_VALUES = ["0", "-1", "1", "5e-324", "1e-320", "1e300", "1e400", "nan", "-inf", "", "abc"]
-_KEY_EDGES = {
-    "s": [repr(MAX_S), repr(math.nextafter(MAX_S, math.inf))],
-    "seed_photons": ["9999.999"],
-    "T_a": ["1e-300", "1e-315"],
-    "T_grid": [
-        "1e-320",
-        "1e-48",
-        "1",
-        "0.85:0.1:0.05",
-        "0.1:0.2:0",
-        "0.1:0.2",
-        "0.5,0.2",
-        "0.5,0.5",
-        ",",
-        f"0:1:{1.0 / MAX_GRID_POINTS!r}",
-    ],
-    "filter_kind": ["sync1", f"sync{MAX_POLES}", f"sync{MAX_POLES + 1}", "sync0", "syncx", "boxcar"],
-    "seed": ["-1", str(2**64), "1.5"],
-    "format": ["xml"],
-}
+_KEY_EDGES = {key: [repr(value) for value in edges(row)] for key, row in KEY_ROWS.items()}
+_KEY_EDGES["filter_kind"] = [f"sync{poles}" for poles in edges(KEY_ROWS["filter_kind"])]
+_KEY_EDGES["filter_kind"] += ["syncx", "boxcar"]
+_KEY_EDGES["T_grid"] += [f"0.1:0.2:{step}" for step in _KEY_EDGES.pop("T_grid step")]
+_KEY_EDGES["T_grid"] += [
+    "1e-320",
+    "1e-48",
+    "0.85:0.1:0.05",
+    "0.1:0.2",
+    "0.5,0.2",
+    "0.5,0.5",
+    ",",
+    f"0:1:{1.0 / MAX_GRID_POINTS!r}",
+]
+_KEY_EDGES["T_a"] += ["1e-300", "1e-315"]
+_KEY_EDGES["seed"] += [str(2**64), "1.5"]
+_KEY_EDGES["format"] = ["xml"]
 
 
 @st.composite
@@ -846,9 +852,6 @@ def _config_bodies(draw):
     """A config file body: valid, with keys at or past their domain, or malformed."""
     fault = draw(st.sampled_from(["none"] * 4 + ["edge", "edges", "line", "bytes"]))
     lines = draw(_config_texts()).split("\n")
-    # the chain needs at least 10^4 seed photons; fewer is one of the edges
-    photons = draw(st.floats(1e4, 1e12))
-    lines = [f"seed_photons = {photons!r}" if x.startswith("seed_photons ") else x for x in lines]
     for _ in range({"edge": 1, "edges": 2}.get(fault, 0)):
         index = draw(st.integers(0, len(lines) - 1))
         key = lines[index].split(" = ", 1)[0]

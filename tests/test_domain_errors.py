@@ -15,7 +15,8 @@ BUDGET = LossBudget(T_p=0.973, eta_p=0.945, eta_c=0.919)
 SYNC4 = FilterModel(kind="sync_tuned", rbw=51e3, poles=4)
 ETAS = {"diff": 0.919, "probe": 0.973 * 0.945, "conj": 0.919}
 NAN, INF = float("nan"), float("inf")
-RAMP = "ramp needs a finite non-negative amplitude and finite positive duration"
+AMPLITUDE = "initial_amplitude must be finite and non-negative, not "
+DURATION = "ramp_duration must be finite and positive, not "
 PHOTONS = "voltage and time must be non-negative, wavelength positive, all finite"
 RESPONSIVITY = "detector responsivity must be positive and finite"
 
@@ -50,55 +51,58 @@ def _contour(dof=1, chi2_min=0.0, **rays):
 
 
 def _fit_box(bounds):
-    return f"bounds must be two (lo, hi) pairs inside s >= 0, 0 < T_a <= 1, not {bounds!r}"
+    return f"bounds must be two (lo, hi) pairs inside s in [0, inf) and T_a in (0, 1], not {bounds!r}"
 
 
 # (call, message): each call raises ValueError with exactly this message
 DOMAIN_ERRORS = {
     "coherent-T-below-0": (
         lambda: bounds.qcrb_coherent(-0.1, 1.0, 0.945),
-        "transmission T must lie in [0, 1]",
+        "T must lie in [0, 1], not -0.1",
     ),
     "pure-T-above-1": (
         lambda: bounds.qcrb_pure_btmss(1.5, 1.0, 2.04, BUDGET),
-        "transmission T must lie in [0, 1]",
+        "T must lie in [0, 1], not 1.5",
     ),
     "distributed-n_r-0": (
         lambda: bounds.qcrb_distributed(0.5, 0.0, PARAMS, BUDGET),
-        "probing photon number must be positive",
+        "n_r must be finite and positive, not 0.0",
     ),
     "ultimate-n_r-negative": (
         lambda: bounds.qcrb_ultimate(0.5, -1.0, BUDGET),
-        "probing photon number must be positive",
+        "n_r must be finite and positive, not -1.0",
     ),
     "numeric-n_r-nan": (
         lambda: bounds.qcrb_numeric_gaussian(
             0.5, PARAMS, BUDGET, float("nan"), chain=build_chain(PARAMS, BUDGET)
         ),
-        "probing photon number must be positive",
+        "n_r must be finite and positive, not nan",
     ),
     "distributed-factor-eta_c-above-1": (
         lambda: bounds.conjugate_factor_distributed(1.5, 2.04, 0.71),
-        "eta_c must lie in [0, 1]",
+        "eta_c must lie in [0, 1], not 1.5",
     ),
     "transmission-variance-T-0": (
         lambda: _transmission_variance(0.0),
-        "transmission T must lie in (0, 1]",
+        "T must lie in (0, 1], not 0.0",
     ),
     "transmission-variance-n_r-0": (
         lambda: _transmission_variance(0.5, 0.0),
-        "probing photon number must be positive",
+        "n_r must be finite and positive, not 0.0",
     ),
     "plan-ramp-duration-0": (
         lambda: MeasurementPlan(filter=SYNC4, trials=100, rng_seed=0, ramp_duration=0.0),
-        "ramp duration must be positive",
+        DURATION + "0.0",
     ),
-    "linear-ramp-negative-amplitude": (lambda: detection.linear_ramp(-1.0, 1.0), RAMP),
-    "linear-ramp-duration-0": (lambda: detection.linear_ramp(1.0, 0.0), RAMP),
-    "linear-ramp-nan-amplitude": (lambda: detection.linear_ramp(NAN, 1.0), RAMP),
-    "linear-ramp-inf-amplitude": (lambda: detection.linear_ramp(INF, 1.0), RAMP),
-    "linear-ramp-nan-duration": (lambda: detection.linear_ramp(1.0, NAN), RAMP),
-    "linear-ramp-inf-duration": (lambda: detection.linear_ramp(1.0, INF), RAMP),
+    "linear-ramp-negative-amplitude": (
+        lambda: detection.linear_ramp(-1.0, 1.0),
+        AMPLITUDE + "-1.0",
+    ),
+    "linear-ramp-duration-0": (lambda: detection.linear_ramp(1.0, 0.0), DURATION + "0.0"),
+    "linear-ramp-nan-amplitude": (lambda: detection.linear_ramp(NAN, 1.0), AMPLITUDE + "nan"),
+    "linear-ramp-inf-amplitude": (lambda: detection.linear_ramp(INF, 1.0), AMPLITUDE + "inf"),
+    "linear-ramp-nan-duration": (lambda: detection.linear_ramp(1.0, NAN), DURATION + "nan"),
+    "linear-ramp-inf-duration": (lambda: detection.linear_ramp(1.0, INF), DURATION + "inf"),
     "sa-chain-2d-series": (
         lambda: detection.sa_chain_simulate(np.zeros((2, 8)), 1e6, SYNC4, 1e3),
         "input series must be a 1-D array",
@@ -137,9 +141,9 @@ DOMAIN_ERRORS = {
     ),
     "de-acceptance-above-1": (
         lambda: inference.DEConfig(acceptance_prob=1.5),
-        "acceptance probability must lie in [0, 1]",
+        "acceptance_prob must lie in [0, 1], not 1.5",
     ),
-    "contour-dof-0": (lambda: _contour(0), "need at least one degree of freedom"),
+    "contour-dof-0": (lambda: _contour(0), "dof must be at least 1, not 0"),
     "contour-n_rays-0": (lambda: _contour(n_rays=0), "n_rays must be at least 1, not 0"),
     "contour-n_rays-fraction": (
         lambda: _contour(n_rays=2.5),

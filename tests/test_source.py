@@ -285,9 +285,9 @@ class TestContinuumNoises:
     @pytest.mark.parametrize(
         "s, ta, message",
         [
-            (float("nan"), 0.9, "finite and >= 0"),
-            (math.inf, 0.9, "finite and >= 0"),
-            (-1.0, 0.9, "finite and >= 0"),
+            (float("nan"), 0.9, "finite and non-negative"),
+            (math.inf, 0.9, "finite and non-negative"),
+            (-1.0, 0.9, "finite and non-negative"),
             (1.0, float("nan"), r"\(0, 1\]"),
             (1.0, 0.0, r"\(0, 1\]"),
             (1.0, 1.5, r"\(0, 1\]"),
@@ -304,7 +304,7 @@ class TestContinuumNoises:
         for bad in (float("nan"), math.inf):
             s = good_s.copy()
             s[1] = bad
-            with pytest.raises(ValueError, match="finite and >= 0"):
+            with pytest.raises(ValueError, match="finite and non-negative"):
                 kernel(s, good_ta)
         ta = good_ta.copy()
         ta[1] = float("nan")
@@ -606,7 +606,7 @@ class TestAnalyticNoises:
             analytic_noises(1.0, float("nan"))
         with pytest.raises(ValueError):
             analytic_noises(np.array([1.0, 2.0]), np.array([0.9, 1.5]))
-        with pytest.raises(ValueError, match="must be finite and >= 0"):
+        with pytest.raises(ValueError, match="must be finite and non-negative"):
             analytic_noises(np.array([1.0, float("nan")]), 0.9)
         # sinh(xi/4)^4 overflows from s ~ 178, cosh(xi/2) from s ~ 355
         for s in (200.0, 400.0):
