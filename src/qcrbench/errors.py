@@ -69,10 +69,6 @@ class Field:
             # an int past the float range is still an int in [low, inf)
             self._max = math.inf
 
-    def __repr__(self):
-        kind = "int" if self.integer else "float"
-        return f"Field({self.key!r}: {self.name} in {self.interval}, {kind})"
-
     def check(self, value, subject: str | None = None):
         """`value` if it lies in the row, else `ValueError` naming `subject` (the field)."""
         if type(value) is self._fast and self._min <= value <= self._max:

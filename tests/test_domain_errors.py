@@ -1,13 +1,22 @@
-"""Library inputs outside their domain raise `ValueError` with a message naming the fault."""
+"""Library inputs outside their domain raise `ValueError` with a message naming the fault.
 
+The rows of `errors.DOMAIN` are tested here end by end, at every entry point
+that reads them, and against the README's config table.
+"""
+
+import math
+import os
 import re
 
 import numpy as np
 import pytest
 
+from oracles import edges
 from qcrbench import bounds, detection, gaussian, inference, source
 from qcrbench.bounds import LossBudget, build_chain
+from qcrbench.config import KEY_ROWS
 from qcrbench.detection import FilterModel, MeasurementPlan
+from qcrbench.errors import DOMAIN
 from qcrbench.source import SourceParams
 
 PARAMS = SourceParams(s=2.04, T_a=0.71)
@@ -15,6 +24,7 @@ BUDGET = LossBudget(T_p=0.973, eta_p=0.945, eta_c=0.919)
 SYNC4 = FilterModel(kind="sync_tuned", rbw=51e3, poles=4)
 ETAS = {"diff": 0.919, "probe": 0.973 * 0.945, "conj": 0.919}
 NAN, INF = float("nan"), float("inf")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 AMPLITUDE = "initial_amplitude must be finite and non-negative, not "
 DURATION = "ramp_duration must be finite and positive, not "
 PHOTONS = "voltage and time must be non-negative, wavelength positive, all finite"
@@ -139,6 +149,56 @@ DOMAIN_ERRORS = {
         lambda: inference.DEConfig(bounds=((0.0, np.inf), (0.5, 1.0))),
         "each bound must be a finite (lo, hi) with lo < hi",
     ),
+    "de-bounds-not-pairs": (
+        lambda: inference.DEConfig(bounds=5),
+        "each bound must be a finite (lo, hi) with lo < hi",
+    ),
+    "de-bounds-triple": (
+        lambda: inference.DEConfig(bounds=((0.0, 1.0, 2.0),)),
+        "each bound must be a finite (lo, hi) with lo < hi",
+    ),
+    "de-acceptance-bool": (
+        lambda: inference.DEConfig(acceptance_prob=True),
+        "acceptance_prob must be a real number, not True",
+    ),
+    "budget-T_p-bool": (
+        lambda: LossBudget(T_p=True, eta_p=0.945, eta_c=0.919),
+        "T_p must be a real number, not True",
+    ),
+    "source-s-bool": (
+        lambda: SourceParams(s=True, T_a=0.71),
+        "s must be a real number, not True",
+    ),
+    "filter-rbw-bool": (
+        lambda: FilterModel(kind="gaussian", rbw=True),
+        "rbw must be a real number, not True",
+    ),
+    "coherent-T-bool": (
+        lambda: bounds.qcrb_coherent(True, 1.0, 0.9),
+        "T must be a real number, not True",
+    ),
+    "coherent-T-array": (
+        lambda: bounds.qcrb_coherent(np.array([0.5, 0.6]), 1.0, 0.9),
+        "T must be a scalar, not an array of shape (2,)",
+    ),
+    "plan-ramp-duration-inf": (
+        lambda: MeasurementPlan(filter=SYNC4, trials=100, rng_seed=0, ramp_duration=INF),
+        DURATION + "inf",
+    ),
+    "plan-ramp-duration-array": (
+        lambda: MeasurementPlan(
+            filter=SYNC4, trials=100, rng_seed=0, ramp_duration=np.array([1.0, 2.0])
+        ),
+        "ramp_duration must be a scalar, not an array of shape (2,)",
+    ),
+    "distributed-n_r-inf": (
+        lambda: bounds.qcrb_distributed(0.5, INF, PARAMS, BUDGET),
+        "n_r must be finite and positive, not inf",
+    ),
+    "transmission-variance-n_r-inf": (
+        lambda: _transmission_variance(0.5, INF),
+        "n_r must be finite and positive, not inf",
+    ),
     "de-acceptance-above-1": (
         lambda: inference.DEConfig(acceptance_prob=1.5),
         "acceptance_prob must lie in [0, 1], not 1.5",
@@ -225,3 +285,145 @@ def test_domain_error_names_its_fault(case):
     call, message = DOMAIN_ERRORS[case]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def _in_interval(row, value) -> bool:
+    """Whether a number lies in a row's interval, read off its text end by end."""
+    above = value > row.low if row.interval[0] == "(" else value >= row.low
+    below = value < row.high if row.interval[-1] == ")" else value <= row.high
+    return bool(above and below)
+
+
+def _probes(row):
+    """(value, accepted) pairs: the edges, NaN, ±inf, bools, arrays and the other number type."""
+    if row.integer:
+        inner = int(row.low) + 1
+        typed = [np.int64(inner), float(inner)]
+    else:
+        inner = 0.5 * (row.low + row.high) if row.high < math.inf else row.low + 1.0
+        typed = [np.float64(inner), int(inner)]
+    kinds = (int, np.integer) if row.integer else (int, float, np.integer, np.floating)
+    numbers = edges(row) + [math.nan, math.inf, -math.inf] + typed
+    probes = [(x, isinstance(x, kinds) and _in_interval(row, x)) for x in numbers]
+    return probes + [(True, False), (False, False), (np.array(inner), True), (np.array([inner]), False)]
+
+
+@pytest.mark.parametrize("key", DOMAIN)
+def test_every_row_accepts_its_interval_and_names_its_field_otherwise(key):
+    row = DOMAIN[key]
+    for value, accepted in _probes(row):
+        if accepted:
+            assert row.check(value) is value, value
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(row.name)} must "):
+                row.check(value)
+
+
+_CHAIN = build_chain(PARAMS, BUDGET)
+
+
+def _budget(**field):
+    return LossBudget(**{"T_p": 0.973, "eta_p": 0.945, "eta_c": 0.919, **field})
+
+
+# the public entry points that read each row of the library
+ENTRY_POINTS = {
+    "s": [
+        lambda v: SourceParams(s=v, T_a=0.71),
+        lambda v: bounds.conjugate_factor_distributed(0.919, v, 0.71),
+        lambda v: bounds.distributed_reduction(v, 0.71),
+        lambda v: bounds.qcrb_pure_btmss(0.5, 1.0, v, BUDGET),
+    ],
+    "T_a": [
+        lambda v: SourceParams(s=2.04, T_a=v),
+        lambda v: bounds.conjugate_factor_distributed(0.919, 2.04, v),
+        lambda v: bounds.distributed_reduction(2.04, v),
+    ],
+    "seed_photons": [lambda v: SourceParams(s=2.04, T_a=0.71, seed_photons=v)],
+    "bright seed_photons": [
+        lambda v: build_chain(SourceParams(s=2.04, T_a=0.71, seed_photons=v), BUDGET)
+    ],
+    "T_p": [lambda v: _budget(T_p=v)],
+    "eta_p": [lambda v: _budget(eta_p=v)],
+    "eta_c": [lambda v: _budget(eta_c=v), lambda v: bounds.conjugate_factor_distributed(v, 2.04, 0.71)],
+    "positive eta_p": [lambda v: bounds.qcrb_coherent(0.5, 1.0, v)],
+    "T": [
+        lambda v: bounds.qcrb_coherent(v, 1.0, 0.945),
+        lambda v: bounds.qcrb_pure_btmss(v, 1.0, 2.04, BUDGET),
+        lambda v: bounds.qcrb_distributed(v, 1.0, PARAMS, BUDGET),
+        lambda v: bounds.qcrb_ultimate(v, 1.0, BUDGET),
+        lambda v: _CHAIN.sector_at(v),
+    ],
+    "positive T": [
+        lambda v: bounds.qcrb_numeric_gaussian(v, PARAMS, BUDGET, chain=_CHAIN),
+        lambda v: detection.transmission_variance(_CHAIN, v),
+    ],
+    "n_r": [
+        lambda v: bounds.qcrb_coherent(0.5, v, 0.945),
+        lambda v: bounds.qcrb_pure_btmss(0.5, v, 2.04, BUDGET),
+        lambda v: bounds.qcrb_distributed(0.5, v, PARAMS, BUDGET),
+        lambda v: bounds.qcrb_ultimate(0.5, v, BUDGET),
+        lambda v: bounds.qcrb_numeric_gaussian(0.5, PARAMS, BUDGET, v, chain=_CHAIN),
+        lambda v: detection.transmission_variance(_CHAIN, 0.5, v),
+    ],
+    "rbw": [lambda v: FilterModel(kind="gaussian", rbw=v)],
+    "poles": [lambda v: FilterModel(kind="sync_tuned", rbw=51e3, poles=v)],
+    "trials": [lambda v: MeasurementPlan(filter=SYNC4, trials=v, rng_seed=0)],
+    "rng_seed": [
+        lambda v: MeasurementPlan(filter=SYNC4, trials=100, rng_seed=v),
+        lambda v: inference.DEConfig(rng_seed=v),
+    ],
+    "ramp_duration": [
+        lambda v: MeasurementPlan(filter=SYNC4, trials=100, rng_seed=0, ramp_duration=v),
+        lambda v: detection.linear_ramp(1.0, v),
+    ],
+    "initial_amplitude": [lambda v: detection.linear_ramp(v, 1.0)],
+    "population": [lambda v: inference.DEConfig(population=v)],
+    "max_generations": [lambda v: inference.DEConfig(max_generations=v)],
+    "acceptance_prob": [lambda v: inference.DEConfig(acceptance_prob=v)],
+    "spread_tol": [lambda v: inference.DEConfig(spread_tol=v)],
+    "dof": [lambda v: _contour(v)],
+    "n_rays": [lambda v: _contour(n_rays=v)],
+    "bisection_steps": [lambda v: _contour(bisection_steps=v)],
+    "chi2_min": [lambda v: _contour(chi2_min=v)],
+}
+
+
+@pytest.mark.parametrize("key", ENTRY_POINTS)
+def test_every_entry_point_rejects_what_its_row_rejects(key):
+    # a value its row rejects fails at each entry point that takes the field,
+    # naming the field, before any other rule or any arithmetic sees it
+    row = DOMAIN[key]
+    for value, accepted in _probes(row):
+        if accepted:
+            continue
+        for entry in ENTRY_POINTS[key]:
+            with pytest.raises(ValueError, match=f"^{re.escape(row.name)} must "):
+                entry(value)
+
+
+def test_every_library_row_has_entry_points():
+    # the rows the config alone reads are checked through `config.KEY_ROWS`
+    config_only = {row.key for row in KEY_ROWS.values()} - set(ENTRY_POINTS)
+    assert set(ENTRY_POINTS) | config_only == set(DOMAIN)
+    assert config_only == {"capped s", "T_grid step"}
+
+
+def _readme_domain_table() -> dict:
+    """The README's config domain table, {key: (interval, type, exit code)}."""
+    with open(README, encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    start = lines.index("| key | interval | type | exit code |")
+    table = {}
+    for line in lines[start + 2 :]:
+        if not line.startswith("|"):
+            break
+        key, interval, kind, code = (cell.strip().strip("`") for cell in line.strip("|").split("|"))
+        table[key] = (interval, kind, code)
+    return table
+
+
+def test_readme_domain_table_is_the_config_rows():
+    # a config value outside its row is a schema error, exit 3
+    code = {key: (row.interval, "int" if row.integer else "float", "3") for key, row in KEY_ROWS.items()}
+    assert list(_readme_domain_table().items()) == list(code.items())
