@@ -30,9 +30,7 @@ from .errors import DOMAIN, BrightLimitError, NonPhysicalError
 from .gaussian import GaussianState
 from .source import SourceParams, _mirrored_moments, _slice_rates, continuum_sector
 
-_S, _T_A, _ETA_C = DOMAIN["s"], DOMAIN["T_a"], DOMAIN["eta_c"]
-_T, _POSITIVE_T, _N_R = DOMAIN["T"], DOMAIN["positive T"], DOMAIN["n_r"]
-_ETA_P = DOMAIN["positive eta_p"]
+_T, _POSITIVE_T, _N_R, _ETA_P = (DOMAIN[k] for k in ("T", "positive T", "n_r", "positive eta_p"))
 
 
 @dataclass(frozen=True)
@@ -138,9 +136,8 @@ def conjugate_factor_distributed(eta_c: float, s: float, T_a: float) -> float:
     the published expression but regular at eta_c = 0.  Reduces to
     `conjugate_factor` at T_a = 1.
     """
-    _ETA_C.check(eta_c)
-    _S.check(s)
-    _T_A.check(T_a)
+    for name, value in (("eta_c", eta_c), ("s", s), ("T_a", T_a)):
+        DOMAIN[name].check(value)
     return _distributed_terms(float(eta_c), float(s), float(T_a))[0]
 
 
@@ -150,17 +147,14 @@ def distributed_reduction(s: float, T_a: float) -> float:
     Plays the role of 1 - sech(2s) in the pure-source bound and reduces to
     it at T_a = 1; tends to 1 as s -> infinity.
     """
-    _S.check(s)
-    _T_A.check(T_a)
+    DOMAIN["s"].check(s)
+    DOMAIN["T_a"].check(T_a)
     # the reduction does not depend on eta_c; 1/2 keeps the factor's denominator positive
     return _distributed_terms(0.5, float(s), float(T_a))[1]
 
 
 def qcrb_coherent(T: float, n_r: float, eta_p: float) -> BoundPoint:
-    """Optimal classical bound: Var(T) >= T / (eta_p n_r), linear in T.
-
-    Like every bound that divides by eta_p, it needs eta_p > 0.
-    """
+    """Optimal classical bound: Var(T) >= T / (eta_p n_r), linear in T."""
     _T.check(T)
     _N_R.check(n_r)
     return BoundPoint(T=T, var_n=T / _ETA_P.check(eta_p))
@@ -170,7 +164,7 @@ def qcrb_pure_btmss(T: float, n_r: float, s: float, budget: LossBudget) -> Bound
     """Bound for a pure bright two-mode squeezed probe with external losses."""
     _T.check(T)
     _N_R.check(n_r)
-    _S.check(s)
+    DOMAIN["s"].check(s)
     # the factor rejects every s where 2 sinh^2 s, that is cosh(2 s) - 1, overflows
     factor = conjugate_factor(budget.eta_c, s)
     reduction = 1.0 - 1.0 / math.cosh(2.0 * s)
@@ -215,8 +209,7 @@ class ProbeChain:
     sigma_cc) of `source.continuum_sector`: ``incident`` after T_p, and
     ``sector_at(T)`` after the T and then the (eta_p, eta_c) stage.
     ``state_at(T)`` expands it to the state for the audits.  A chain is lit
-    and bright-seeded: T_p, eta_p > 0 and a seed in the ``bright seed_photons``
-    row of `errors.DOMAIN`.
+    and bright-seeded: T_p, eta_p > 0 and a seed in ``DOMAIN["bright seed_photons"]``.
     """
 
     params: SourceParams

@@ -15,26 +15,13 @@ import sys
 import numpy as np
 
 from . import bounds, detection, inference
-from .config import WorkbenchConfig, check_key, load_config, parse_filter_spec
-from .errors import SchemaError, WorkbenchError
+from .config import KEY_ROWS, WorkbenchConfig, load_config, parse_filter_spec
+from .errors import DOMAIN, ConfigError, SchemaError, WorkbenchError
 
 EXIT_OK = 0
 EXIT_IO = 2
 EXIT_SCHEMA = 3
 EXIT_DOMAIN = 4
-
-#: most trials `simulate` runs per transmission, checked before any ramp is
-#: built.  A ramp peaks at about 41 bytes per trial (tracemalloc, 10^4 to
-#: 10^6 trials), so the cap holds one ramp near 410 MB; it covers the paper's
-#: 14 s ramp at 51 kHz RBW, about 1.6e6 bins.
-MAX_TRIALS = 10_000_000
-
-# `fit` options by the DEConfig field they set; its errors start with the field
-_FIT_OPTIONS = {
-    "population": "--population",
-    "max_generations": "--max-generations",
-    "rng_seed": "--seed",
-}
 
 
 def _fmt(value: float) -> str:
@@ -100,10 +87,7 @@ def cmd_bounds(config: WorkbenchConfig, out: str | None, fmt: str) -> int:
 
 def cmd_simulate(config: WorkbenchConfig, trials: int, out: str | None, fmt: str) -> int:
     """Monte Carlo SNR-ramp runs across the grid, next to the analytic bound."""
-    if trials < 100:
-        raise WorkbenchError("need at least 100 trials per transmission")
-    if trials > MAX_TRIALS:
-        raise WorkbenchError(f"at most {MAX_TRIALS} trials per transmission")
+    DOMAIN["--trials"].check(trials)
     chain = bounds.build_chain(config.source, config.budget)
     t_bin = detection.effective_time(config.filter)
     simulated = []
@@ -182,15 +166,10 @@ def cmd_fit(
 ) -> int:
     """Fit (s, T_a) to a measured noise triple and emit the result as JSON."""
     measurements = _load_noise_file(noise_file)
-    try:
-        de_config = inference.DEConfig(
-            population=population, max_generations=max_generations, rng_seed=seed
-        )
-    except ValueError as exc:
-        option = _FIT_OPTIONS.get(str(exc).split(" ", 1)[0])
-        if option is None:
-            raise
-        raise ValueError(f"{option}: {exc}") from exc
+    fields = {"population": population, "max_generations": max_generations, "rng_seed": seed}
+    for name, option in zip(fields, ("--population", "--max-generations", "--seed")):
+        DOMAIN[name].check(fields[name], f"{option}: {name}")
+    de_config = inference.DEConfig(**fields)
     result = inference.fit_source(measurements, de_config, noise_model=noise_model)
     payload = {
         "fit": dataclasses.asdict(result),
@@ -263,7 +242,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             config = load_config(args.config)
             if args.seed is not None:
-                seed = check_key("seed", args.seed, "--seed or config key 'seed'")
+                seed = KEY_ROWS["seed"].check(args.seed, "--seed or config key 'seed'", ConfigError)
                 config = dataclasses.replace(config, seed=seed)
             return cmd_simulate(config, args.trials, args.out, args.format or config.format)
         if args.command == "fit":

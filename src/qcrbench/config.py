@@ -35,27 +35,9 @@ DEFAULTS = {
 #: most T_grid points a config may ask for, checked before any grid is built
 MAX_GRID_POINTS = 100_000
 
-#: the `errors.DOMAIN` row each number of the config lies in: a value
-#: outside it is a `ConfigError` before any command runs.  ``filter_kind``
-#: stands for the poles of ``sync<poles>`` and ``T_grid step`` for the step
-#: of a ``start:stop:step`` grid.
-KEY_ROWS = {
-    "s": DOMAIN["capped s"],
-    "T_a": DOMAIN["T_a"],
-    "seed_photons": DOMAIN["bright seed_photons"],
-    "T_p": DOMAIN["T_p"],
-    "eta_p": DOMAIN["eta_p"],
-    "eta_c": DOMAIN["eta_c"],
-    "n_r": DOMAIN["n_r"],
-    "filter_kind": DOMAIN["poles"],
-    "rbw_hz": DOMAIN["rbw"],
-    "T_grid": DOMAIN["positive T"],
-    "T_grid step": DOMAIN["T_grid step"],
-    "seed": DOMAIN["rng_seed"],
-}
-
-#: largest squeezing parameter a config may set
-MAX_S = KEY_ROWS["s"].high
+#: the `errors.DOMAIN` row of each numeric key (``filter_kind``: its poles;
+#: ``T_grid``: each entry); a value outside it is a `ConfigError`
+KEY_ROWS = {row.config: row for row in DOMAIN.values() if row.config}
 
 
 @dataclass(frozen=True)
@@ -92,19 +74,15 @@ class WorkbenchConfig:
         return list(values.items())
 
 
-def check_key(key: str, value, subject: str | None = None):
-    """`value` if it lies in the `KEY_ROWS` row of `key`, else a `ConfigError` naming it."""
+def _parse_number(key: str, raw: str):
+    """The number `raw` of key `key`, an int or a float as its row takes, in its row."""
+    row = KEY_ROWS[key]
     try:
-        return KEY_ROWS[key].check(value, subject or f"config key {key!r}")
+        value = int(raw) if row.integer else float(raw)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _parse_float(key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"config key {key!r}: {raw!r} is not a number") from exc
+        kind = "an integer" if row.integer else "a number"
+        raise ConfigError(f"config key {key!r}: {raw!r} is not {kind}") from exc
+    return row.check(value, f"config key {key!r}", ConfigError)
 
 
 def _parse_grid(raw: str) -> np.ndarray:
@@ -112,8 +90,8 @@ def _parse_grid(raw: str) -> np.ndarray:
         parts = raw.split(":")
         if len(parts) != 3:
             raise ConfigError("T_grid range must be start:stop:step")
-        start, stop, step = (_parse_float("T_grid", p) for p in parts)
-        check_key("T_grid step", step, "config key 'T_grid' step")
+        keys = ("T_grid", "T_grid", "T_grid step")
+        start, stop, step = (_parse_number(key, p) for key, p in zip(keys, parts))
         if stop < start:
             raise ConfigError("T_grid range must increase with a positive step")
         span = (stop - start) / step
@@ -125,13 +103,11 @@ def _parse_grid(raw: str) -> np.ndarray:
         parts = [p for p in raw.split(",") if p.strip()]
         if len(parts) > MAX_GRID_POINTS:
             raise ConfigError(f"T_grid list has more than {MAX_GRID_POINTS} points")
-        grid = np.array([_parse_float("T_grid", p) for p in parts])
+        grid = np.array([_parse_number("T_grid", p) for p in parts])
     if grid.size == 0:
         raise ConfigError("T_grid is empty")
-    try:
-        KEY_ROWS["T_grid"].check_array(grid, "config key 'T_grid'")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    # the last point of a range may pass its stop
+    KEY_ROWS["T_grid"].check_array(grid, "config key 'T_grid'", ConfigError)
     if np.any(np.diff(grid) <= 0.0):
         raise ConfigError("T_grid entries must be strictly increasing")
     return grid
@@ -165,15 +141,11 @@ def parse_config_text(text: str) -> "WorkbenchConfig":
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         entries[key] = raw
     numbers = {
-        key: check_key(key, _parse_float(key, entries[key]))
-        for key in ("s", "T_a", "seed_photons", "T_p", "eta_p", "eta_c", "n_r", "rbw_hz")
+        key: _parse_number(key, entries[key])
+        for key in ("s", "T_a", "seed_photons", "T_p", "eta_p", "eta_c", "n_r", "rbw_hz", "seed")
     }
     if entries["format"] not in ("csv", "json"):
         raise ConfigError("format must be csv or json")
-    try:
-        seed = int(entries["seed"])
-    except ValueError as exc:
-        raise ConfigError("seed must be an integer") from exc
     try:
         filt = parse_filter_spec(entries["filter_kind"], numbers["rbw_hz"])
     except ValueError as exc:
@@ -186,7 +158,7 @@ def parse_config_text(text: str) -> "WorkbenchConfig":
         n_r=numbers["n_r"],
         filter=filt,
         T_grid=_parse_grid(entries["T_grid"]),
-        seed=check_key("seed", seed),
+        seed=numbers["seed"],
         out_dir=entries["out_dir"],
         format=entries["format"],
     )

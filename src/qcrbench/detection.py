@@ -30,10 +30,7 @@ from .errors import DOMAIN, NonPhysicalError
 PLANCK_H = 6.62607015e-34
 SPEED_OF_LIGHT = 299792458.0
 
-#: most poles a sync-tuned filter may have
-MAX_POLES = int(DOMAIN["poles"].high)
-
-_POSITIVE_T, _N_R, _RAMP_DURATION = DOMAIN["positive T"], DOMAIN["n_r"], DOMAIN["ramp_duration"]
+_POSITIVE_T, _N_R = DOMAIN["positive T"], DOMAIN["n_r"]
 
 
 @dataclass(frozen=True)
@@ -47,8 +44,8 @@ class FilterModel:
     def __post_init__(self):
         if self.kind not in ("gaussian", "sync_tuned"):
             raise ValueError(f"unknown filter kind {self.kind!r}")
-        DOMAIN["rbw"].check(self.rbw)
-        DOMAIN["poles"].check(self.poles)
+        for name in ("rbw", "poles"):
+            DOMAIN[name].check(getattr(self, name))
 
     @property
     def corner(self) -> float:
@@ -95,9 +92,8 @@ class MeasurementPlan:
     ramp_duration: float = 14.0
 
     def __post_init__(self):
-        DOMAIN["trials"].check(self.trials)
-        DOMAIN["rng_seed"].check(self.rng_seed)
-        _RAMP_DURATION.check(self.ramp_duration)
+        for name in ("trials", "rng_seed", "ramp_duration"):
+            DOMAIN[name].check(getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -162,7 +158,7 @@ def linear_ramp(initial_amplitude: float, duration: float):
     profile leaves its input as it is; a scalar t gives a numpy scalar.
     """
     DOMAIN["initial_amplitude"].check(initial_amplitude)
-    _RAMP_DURATION.check(duration)
+    DOMAIN["ramp_duration"].check(duration)
 
     def profile(t):
         amplitude = np.array(t, dtype=float)
@@ -353,8 +349,7 @@ def snr_ramp_simulate(
     arithmetic runs in place in arrays of this call, with the bits of the
     plain expressions noted beside each step.
     """
-    if not (noise_variance > 0.0 and math.isfinite(noise_variance)):
-        raise ValueError("noise variance must be positive and finite")
+    DOMAIN["noise_variance"].check(noise_variance)
     n_bins = plan.trials
     # times = (np.arange(n_bins) + 0.5) * effective_time(plan.filter)
     times = np.arange(n_bins, dtype=float)

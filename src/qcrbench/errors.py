@@ -1,11 +1,9 @@
 """Exception hierarchy shared by the workbench modules, and the declared input domain.
 
-`DOMAIN` is the one table of every scalar input the package checks: each
-row names a field, its interval with open or closed ends, and whether it
-takes a float or an integer.  A row is also the checker: ``row.check(value)``
-returns the value inside the interval and raises a `ValueError` naming the
-field otherwise.  Every constructor, public entry point and the config
-parser calls a row; no interval is written anywhere else.
+`DOMAIN` holds the interval of every scalar input the package checks, one
+row each, and ``row.check(value)`` is the one checker: it raises the
+`ValueError` naming the field.  The constructors, the public entry points
+and the config parser (through the rows' config keys) all call it.
 """
 
 import math
@@ -37,106 +35,94 @@ class ConfigError(SchemaError):
     """A workbench config file contains unknown or malformed entries."""
 
 
-_REALS = (int, float, np.integer, np.floating)
-_INTEGERS = (int, np.integer)
-
-
 class Field:
-    """One row of `DOMAIN`: a scalar named `name` in `interval`, a float or an int.
+    """One row of `DOMAIN`: a scalar `name` in `interval`, an int or a float.
 
-    The interval is written as text, "[0, 1]", "(0, inf)": a bracket closes
-    an end and a parenthesis opens it.  An infinite end is always open, so a
-    float row is finite.  A float row takes ints and numpy reals; an int row
-    takes ints and numpy integers.  Neither takes a bool, and a 0-d array is
-    checked as the scalar it holds.  NaN lies in no interval.
+    "[0, 1]" closes an end and "(0, inf)" opens it; an infinite end is open,
+    so a float row is finite.  A float row takes ints and numpy reals, an int
+    row ints and numpy integers, neither a bool; a 0-d array is its scalar.
     """
 
-    __slots__ = ("key", "name", "interval", "integer", "low", "high", "_fast", "_min", "_max")
+    __slots__ = ("key", "name", "interval", "integer", "config", "low", "high")
+    __slots__ += ("_type", "_min", "_max")
 
-    def __init__(self, name: str, interval: str, integer: bool = False, key: str | None = None):
-        low, high = (float(end) for end in interval[1:-1].split(","))
-        self.key = key or name
-        self.name = name
-        self.interval = interval
-        self.integer = integer
-        self.low = low
-        self.high = high
-        self._fast = int if integer else float
-        # the closed interval of the same floats (ints compare exactly with them)
-        self._min = math.nextafter(low, math.inf) if interval[0] == "(" else low
-        self._max = math.nextafter(high, -math.inf) if interval[-1] == ")" else high
-        if integer and high == math.inf:
-            # an int past the float range is still an int in [low, inf)
-            self._max = math.inf
+    def __init__(self, key, interval, integer=False, name=None, config=None):
+        self.key, self.name, self.interval, self.integer = key, name or key, interval, integer
+        self.config = config  # the config key the row bounds
+        self.low, self.high = (float(end) for end in interval[1:-1].split(","))
+        self._type = int if integer else float
+        # the closed interval of the same floats; ints compare with them exactly
+        self._min = math.nextafter(self.low, math.inf) if interval[0] == "(" else self.low
+        self._max = math.nextafter(self.high, -math.inf) if interval[-1] == ")" else self.high
+        if integer:
+            self._max = self.high  # an int past the float range is still finite
 
-    def check(self, value, subject: str | None = None):
-        """`value` if it lies in the row, else `ValueError` naming `subject` (the field)."""
-        if type(value) is self._fast and self._min <= value <= self._max:
+    def check(self, value, subject=None, error=ValueError):
+        """`value` if it lies in the row, else `error` naming `subject` or the field."""
+        if type(value) is self._type and self._min <= value <= self._max:
             return value
         scalar = value[()] if isinstance(value, np.ndarray) and value.ndim == 0 else value
-        kinds = _INTEGERS if self.integer else _REALS
-        if isinstance(scalar, kinds) and not isinstance(scalar, bool):
-            if self._min <= scalar <= self._max:
-                return value
-            raise ValueError(f"{subject or self.name} must {self.rule}, not {value!r}")
-        if np.ndim(value) != 0:
-            raise ValueError(
-                f"{subject or self.name} must be a scalar, not an array of shape {np.shape(value)}"
-            )
-        kind = "an integer" if self.integer else "a real number"
-        raise ValueError(f"{subject or self.name} must be {kind}, not {value!r}")
+        kinds = (int, np.integer) if self.integer else (int, float, np.integer, np.floating)
+        if not isinstance(scalar, kinds) or isinstance(scalar, bool):
+            kind = "an integer" if self.integer else "a real number"
+            kind = "a scalar" if np.ndim(value) else kind
+            raise error(f"{subject or self.name} must be {kind}, not {value!r}")
+        if not self._min <= scalar <= self._max:
+            raise error(f"{subject or self.name} must {self.rule}, not {value!r}")
+        return value
 
     @property
     def rule(self) -> str:
         """The interval in words: "lie in [0, 1]", "be finite and non-negative"."""
         if self.high < math.inf:
             return f"lie in {self.interval}"
+        opened = self.interval[0] == "("
         if self.low == 0.0:
-            bound = "positive" if self.interval[0] == "(" else "non-negative"
+            bound = "positive" if opened else "non-negative"
         else:
-            bound = f"{'greater than' if self.interval[0] == '(' else 'at least'} {self.low:g}"
+            bound = f"{'greater than' if opened else 'at least'} {self.low:g}"
         return f"be {bound}" if self.integer else f"be finite and {bound}"
 
     def holds(self, values: np.ndarray) -> bool:
-        """Whether every entry of a float array lies in the row (NaN does not)."""
-        # min and max carry a NaN through, and it fails both comparisons
+        """Whether every entry of a float array lies in the row; min and max carry a NaN."""
         return values.size == 0 or bool(values.min() >= self._min and values.max() <= self._max)
 
-    def check_array(self, values: np.ndarray, subject: str | None = None) -> np.ndarray:
-        """A float array whose entries all lie in the row, else the error of the first that does not."""
+    def check_array(self, values: np.ndarray, subject=None, error=ValueError) -> np.ndarray:
+        """A float array of entries in the row, else the error of its first entry outside."""
         if not self.holds(values):
             inside = (values >= self._min) & (values <= self._max)
-            self.check(float(values.flat[np.argmin(inside)]), subject)
+            self.check(float(values.flat[np.argmin(inside)]), subject, error)
         return values
 
 
-#: every checked scalar input, by key; a key is the field's name, or a
-#: narrower interval of that field for the entry points its comment names
+#: every checked scalar input, by key: a field's name, or a narrower interval
+#: of a field for the entry points its comment names
 DOMAIN = {
     row.key: row
     for row in (
-        # the source (`source.SourceParams` and the source kernels)
         Field("s", "[0, inf)"),
-        Field("T_a", "(0, 1]"),
+        Field("T_a", "(0, 1]", config="T_a"),
         Field("seed_photons", "[0, inf)"),
-        # the loss budget (`bounds.LossBudget`) and the bounds
-        Field("T_p", "[0, 1]"),
-        Field("eta_p", "[0, 1]"),
-        Field("eta_c", "[0, 1]"),
+        Field("T_p", "[0, 1]", config="T_p"),
+        Field("eta_p", "[0, 1]", config="eta_p"),
+        Field("eta_c", "[0, 1]", config="eta_c"),
         Field("T", "[0, 1]"),
-        Field("n_r", "(0, inf)"),
-        # detection (`detection.FilterModel`, `MeasurementPlan`, `linear_ramp`)
-        Field("rbw", "(0, inf)"),
+        Field("n_r", "(0, inf)", config="n_r"),
+        Field("rbw", "(0, inf)", config="rbw_hz"),
         # the effective time is a product over poles - 1 factors
-        Field("poles", "[1, 1000]", integer=True),
+        Field("poles", "[1, 1000]", integer=True, config="filter_kind"),
+        Field("noise", "(0, inf)"),
+        Field("layers", "[1, inf)", integer=True),
+        Field("rel_tol", "(0, inf)"),
         Field("trials", "[1, inf)", integer=True),
-        Field("rng_seed", "[0, inf)", integer=True),
+        # trials per transmission of `simulate`: a ramp holds about 41 bytes per
+        # trial (tracemalloc), 410 MB at the cap, which covers the paper's 14 s at 51 kHz
+        Field("--trials", "[100, 10000000]", integer=True),
+        Field("rng_seed", "[0, inf)", integer=True, config="seed"),
         Field("ramp_duration", "(0, inf)"),
+        Field("noise_variance", "(0, inf)"),
         Field("initial_amplitude", "[0, inf)"),
-        # inference (`inference.DEConfig`, `uncertainty_by_chi2_doubling`).  A
-        # fit peaks at about 203 bytes per member at 10^4 members and 133 at
-        # 10^5 and 10^6, where the source kernel runs in blocks (tracemalloc),
-        # so the population cap holds a fit near 135 MB
+        # a fit holds at most about 205 bytes per member (tracemalloc): 135 MB at the cap
         Field("population", "[4, 1000000]", integer=True),
         Field("max_generations", "[0, inf)", integer=True),
         Field("acceptance_prob", "[0, 1]"),
@@ -145,20 +131,17 @@ DOMAIN = {
         Field("n_rays", "[1, inf)", integer=True),
         Field("bisection_steps", "[0, inf)", integer=True),
         Field("chi2_min", "[0, inf)"),
-        # the config's squeezing cap (about 30 dB).  The numeric chain loses
-        # precision as s grows; up to here its bound agrees with the closed
-        # form to 1e-6 over T_a and T in (0, 1] for any loss budget.  The
-        # lossless budget is the worst case, at T_a and T near 1: with the
-        # closed-form source state it is off by 1.4e-10 at s = 3.5, 6.4e-10
-        # at s = 4, 1.1e-8 at s = 5 and 2.2e-6 at s = 6
-        Field("s", "[0, 3.5]", key="capped s"),
-        # the smallest seed (photons per window) of the bright-limit chain
-        # (`bounds.ProbeChain`), and so of the config
-        Field("seed_photons", "[1e4, inf)", key="bright seed_photons"),
+        # the config's squeezing (about 30 dB), where the numeric bound still
+        # meets the closed form to 1e-6 over T_a, T in (0, 1] and any budget;
+        # the lossless one, the worst, is off by 1.4e-10 here, 2.2e-6 at s = 6
+        Field("capped s", "[0, 3.5]", name="s", config="s"),
+        # the bright-limit chain's seed floor (`bounds.ProbeChain`), photons per window
+        Field("bright seed_photons", "[1e4, inf)", name="seed_photons", config="seed_photons"),
         # the bounds that divide by eta_p
-        Field("eta_p", "(0, 1]", key="positive eta_p"),
-        # the numeric bound, the estimator and the config's T_grid entries
-        Field("T", "(0, 1]", key="positive T"),
-        Field("T_grid step", "(0, inf)"),
+        Field("positive eta_p", "(0, 1]", name="eta_p"),
+        # the numeric bound, the estimator, and each entry of a config's T_grid
+        Field("positive T", "(0, 1]", name="T", config="T_grid"),
+        # the step of a config's start:stop:step T_grid
+        Field("T_grid step", "(0, inf)", config="T_grid step"),
     )
 }

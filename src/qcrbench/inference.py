@@ -80,10 +80,6 @@ class NoiseMeasurement:
         return self.variance / (self.value * _LN10) ** 2
 
 
-#: largest DE population, checked before any population is drawn
-MAX_POPULATION = int(DOMAIN["population"].high)
-
-
 @dataclass
 class DEConfig:
     """Differential-evolution settings; bounds default to the source box."""
@@ -103,9 +99,8 @@ class DEConfig:
             box = np.asarray(self.bounds, dtype=float)
         except (TypeError, ValueError):  # not numbers, or pairs of unequal length
             box = np.empty(0)
-        if box.ndim != 2 or box.shape[1] != 2 or not (
-            np.isfinite(box).all() and np.all(box[:, 0] < box[:, 1])
-        ):
+        pairs = box.ndim == 2 and box.shape[1] == 2 and np.isfinite(box).all()
+        if not (pairs and np.all(box[:, 0] < box[:, 1])):
             raise ValueError("each bound must be a finite (lo, hi) with lo < hi")
         DOMAIN["acceptance_prob"].check(self.acceptance_prob)
 
@@ -525,8 +520,6 @@ def uncertainty_by_chi2_doubling(
 
 def fit_source(measurements, config: DEConfig, noise_model: str = "numeric_oracle") -> FitResult:
     """Full inference: backtrack, minimize chi-square, attach uncertainties."""
-    if noise_model not in NOISE_MODELS:
-        raise ValueError(f"unknown noise model {noise_model!r}")
     box = np.asarray(config.bounds, dtype=float)
     s, t_a = DOMAIN["s"], DOMAIN["T_a"]
     # DEConfig holds every pair finite with lo < hi

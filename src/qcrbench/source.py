@@ -48,7 +48,6 @@ from .gaussian import (
 )
 
 DEFAULT_SEED_PHOTONS = 1e6
-_S, _T_A = DOMAIN["s"], DOMAIN["T_a"]
 MAX_LAYERS = 2**20
 # the ladder's rounding regime in N eps for N slices: on 600 noise-map and config
 # box points, changes that did not shrink sat at <= 2.3 N eps (N >= 8192) or >= 6e11 N eps
@@ -67,9 +66,8 @@ class SourceParams:
     seed_photons: float = DEFAULT_SEED_PHOTONS
 
     def __post_init__(self):
-        _S.check(self.s)
-        _T_A.check(self.T_a)
-        DOMAIN["seed_photons"].check(self.seed_photons)
+        for name in ("s", "T_a", "seed_photons"):
+            DOMAIN[name].check(getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -143,8 +141,7 @@ def _seed_state(params: SourceParams) -> tuple[np.ndarray, float]:
 
 def layered_source(params: SourceParams, layers: int, splitting: str = "strang") -> SourceOutput:
     """Run a coherent probe seed and vacuum conjugate through N slices."""
-    if layers < 1:
-        raise ValueError("need at least one layer")
+    DOMAIN["layers"].check(layers)
     lin, add = _layer_affine(params, layers, splitting)
     total_l, total_c = _affine_power(lin, add, layers)
     d0, photons = _seed_state(params)
@@ -168,8 +165,7 @@ def converged_source(
     not shrink the change ends the ladder with the output before it; a
     truncation change shrinks at every doubling (4x strang, 2x plain).
     """
-    if not rel_tol > 0.0:
-        raise ValueError("rel_tol must be positive")
+    DOMAIN["rel_tol"].check(rel_tol)
     previous = layered_source(params, 1, splitting)
     last_change = math.inf
     layers = 2
@@ -211,7 +207,7 @@ def _source_domain(s, T_a):
     ta = np.asarray(T_a, dtype=float)
     if s.shape != ta.shape:
         s, ta = np.broadcast_arrays(s, ta)
-    return _S.check_array(s), _T_A.check_array(ta)
+    return DOMAIN["s"].check_array(s), DOMAIN["T_a"].check_array(ta)
 
 
 def _slice_rates(s, T_a):
@@ -537,6 +533,4 @@ def analytic_noises(s, T_a) -> NoiseTriple:
 
 def squeezing_db(noise: float) -> float:
     """Normalized noise expressed in dB below shot noise."""
-    if not noise > 0.0:
-        raise ValueError("normalized noise must be positive")
-    return -10.0 * math.log10(noise)
+    return -10.0 * math.log10(DOMAIN["noise"].check(noise))

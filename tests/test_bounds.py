@@ -40,7 +40,7 @@ from qcrbench.bounds import (
     qcrb_ultimate,
 )
 from qcrbench.cli import main
-from qcrbench.config import MAX_S
+from qcrbench.config import KEY_ROWS
 from qcrbench.detection import transmission_variance
 from qcrbench.errors import BrightLimitError, NonPhysicalError, WorkbenchError
 from qcrbench.gaussian import (
@@ -51,6 +51,8 @@ from qcrbench.gaussian import (
 )
 from qcrbench.source import SourceParams, _source_domain
 
+# the config's squeezing cap
+MAX_S = KEY_ROWS["s"].high
 PARAMS = SourceParams(s=2.04, T_a=0.71)
 BUDGET = LossBudget(T_p=0.973, eta_p=0.945, eta_c=0.919)
 _LOSSLESS = LossBudget(T_p=1.0, eta_p=1.0, eta_c=1.0)

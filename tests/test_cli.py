@@ -18,12 +18,16 @@ from hypothesis import strategies as st
 
 import qcrbench
 from oracles import CONFIG_CAPS, edges, inside
-from qcrbench.cli import MAX_TRIALS, main
-from qcrbench.config import KEY_ROWS, MAX_GRID_POINTS, MAX_S, load_config, parse_config_text
-from qcrbench.detection import MAX_POLES
-from qcrbench.errors import ConfigError
-from qcrbench.inference import MAX_POPULATION, synthetic_noise_measurements
+from qcrbench.cli import main
+from qcrbench.config import KEY_ROWS, MAX_GRID_POINTS, load_config, parse_config_text
+from qcrbench.errors import DOMAIN, ConfigError
+from qcrbench.inference import synthetic_noise_measurements
 
+# the config's squeezing cap and the caps of the size options
+MAX_S = KEY_ROWS["s"].high
+MAX_POLES = int(KEY_ROWS["filter_kind"].high)
+MAX_TRIALS = int(DOMAIN["--trials"].high)
+MAX_POPULATION = int(DOMAIN["population"].high)
 ETAS = {"diff": 0.919, "probe": 0.973 * 0.945, "conj": 0.919}
 _SAMPLE_NOISES = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "sample_noises.json")
 
@@ -239,7 +243,7 @@ class TestBoundsCommand:
             ("T_grid = 0.5:0.1:0.1", "T_grid range must increase with a positive step"),
             ("T_grid = ,", "T_grid is empty"),
             ("filter_kind = syncx", "bad filter kind 'syncx'; use gaussian or sync<poles>"),
-            ("seed = 1.5", "seed must be an integer"),
+            ("seed = 1.5", "config key 'seed': '1.5' is not an integer"),
             ("T_p = 1.5", "config key 'T_p' must lie in [0, 1], not 1.5"),
             ("n_r = 0", "config key 'n_r' must be finite and positive, not 0.0"),
         ],

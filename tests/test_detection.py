@@ -27,7 +27,6 @@ from qcrbench import detection
 from qcrbench.bounds import LossBudget, build_chain, qcrb_coherent, qcrb_numeric_gaussian
 from qcrbench.cli import main
 from qcrbench.detection import (
-    MAX_POLES,
     PLANCK_H,
     SPEED_OF_LIGHT,
     FilterModel,
@@ -39,9 +38,10 @@ from qcrbench.detection import (
     snr_ramp_simulate,
     transmission_variance,
 )
-from qcrbench.errors import BrightLimitError, NonPhysicalError, WorkbenchError
+from qcrbench.errors import DOMAIN, BrightLimitError, NonPhysicalError, WorkbenchError
 from qcrbench.source import SourceParams
 
+MAX_POLES = int(DOMAIN["poles"].high)
 PARAMS = SourceParams(s=2.04, T_a=0.71)
 BUDGET = LossBudget(T_p=0.973, eta_p=0.945, eta_c=0.919)
 SYNC4 = FilterModel(kind="sync_tuned", rbw=51e3, poles=4)
@@ -315,7 +315,7 @@ class TestSnrRamp:
         def profile(t):
             raise AssertionError("the profile was evaluated")
 
-        with pytest.raises(ValueError, match="noise variance must be positive and finite"):
+        with pytest.raises(ValueError, match="noise_variance must be finite and positive"):
             snr_ramp_simulate(self.plan(trials=100), profile, 0.0)
 
     def test_tiny_noise_recovers_ramp(self):
@@ -365,7 +365,7 @@ class TestSnrRamp:
     @pytest.mark.parametrize("variance", [math.nan, math.inf, -math.inf, -1e-300, 0.0])
     def test_bad_noise_variance_rejected(self, variance):
         plan = self.plan(trials=500)
-        with pytest.raises(ValueError, match="noise variance must be positive and finite"):
+        with pytest.raises(ValueError, match="noise_variance must be finite and positive"):
             snr_ramp_simulate(plan, linear_ramp(1.0, plan.ramp_duration), variance)
 
     def test_reference_power_is_one_gamma_variate(self, monkeypatch):

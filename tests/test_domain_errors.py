@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from oracles import edges
-from qcrbench import bounds, detection, gaussian, inference, source
+from qcrbench import bounds, cli, detection, gaussian, inference, source
 from qcrbench.bounds import LossBudget, build_chain
-from qcrbench.config import KEY_ROWS
+from qcrbench.config import KEY_ROWS, parse_config_text
 from qcrbench.detection import FilterModel, MeasurementPlan
 from qcrbench.errors import DOMAIN
 from qcrbench.source import SourceParams
@@ -179,7 +179,7 @@ DOMAIN_ERRORS = {
     ),
     "coherent-T-array": (
         lambda: bounds.qcrb_coherent(np.array([0.5, 0.6]), 1.0, 0.9),
-        "T must be a scalar, not an array of shape (2,)",
+        "T must be a scalar, not array([0.5, 0.6])",
     ),
     "plan-ramp-duration-inf": (
         lambda: MeasurementPlan(filter=SYNC4, trials=100, rng_seed=0, ramp_duration=INF),
@@ -189,7 +189,7 @@ DOMAIN_ERRORS = {
         lambda: MeasurementPlan(
             filter=SYNC4, trials=100, rng_seed=0, ramp_duration=np.array([1.0, 2.0])
         ),
-        "ramp_duration must be a scalar, not an array of shape (2,)",
+        "ramp_duration must be a scalar, not array([1., 2.])",
     ),
     "distributed-n_r-inf": (
         lambda: bounds.qcrb_distributed(0.5, INF, PARAMS, BUDGET),
@@ -320,6 +320,7 @@ def test_every_row_accepts_its_interval_and_names_its_field_otherwise(key):
 
 
 _CHAIN = build_chain(PARAMS, BUDGET)
+PLAN = MeasurementPlan(filter=SYNC4, trials=100, rng_seed=0)
 
 
 def _budget(**field):
@@ -386,6 +387,11 @@ ENTRY_POINTS = {
     "n_rays": [lambda v: _contour(n_rays=v)],
     "bisection_steps": [lambda v: _contour(bisection_steps=v)],
     "chi2_min": [lambda v: _contour(chi2_min=v)],
+    "--trials": [lambda v: cli.cmd_simulate(parse_config_text(""), v, os.devnull, "csv")],
+    "noise_variance": [lambda v: detection.snr_ramp_simulate(PLAN, lambda t: t, v)],
+    "noise": [source.squeezing_db],
+    "layers": [lambda v: source.layered_source(PARAMS, v)],
+    "rel_tol": [lambda v: source.converged_source(PARAMS, rel_tol=v)],
 }
 
 
@@ -426,4 +432,4 @@ def _readme_domain_table() -> dict:
 def test_readme_domain_table_is_the_config_rows():
     # a config value outside its row is a schema error, exit 3
     code = {key: (row.interval, "int" if row.integer else "float", "3") for key, row in KEY_ROWS.items()}
-    assert list(_readme_domain_table().items()) == list(code.items())
+    assert _readme_domain_table() == code

@@ -13,7 +13,7 @@ from oracles import (
     plain_continuum_kernel,
     printed_noises_loop,
 )
-from qcrbench.config import MAX_S
+from qcrbench.config import KEY_ROWS
 from qcrbench.errors import ConvergenceError
 from qcrbench.gaussian import ChannelOp, apply_loss, bright_mean_photon, two_mode_squeezer
 from qcrbench.source import (
@@ -31,6 +31,8 @@ from qcrbench.source import (
     squeezing_db,
 )
 
+# the config's squeezing cap
+MAX_S = KEY_ROWS["s"].high
 REFERENCE = SourceParams(s=2.04, T_a=0.71)
 
 # frozen from the N = 10^4 slice stack; the converged values agree to ~1e-9
