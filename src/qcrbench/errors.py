@@ -103,6 +103,9 @@ DOMAIN = {
         Field("s", "[0, inf)"),
         Field("T_a", "(0, 1]", config="T_a"),
         Field("seed_photons", "[0, inf)"),
+        Field("noise", "(0, inf)"),
+        Field("layers", "[1, inf)", integer=True),
+        Field("rel_tol", "(0, inf)"),
         Field("T_p", "[0, 1]", config="T_p"),
         Field("eta_p", "[0, 1]", config="eta_p"),
         Field("eta_c", "[0, 1]", config="eta_c"),
@@ -111,9 +114,6 @@ DOMAIN = {
         Field("rbw", "(0, inf)", config="rbw_hz"),
         # the effective time is a product over poles - 1 factors
         Field("poles", "[1, 1000]", integer=True, config="filter_kind"),
-        Field("noise", "(0, inf)"),
-        Field("layers", "[1, inf)", integer=True),
-        Field("rel_tol", "(0, inf)"),
         Field("trials", "[1, inf)", integer=True),
         # trials per transmission of `simulate`: a ramp holds about 41 bytes per
         # trial (tracemalloc), 410 MB at the cap, which covers the paper's 14 s at 51 kHz
