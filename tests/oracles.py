@@ -42,8 +42,7 @@ from scipy import integrate
 
 from qcrbench import detection, inference
 from qcrbench.bounds import _FD_MISMATCH_TOL, ProbeChain
-from qcrbench.errors import Field
-from qcrbench.errors import BrightLimitError, NonPhysicalError
+from qcrbench.errors import BrightLimitError, Field, NonPhysicalError
 from qcrbench.gaussian import (
     Array,
     ChannelOp,

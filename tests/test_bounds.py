@@ -53,6 +53,7 @@ from qcrbench.source import SourceParams, _source_domain
 
 # the config's squeezing cap
 MAX_S = KEY_ROWS["s"].high
+DIM_SEED = "seed_photons must be finite and at least 10000, not 100.0"
 PARAMS = SourceParams(s=2.04, T_a=0.71)
 BUDGET = LossBudget(T_p=0.973, eta_p=0.945, eta_c=0.919)
 _LOSSLESS = LossBudget(T_p=1.0, eta_p=1.0, eta_c=1.0)
@@ -344,7 +345,7 @@ class TestNumericGaussianBound:
             assert points(n_r) == points(1.0)
 
     def test_dim_seed_rejected(self):
-        with pytest.raises(ValueError, match="seed_photons must be finite and at least 10000, not 100.0"):
+        with pytest.raises(ValueError, match=DIM_SEED):
             build_chain(SourceParams(s=1.0, T_a=0.9, seed_photons=100.0), BUDGET)
 
     @pytest.mark.parametrize("budget", [(0.0, 0.945, 0.919), (0.973, 0.0, 0.919)])
@@ -355,7 +356,7 @@ class TestNumericGaussianBound:
             with pytest.raises(BrightLimitError, match="^no probe light reaches the detector$"):
                 make(PARAMS, dark)
             # the seed floor is checked first
-            with pytest.raises(ValueError, match="seed_photons must be finite and at least 10000, not 100.0"):
+            with pytest.raises(ValueError, match=DIM_SEED):
                 make(SourceParams(s=1.0, T_a=0.9, seed_photons=100.0), dark)
 
     def test_chain_accepts_coherent_source(self):

@@ -61,7 +61,8 @@ def _contour(dof=1, chi2_min=0.0, **rays):
 
 
 def _fit_box(bounds):
-    return f"bounds must be two (lo, hi) pairs inside s in [0, inf) and T_a in (0, 1], not {bounds!r}"
+    inside = "inside s in [0, inf) and T_a in (0, 1]"
+    return f"bounds must be two (lo, hi) pairs {inside}, not {bounds!r}"
 
 
 # (call, message): each call raises ValueError with exactly this message
@@ -305,7 +306,8 @@ def _probes(row):
     kinds = (int, np.integer) if row.integer else (int, float, np.integer, np.floating)
     numbers = edges(row) + [math.nan, math.inf, -math.inf] + typed
     probes = [(x, isinstance(x, kinds) and _in_interval(row, x)) for x in numbers]
-    return probes + [(True, False), (False, False), (np.array(inner), True), (np.array([inner]), False)]
+    arrays = [(np.array(inner), True), (np.array([inner]), False)]
+    return probes + [(True, False), (False, False)] + arrays
 
 
 @pytest.mark.parametrize("key", DOMAIN)
@@ -346,7 +348,10 @@ ENTRY_POINTS = {
     ],
     "T_p": [lambda v: _budget(T_p=v)],
     "eta_p": [lambda v: _budget(eta_p=v)],
-    "eta_c": [lambda v: _budget(eta_c=v), lambda v: bounds.conjugate_factor_distributed(v, 2.04, 0.71)],
+    "eta_c": [
+        lambda v: _budget(eta_c=v),
+        lambda v: bounds.conjugate_factor_distributed(v, 2.04, 0.71),
+    ],
     "positive eta_p": [lambda v: bounds.qcrb_coherent(0.5, 1.0, v)],
     "T": [
         lambda v: bounds.qcrb_coherent(v, 1.0, 0.945),
@@ -431,5 +436,7 @@ def _readme_domain_table() -> dict:
 
 def test_readme_domain_table_is_the_config_rows():
     # a config value outside its row is a schema error, exit 3
-    code = {key: (row.interval, "int" if row.integer else "float", "3") for key, row in KEY_ROWS.items()}
+    code = {
+        key: (row.interval, "int" if row.integer else "float", "3") for key, row in KEY_ROWS.items()
+    }
     assert _readme_domain_table() == code

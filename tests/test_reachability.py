@@ -85,7 +85,10 @@ def _defined_functions() -> dict:
             function = bool(code.co_flags & inspect.CO_OPTIMIZED)
             for child in code.co_consts:
                 if inspect.iscode(child):
-                    scope = "" if qualname is None else f"{qualname}.<locals>." if function else f"{qualname}."
+                    if qualname is None:
+                        scope = ""
+                    else:
+                        scope = f"{qualname}.<locals>." if function else f"{qualname}."
                     stack.append((child, scope + child.co_name))
             # class bodies and comprehensions are code objects, not functions
             if function and not code.co_name.startswith("<"):
@@ -129,7 +132,8 @@ def test_every_function_is_run_by_a_command_or_listed(tmp_path):
     def profile(frame, event, arg):
         code = frame.f_code
         if event == "call" and os.path.dirname(code.co_filename) == PACKAGE:
-            entered.add((os.path.basename(code.co_filename)[:-3], code.co_name, code.co_firstlineno))
+            module = os.path.basename(code.co_filename)[:-3]
+            entered.add((module, code.co_name, code.co_firstlineno))
 
     codes = []
     quiet = contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO())
