@@ -22,6 +22,7 @@ conjugate only sees eta_c.
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,20 +47,22 @@ class LossBudget:
             DOMAIN[name].check(getattr(self, name))
 
 
-@dataclass(frozen=True)
-class BoundPoint:
+class BoundPoint(namedtuple("BoundPoint", ("T", "var_n"))):
     """One bound evaluated at system transmission T.
 
     ``var_n`` is Var(T) * n_r, the photon-number-normalized variance, which
-    does not depend on n_r; it is the only value a bound reports.
+    does not depend on n_r; it is the only value a bound reports.  An
+    immutable pair: a bound makes one per T, so it is a tuple rather than a
+    frozen dataclass, whose field-by-field construction costs about half as
+    much again.
     """
 
-    T: float
-    var_n: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not math.isfinite(self.var_n):
+    def __new__(cls, T: float, var_n: float):
+        if not math.isfinite(var_n):
             raise ValueError("bound value must be finite")
+        return tuple.__new__(cls, (T, var_n))
 
 
 def _finite(value: float, s: float) -> float:
@@ -226,6 +229,10 @@ class ProbeChain:
     def sector_at(self, T: float) -> tuple:
         """Detected x sector (d_p, d_c, sigma_pp, sigma_pc, sigma_cc) at T."""
         _T.check(T)
+        return self._sector(T)
+
+    def _sector(self, T: float) -> tuple:
+        """`sector_at` of a T known to lie in [0, 1], without the row check."""
         sector = _loss_stage(self.incident, math.sqrt(T), 1.0)
         return _loss_stage(sector, math.sqrt(self.budget.eta_p), math.sqrt(self.budget.eta_c))
 
@@ -249,15 +256,19 @@ def _probe_derivative(chain: ProbeChain, T: float, d_p: float) -> None:
     1e-6 * T, so it stays inside (0, 1], shifted off T = 1 if needed) must
     agree with d_p / (2 T) to 1e-6 relative or the evaluation is rejected.
     Below T ~ 2.47e-318 the step underflows to 0, and T is rejected.
+
+    T has passed its row check, and center +- step lies in [0, 1] (T + step
+    <= 1 around T, 0 < step <= T around T - step), so the audit's own points
+    take the unchecked sector step.
     """
     step = 1e-6 * T
     if step == 0.0:
         raise NonPhysicalError(f"T = {T:.3g} is too small for the finite-difference audit step")
     center = T if T + step <= 1.0 else T - step
-    plus = chain.sector_at(center + step)[0]
-    minus = chain.sector_at(center - step)[0]
+    plus = chain._sector(center + step)[0]
+    minus = chain._sector(center - step)[0]
     fd = (plus - minus) / (2.0 * step)
-    at_center = d_p if center == T else chain.sector_at(center)[0]
+    at_center = d_p if center == T else chain._sector(center)[0]
     reference = at_center / (2.0 * center)
     # a product, not a ratio: where d_p underflows to 0 both are 0 and the Fisher check rejects T
     if abs(fd - reference) > _FD_MISMATCH_TOL * abs(reference):

@@ -75,12 +75,19 @@ class WorkbenchConfig:
 
 
 def _parse_number(key: str, raw: str):
-    """The number `raw` of key `key`, an int or a float as its row takes, in its row."""
+    """The number `raw` of key `key`, an int or a float as its row takes, in its row.
+
+    `raw` is written in ASCII without underscores: int() and float() would
+    also take digit-group underscores ("1_000") and any Unicode digit, which
+    the echoed config would not write back as they were written.
+    """
     row = KEY_ROWS[key]
+    kind = "an integer" if row.integer else "a number"
+    if not raw.isascii() or "_" in raw:
+        raise ConfigError(f"config key {key!r}: {raw!r} is not {kind}")
     try:
         value = int(raw) if row.integer else float(raw)
     except ValueError as exc:
-        kind = "an integer" if row.integer else "a number"
         raise ConfigError(f"config key {key!r}: {raw!r} is not {kind}") from exc
     return row.check(value, f"config key {key!r}", ConfigError)
 
@@ -116,12 +123,15 @@ def _parse_grid(raw: str) -> np.ndarray:
 def parse_filter_spec(kind_raw: str, rbw: float) -> FilterModel:
     if kind_raw == "gaussian":
         return FilterModel(kind="gaussian", rbw=rbw)
-    if kind_raw.startswith("sync"):
+    digits = kind_raw[4:]
+    # ASCII digits only: int() would also take a sign, blanks and any Unicode digit
+    if kind_raw.startswith("sync") and digits.isascii() and digits.isdigit():
         try:
-            poles = int(kind_raw[4:])
-        except ValueError as exc:
-            raise ConfigError(f"bad filter kind {kind_raw!r}; use gaussian or sync<poles>") from exc
-        return FilterModel(kind="sync_tuned", rbw=rbw, poles=poles)
+            poles = int(digits)
+        except ValueError:  # more digits than int() converts, far past the poles row
+            pass
+        else:
+            return FilterModel(kind="sync_tuned", rbw=rbw, poles=poles)
     raise ConfigError(f"bad filter kind {kind_raw!r}; use gaussian or sync<poles>")
 
 

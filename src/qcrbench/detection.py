@@ -164,7 +164,7 @@ def linear_ramp(initial_amplitude: float, duration: float):
         amplitude = np.array(t, dtype=float)
         amplitude /= duration
         np.subtract(1.0, amplitude, out=amplitude)
-        np.clip(amplitude, 0.0, None, out=amplitude)
+        np.maximum(amplitude, 0.0, out=amplitude)
         amplitude *= initial_amplitude
         return amplitude if amplitude.ndim else amplitude[()]
 
@@ -187,8 +187,10 @@ _MAX_WINDOW_PASSES = 10
 def _centred_line_fit(x: np.ndarray, y: np.ndarray):
     """(slope, intercept, crossing standard error) of the least-squares line.
 
-    x is first scaled by a power of two, which is exact, so a ramp at tiny
-    powers (~1e-169, whose squares underflow) is still fitted; then
+    x is a window of a ramp's usable run, positive and monotone
+    (`_iterated_line_fit` checks it), so its max is one of its two end
+    points.  x is first scaled by a power of two, which is exact, so a ramp
+    at tiny powers (~1e-169, whose squares underflow) is still fitted; then
     t = x - mean(x), slope = sum(t y) / sum(t^2) and
     intercept = mean(y) - slope mean(x) (Press et al., Numerical Recipes,
     section 15.2).  The line is `np.polyfit(x, y, 1)`'s up to rounding.
@@ -204,7 +206,7 @@ def _centred_line_fit(x: np.ndarray, y: np.ndarray):
     of slope 0, which crosses nowhere, and an se past the float range give
     inf.
     """
-    _, exponent = math.frexp(float(x.max()))
+    _, exponent = math.frexp(max(x.item(0), x.item(-1)))
     t = np.ldexp(x, -exponent)
     # a sum over the size: the bits of .mean() without its Python set-up
     x_mean = np.add.reduce(t) / t.size
@@ -299,7 +301,9 @@ def _iterated_line_fit(mod_power: np.ndarray, snr: np.ndarray):
             "SNR ramp bins with positive modulation power and finite SNR are not contiguous"
         )
     run = mod_power[first : first + count]
-    if not (np.all(run[1:] >= run[:-1]) or np.all(run[1:] <= run[:-1])):
+    # a monotone run rises or falls as its end points do (a constant one does both)
+    rising = run.item(0) <= run.item(-1)
+    if not np.all(run[1:] >= run[:-1] if rising else run[1:] <= run[:-1]):
         raise NonPhysicalError("SNR ramp modulation power is not monotone over its usable bins")
     snr_run = snr[first : first + count]
     window = (0, count)
@@ -351,9 +355,9 @@ def snr_ramp_simulate(
     """
     DOMAIN["noise_variance"].check(noise_variance)
     n_bins = plan.trials
-    # times = (np.arange(n_bins) + 0.5) * effective_time(plan.filter)
-    times = np.arange(n_bins, dtype=float)
-    times += 0.5
+    # times = (np.arange(n_bins) + 0.5) * effective_time(plan.filter); arange fills
+    # 0.5 + i, exactly
+    times = np.arange(0.5, n_bins)
     times *= effective_time(plan.filter)
     amplitudes = np.asarray(true_delta_T_profile(times), dtype=float)
     del times
@@ -368,7 +372,12 @@ def snr_ramp_simulate(
             # draws, noise_variance Gamma(1, 1), so its mean over the bins is the one
             # variate noise_variance Gamma(n_bins, 1) / n_bins
             noise_power = noise_variance * (noise_rng.standard_gamma(n_bins) / n_bins)
-            in_phase, quadrature = signal_rng.normal(0.0, scale, (2, n_bins))
+            # normal(0.0, scale, (2, n_bins)) is 0.0 + scale * z on the same standard
+            # normals z: the same bits, scaled in place, but for the sign of a zero
+            # draw, which the sum and the squares below drop
+            draws = signal_rng.standard_normal((2, n_bins))
+            draws *= scale
+            in_phase, quadrature = draws
             # power = (amplitudes + in_phase) ** 2 + quadrature**2
             np.add(amplitudes, in_phase, out=in_phase)
             np.square(in_phase, out=in_phase)

@@ -172,6 +172,35 @@ def _by_channel(measurements) -> dict:
     return found
 
 
+@dataclass(frozen=True)
+class PreparedMeasurements:
+    """The measured side of `chi_square_batch`, by `CHANNELS` order.
+
+    log10 of the three measured noises and their `log_variance`s, as two
+    arrays of three: what every objective call of a fit would otherwise
+    rebuild from the same measurements (`prepare_measurements`).
+    """
+
+    log_values: np.ndarray
+    log_variances: np.ndarray
+
+
+def prepare_measurements(measurements) -> PreparedMeasurements:
+    """The chi-square terms of a measurement triple; a prepared set is returned as it is.
+
+    A list (or any iterable) of `NoiseMeasurement`s needs each channel once,
+    else `SchemaError`.
+    """
+    if isinstance(measurements, PreparedMeasurements):
+        return measurements
+    by_channel = _by_channel(measurements)
+    triple = [by_channel[channel] for channel in CHANNELS]
+    return PreparedMeasurements(
+        log_values=np.log10([m.value for m in triple]),
+        log_variances=np.array([m.log_variance for m in triple]),
+    )
+
+
 def _model_noises(s, T_a, noise_model: str) -> NoiseTriple:
     if noise_model == "numeric_oracle":
         return continuum_noises(s, T_a)
@@ -183,7 +212,9 @@ def _model_noises(s, T_a, noise_model: str) -> NoiseTriple:
 def chi_square_batch(measurements, points: np.ndarray, noise_model: str = "numeric_oracle"):
     """Log-scale chi-square of source-level measurements over (s, T_a) points.
 
-    Terms are (log10 measured - log10 model)^2 / Var(log10 measured) with
+    `measurements` is a triple of `NoiseMeasurement`s or the
+    `PreparedMeasurements` of one, which give the same bits.  Terms are
+    (log10 measured - log10 model)^2 / Var(log10 measured) with
     Var(log10 N) = Var(N) / (N ln 10)^2.  Points where any channel's model
     noise is not > 0 (NaN included) get +inf.
 
@@ -193,15 +224,14 @@ def chi_square_batch(measurements, points: np.ndarray, noise_model: str = "numer
     `NoiseMeasurement` has, no step raises a floating-point warning, and
     +inf is written there last.  The total adds the terms in channel order.
     """
-    by_channel = _by_channel(measurements)
-    triple = [by_channel[channel] for channel in CHANNELS]
+    measured = prepare_measurements(measurements)
     points = np.asarray(points, dtype=float)
     model = _model_noises(points[..., 0], points[..., 1], noise_model)
     theory = np.array([model.diff, model.probe, model.conj], dtype=float)
     # one column per channel, broadcast over the points
     column = (3,) + (1,) * (theory.ndim - 1)
-    log_values = np.log10([m.value for m in triple]).reshape(column)
-    log_variances = np.array([m.log_variance for m in triple]).reshape(column)
+    log_values = measured.log_values.reshape(column)
+    log_variances = measured.log_variances.reshape(column)
     positive = theory > 0.0
     terms = np.zeros(theory.shape)
     np.log10(theory, out=terms, where=positive)
@@ -531,9 +561,12 @@ def fit_source(measurements, config: DEConfig, noise_model: str = "numeric_oracl
     raw = list(measurements)
     _by_channel(raw)
     at_source = [backtrack_measurement(m) for m in raw]
+    # the measured terms once per fit; the objective still calls
+    # chi_square_batch by name, which the benchmark's tracer counts
+    measured = prepare_measurements(at_source)
 
     def objective(points):
-        return chi_square_batch(at_source, points, noise_model)
+        return chi_square_batch(measured, points, noise_model)
 
     de = differential_evolution(objective, config)
     dof = len(at_source) - 2

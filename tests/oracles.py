@@ -18,9 +18,10 @@ Each recomputes a `qcrbench` result by an independent or more literal route:
   to the estimator at a fixed gain;
   `six_state_numeric_var_n`, the numeric bound from full chain states; and
   the `array_*` rate route to `qcrb_distributed`;
-* detection: `quadrature_effective_time`, `crossing_standard_error`, and the
+* detection: `quadrature_effective_time`, `crossing_standard_error`, the
   SNR-window fits `polyfit_windows`, `polyfit_iterated_line_fit` and
-  `ten_pass_line_fit`;
+  `ten_pass_line_fit`, and `reference_snr_ramp`, the whole ramp in
+  whole-array expressions;
 * inference: `reference_chi_square_batch`,
   `reference_differential_evolution` and `sequential_chi2_doubling`;
 * the Hypothesis strategies `log_uniform`, for values over decades, and
@@ -505,6 +506,134 @@ def ten_pass_line_fit(mod_power, snr):
         if window == (start, stop):
             break
     return slope, intercept
+
+
+def _reference_centred_line_fit(x, y):
+    """`detection._centred_line_fit` in whole-array steps, scaled by ``x.max()``.
+
+    The max is taken over the whole window, not read off its end points.
+    """
+    _, exponent = math.frexp(float(x.max()))
+    t = np.ldexp(x, -exponent)
+    x_mean = t.mean()
+    scaled_square = float(t @ t)
+    t = t - x_mean
+    t_square = float(t @ t)
+    rank_cut = 4.0 * x.size * np.finfo(float).eps
+    if not t_square > rank_cut * rank_cut * scaled_square:
+        raise NonPhysicalError("SNR ramp modulation power is constant over the fit window")
+    slope = float(t @ y) / t_square
+    y_sum = y.sum()
+    y_mean = y_sum / y.size
+    intercept = float(y_mean - slope * x_mean)
+    try:
+        unscaled_slope = math.ldexp(slope, -exponent)
+    except OverflowError:
+        raise NonPhysicalError("line slope overflows float64 at these modulation powers") from None
+    if slope == 0.0:
+        return unscaled_slope, intercept, math.inf
+    rss = max(float(y @ y) - float(y_mean) * float(y_sum) - slope * slope * t_square, 0.0)
+    lever = (1.0 - intercept) / slope - float(x_mean)
+    se = math.sqrt(rss / (y.size - 2) * (1.0 / y.size + lever * lever / t_square)) / abs(slope)
+    try:
+        return unscaled_slope, intercept, math.ldexp(se, exponent)
+    except OverflowError:
+        return unscaled_slope, intercept, math.inf
+
+
+def _reference_window(run, slope, intercept):
+    """The bins of `run` whose fitted SNR lies in [0.2, 5], by elementwise comparison.
+
+    They must form one index range, which `detection._fit_window` bisects
+    for; an empty window is (0, 0).
+    """
+    if not (math.isfinite(slope) and math.isfinite(intercept)):
+        return 0, 0
+    fitted = intercept + slope * run
+    inside = ((fitted >= 0.2) & (fitted <= 5.0)).nonzero()[0]
+    if not inside.size:
+        return 0, 0
+    assert inside[-1] - inside[0] + 1 == inside.size, "the window is not one index range"
+    return int(inside[0]), int(inside[-1]) + 1
+
+
+def _reference_iterated_line_fit(mod_power, snr):
+    """`detection._iterated_line_fit` in whole-array steps: (slope, intercept, passes, converged).
+
+    The run's monotonicity is tested both ways, rising and then falling,
+    and each window is found by elementwise comparison.
+    """
+    usable = (mod_power > 0.0) & np.isfinite(snr)
+    count = np.count_nonzero(usable)
+    if count < 8:
+        raise NonPhysicalError("SNR=1 not bracketed: too few usable ramp bins")
+    first = int(usable.argmax())
+    if not usable[first : first + count].all():
+        raise NonPhysicalError(
+            "SNR ramp bins with positive modulation power and finite SNR are not contiguous"
+        )
+    run = mod_power[first : first + count]
+    if not (np.all(run[1:] >= run[:-1]) or np.all(run[1:] <= run[:-1])):
+        raise NonPhysicalError("SNR ramp modulation power is not monotone over its usable bins")
+    snr_run = snr[first : first + count]
+    window = (0, count)
+    previous = math.nan
+    for passes in range(1, 11):
+        start, stop = window
+        if stop - start < 8:
+            raise NonPhysicalError("SNR=1 not bracketed: too few usable ramp bins")
+        slope, intercept, se = _reference_centred_line_fit(
+            run[start:stop], snr_run[start:stop]
+        )
+        crossing = (1.0 - intercept) / slope if slope else math.inf
+        if abs(crossing - previous) < 0.25 * se:
+            return slope, intercept, passes, True
+        window = _reference_window(run, slope, intercept)
+        if window == (start, stop):
+            return slope, intercept, passes, True
+        previous = crossing
+    return slope, intercept, passes, False
+
+
+def reference_snr_ramp(plan, profile, noise_variance):
+    """`detection.snr_ramp_simulate` by the literal route, in whole-array expressions.
+
+    The signal noise is ``normal(0.0, scale, (2, n))`` on the (rng_seed, 1)
+    stream, the power ``(a + i)**2 + q**2``, and the line fit that of
+    `_reference_iterated_line_fit`.  Same errors and messages for a valid
+    plan, profile and noise variance; `snr_ramp_simulate` must return the
+    same bits.
+    """
+    n = plan.trials
+    times = (np.arange(n) + 0.5) * detection.effective_time(plan.filter)
+    amplitudes = np.asarray(profile(times), dtype=float)
+    scale = math.sqrt(noise_variance / 2.0)
+    noise_rng = np.random.default_rng(np.random.SeedSequence([plan.rng_seed, 0]))
+    signal_rng = np.random.default_rng(np.random.SeedSequence([plan.rng_seed, 1]))
+    try:
+        with np.errstate(over="raise"):
+            noise_power = noise_variance * (noise_rng.standard_gamma(n) / n)
+            in_phase, quadrature = signal_rng.normal(0.0, scale, (2, n))
+            power = (amplitudes + in_phase) ** 2 + quadrature**2
+            snr = (power - noise_power) / noise_power
+            mod_power = amplitudes**2
+    except FloatingPointError:
+        raise NonPhysicalError(
+            f"SNR ramp powers at noise variance {noise_variance:.6g} leave the float64 range"
+        ) from None
+    slope, intercept, passes, converged = _reference_iterated_line_fit(mod_power, snr)
+    if slope <= 0.0:
+        raise NonPhysicalError("SNR=1 not bracketed: non-increasing SNR ramp")
+    crossing_power = (1.0 - intercept) / slope
+    if not (0.0 < crossing_power <= float(np.max(amplitudes)) ** 2):
+        raise NonPhysicalError("SNR=1 not bracketed by the modulation ramp")
+    return detection.RampResult(
+        delta_T_at_snr1=float(math.sqrt(crossing_power)),
+        snr_trace=snr,
+        amplitudes=amplitudes,
+        passes=passes,
+        converged=converged,
+    )
 
 
 def reference_chi_square_batch(measurements, points, noise_model="numeric_oracle"):

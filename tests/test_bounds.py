@@ -585,9 +585,10 @@ class TestPrecomputedChainStages:
 
     @pytest.mark.parametrize("t", [0.5, 1.0])
     def test_audit_rejects_disagreeing_finite_difference(self, chain, t, monkeypatch):
-        # t = 1 moves the audit center off T, so the center is read from
-        # sector_at too and is left unscaled
-        original = ProbeChain.sector_at
+        # t = 1 moves the audit center off T, so the center is read from the
+        # sector step too and is left unscaled; `sector_at` and the audit's
+        # own points both take that step
+        original = ProbeChain._sector
         step = 1e-6 * t
         center = t if t + step <= 1.0 else t - step
 
@@ -597,7 +598,7 @@ class TestPrecomputedChainStages:
                 d_p *= 1.0 + 1e-5
             return (d_p, *rest)
 
-        monkeypatch.setattr(ProbeChain, "sector_at", skewed)
+        monkeypatch.setattr(ProbeChain, "_sector", skewed)
         with pytest.raises(NonPhysicalError, match="finite-difference"):
             qcrb_numeric_gaussian(t, chain.params, chain.budget, chain=chain)
 
@@ -651,8 +652,22 @@ class TestBoundPoint:
 
     @pytest.mark.parametrize("var_n", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
     def test_non_finite_value_rejected(self, var_n):
-        with pytest.raises(ValueError, match="bound value must be finite"):
+        with pytest.raises(ValueError, match="^bound value must be finite$"):
             BoundPoint(T=0.5, var_n=var_n)
+        with pytest.raises(ValueError, match="^bound value must be finite$"):
+            BoundPoint(0.5, var_n)
+
+    def test_immutable_with_its_two_fields(self):
+        point = BoundPoint(T=0.5, var_n=0.25)
+        assert (point.T, point.var_n) == (0.5, 0.25)
+        assert point == BoundPoint(0.5, 0.25) and hash(point) == hash(BoundPoint(0.5, 0.25))
+        for name, value in (("T", 0.6), ("var_n", 0.3), ("n_r", 1.0)):
+            with pytest.raises(AttributeError):
+                setattr(point, name, value)
+        assert not hasattr(point, "__dict__")
+        assert (point.T, point.var_n) == (0.5, 0.25)
+        bound = qcrb_distributed(0.5, 1.0, PARAMS, BUDGET)
+        assert type(bound) is BoundPoint and bound.T == 0.5
 
 
 def _bits(terms):

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import constants, integrate
 
@@ -21,6 +21,7 @@ from oracles import (
     polyfit_iterated_line_fit,
     polyfit_windows,
     quadrature_effective_time,
+    reference_snr_ramp,
     ten_pass_line_fit,
 )
 from qcrbench import detection
@@ -308,6 +309,46 @@ class TestSnrRamp:
         profile = linear_ramp(5.0 * math.sqrt(var_t), plan.ramp_duration)
         ramp = snr_ramp_simulate(plan, profile, var_t)
         assert ramp.delta_T_at_snr1 == pytest.approx(math.sqrt(var_t), rel=0.1)
+
+    def test_equals_the_whole_array_route_bit_for_bit(self):
+        # the scaled standard normals, the in-place powers, the end-point max
+        # and the one-way monotone test keep every bit of the literal route,
+        # errors included, over seeds, 100-10^4 bins, the noise_variance row
+        # and rising and falling ramps
+        errors = []
+
+        def outcome(route, plan, profile, var_t):
+            try:
+                ramp = route(plan, profile, var_t)
+            except NonPhysicalError as exc:
+                return "error", str(exc)
+            arrays = (ramp.snr_trace.tobytes(), ramp.amplitudes.tobytes())
+            return ramp.delta_T_at_snr1.hex(), *arrays, ramp.passes, ramp.converged
+
+        @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+        @given(
+            seed=st.integers(0, 2**63),
+            bins=st.integers(100, 10_000),
+            var_t=log_uniform(-323.0, 308.0),
+            height=st.floats(2.0, 10.0),
+            rising=st.booleans(),
+        )
+        # powers past float64, and a ramp below SNR = 1
+        @example(seed=3, bins=1000, var_t=8.5e306, height=5.0, rising=False)
+        @example(seed=3, bins=1000, var_t=0.04, height=0.5, rising=False)
+        def check(seed, bins, var_t, height, rising):
+            plan = self.plan(trials=bins, seed=seed)
+            duration = plan.ramp_duration
+            falling = linear_ramp(height * math.sqrt(var_t), duration)
+            profile = (lambda t: falling(duration - t)) if rising else falling
+            got = outcome(snr_ramp_simulate, plan, profile, var_t)
+            assert got == outcome(reference_snr_ramp, plan, profile, var_t)
+            errors.append(got[0] == "error")
+
+        check()
+        # most ramps cross SNR = 1; errors come from the examples and from
+        # powers past float64 or subnormal
+        assert 2 <= sum(errors) <= 0.1 * len(errors)
 
     def test_zero_noise_rejected_before_the_profile(self):
         # transmission_variance never returns 0, and a noiseless ramp has no

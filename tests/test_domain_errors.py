@@ -16,7 +16,7 @@ from qcrbench import bounds, cli, detection, gaussian, inference, source
 from qcrbench.bounds import LossBudget, build_chain
 from qcrbench.config import KEY_ROWS, parse_config_text
 from qcrbench.detection import FilterModel, MeasurementPlan
-from qcrbench.errors import DOMAIN
+from qcrbench.errors import DOMAIN, ConfigError
 from qcrbench.source import SourceParams
 
 PARAMS = SourceParams(s=2.04, T_a=0.71)
@@ -286,6 +286,50 @@ def test_domain_error_names_its_fault(case):
     call, message = DOMAIN_ERRORS[case]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+SYNC = "use gaussian or sync<poles>"
+
+# (config line, message): a config number is ASCII without underscores, and
+# the poles of sync<poles> are ASCII digits; a sign is part of a number
+CONFIG_ERRORS = {
+    "seed-underscore": ("seed = 1_000", "config key 'seed': '1_000' is not an integer"),
+    "s-underscore": ("s = 1_0e-1", "config key 's': '1_0e-1' is not a number"),
+    "grid-underscore": ("T_grid = 0.1,0_5", "config key 'T_grid': '0_5' is not a number"),
+    "seed-arabic-indic": ("seed = \u0661", "config key 'seed': '\u0661' is not an integer"),
+    "n_r-fullwidth": ("n_r = \uff11", "config key 'n_r': '\uff11' is not a number"),
+    "sync-plus": ("filter_kind = sync+4", f"bad filter kind 'sync+4'; {SYNC}"),
+    "sync-blank": ("filter_kind = sync 4", f"bad filter kind 'sync 4'; {SYNC}"),
+    "sync-arabic-indic": ("filter_kind = sync\u0664", f"bad filter kind 'sync\u0664'; {SYNC}"),
+    "sync-superscript": ("filter_kind = sync\u00b2", f"bad filter kind 'sync\u00b2'; {SYNC}"),
+    # more digits than int() converts: the line of any other malformed kind
+    "sync-past-int-digits": (
+        "filter_kind = sync" + "9" * 5000,
+        f"bad filter kind 'sync{'9' * 5000}'; {SYNC}",
+    ),
+    "seed-negative": ("seed = -1", "config key 'seed' must be non-negative, not -1"),
+    "s-negative": ("s = -0.5", "config key 's' must lie in [0, 3.5], not -0.5"),
+}
+
+
+@pytest.mark.parametrize("case", CONFIG_ERRORS)
+def test_config_number_grammar(case, tmp_path, capsys):
+    line, message = CONFIG_ERRORS[case]
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config_text(line + "\n")
+    config = tmp_path / "config.txt"
+    config.write_text(line + "\n", encoding="utf-8")
+    assert cli.main(["bounds", "--config", str(config), "--out", os.devnull]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "line, value",
+    [("seed = +5", 5), ("s = +.5", 0.5), ("s = 1E-1", 0.1)],
+)
+def test_config_number_grammar_keeps_signs_and_ascii_forms(line, value):
+    config = parse_config_text(line + "\n")
+    assert (config.seed if line.startswith("seed") else config.source.s) == value
 
 
 def _in_interval(row, value) -> bool:

@@ -336,6 +336,25 @@ class TestChiSquare:
             want = reference_chi_square_batch(triple, points, noise_model)
         assert same_bits(got, want)
 
+    @pytest.mark.parametrize("noise_model", ["numeric_oracle", "printed_formulas"])
+    @pytest.mark.parametrize("shape", [(), (1,), (96,), (3, 5)])
+    def test_prepared_set_gives_the_list_bits(self, noise_model, shape):
+        # fit_source prepares its measurements once; every objective call
+        # must give the bits of the list it was prepared from
+        triple = self.source_level_triple(2.04, 0.71)
+        prepared = inference.prepare_measurements(triple)
+        assert inference.prepare_measurements(prepared) is prepared
+        rng = np.random.default_rng(np.random.SeedSequence([7, len(shape), sum(shape)]))
+        points = np.stack(
+            [rng.uniform(0.0, 3.0, shape), rng.uniform(0.5, 1.0, shape)], axis=-1
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = chi_square_batch(prepared, points, noise_model)
+            want = chi_square_batch(triple, points, noise_model)
+        assert same_bits(got, want)
+        assert same_bits(got, reference_chi_square_batch(triple, points, noise_model))
+
     @pytest.mark.parametrize("seed", range(4))
     def test_non_positive_model_noises_give_inf(self, monkeypatch, seed):
         special = [0.0, -0.0, -1.0, -1e308, -np.inf, np.nan, np.inf, 5e-324, 1e-310, 1e308]
