@@ -5,15 +5,17 @@ where n_r is the number of probe photons incident on the system under study;
 var_n is independent of the probing power by construction.  Closed forms are
 provided for
 
-* a pure bright two-mode squeezed probe followed by external losses,
-* the same probe generated with loss distributed inside the source,
+* a bright two-mode squeezed probe generated with loss distributed inside
+  the source and followed by external losses,
 * a coherent probe (the optimal classical reference),
 * the ultimate bound over all states at fixed probe photon number,
 
 together with a numeric bound evaluated directly from the displacement and
 covariance of the full source + loss chain in the bright limit.  The numeric
 route and the distributed closed form are independent implementations of the
-same physics and are required to agree; tests enforce this.
+same physics and are required to agree; tests enforce this.  The pure-source
+closed form, which the distributed one reduces to at T_a = 1, is a test
+oracle (``tests/oracles.py``).
 
 External losses follow the experiment layout: the probe passes T_p (before
 the system), the system transmission T, then eta_p (detection); the
@@ -71,19 +73,6 @@ def _finite(value: float, s: float) -> float:
     return value
 
 
-def conjugate_factor(eta_c: float, s: float) -> float:
-    """Conjugate-arm efficiency factor gating the squeezed-probe advantage.
-
-    Equals 1 for a lossless conjugate, 0 at eta_c = 1/2 (the reference arm
-    carries no usable correlation), and is negative below that.
-    """
-    try:
-        sh2 = math.sinh(s) ** 2
-    except OverflowError:
-        sh2 = math.inf
-    return _finite((2.0 * eta_c - 1.0) * (1.0 + 2.0 * sh2) / (1.0 + 2.0 * eta_c * sh2), s)
-
-
 def _distributed_rates(s, T_a):
     """(xi, Gamma) of the distributed source at an (s, T_a) in the domain.
 
@@ -104,6 +93,8 @@ def _distributed_rates(s, T_a):
 def _distributed_terms(eta_c: float, s: float, T_a: float) -> tuple[float, float]:
     """(conjugate factor, reduction) of the distributed source at validated floats.
 
+    The factor is regular at eta_c = 0; the reduction plays the role of
+    1 - sech(2s) in the pure-source bound, and at T_a = 1 both are its terms.
     The reduction is 0 at s = 0.  xi = 0 only at T_a = 1 with 16 s^2 below
     the float range (s = 0 included), where the squeezing term cannot move a
     float and the s = 0 values are returned.
@@ -131,48 +122,11 @@ def _distributed_terms(eta_c: float, s: float, T_a: float) -> tuple[float, float
     return factor, 32.0 * s * s * root_ta * math.sinh(0.25 * xi) ** 2 / denominator
 
 
-def conjugate_factor_distributed(eta_c: float, s: float, T_a: float) -> float:
-    """Distributed-source analog of `conjugate_factor`.
-
-    Implemented in the form (2 eta_c - 1) [xi^2 (sqrt(T_a) - 1) + Gamma] /
-    [xi^2 (1 + eta_c (sqrt(T_a) - 2)) + eta_c Gamma], algebraically equal to
-    the published expression but regular at eta_c = 0.  Reduces to
-    `conjugate_factor` at T_a = 1.
-    """
-    for name, value in (("eta_c", eta_c), ("s", s), ("T_a", T_a)):
-        DOMAIN[name].check(value)
-    return _distributed_terms(float(eta_c), float(s), float(T_a))[0]
-
-
-def distributed_reduction(s: float, T_a: float) -> float:
-    """Noise-reduction strength of the distributed source.
-
-    Plays the role of 1 - sech(2s) in the pure-source bound and reduces to
-    it at T_a = 1; tends to 1 as s -> infinity.
-    """
-    DOMAIN["s"].check(s)
-    DOMAIN["T_a"].check(T_a)
-    # the reduction does not depend on eta_c; 1/2 keeps the factor's denominator positive
-    return _distributed_terms(0.5, float(s), float(T_a))[1]
-
-
 def qcrb_coherent(T: float, n_r: float, eta_p: float) -> BoundPoint:
     """Optimal classical bound: Var(T) >= T / (eta_p n_r), linear in T."""
     _T.check(T)
     _N_R.check(n_r)
     return BoundPoint(T=T, var_n=T / _ETA_P.check(eta_p))
-
-
-def qcrb_pure_btmss(T: float, n_r: float, s: float, budget: LossBudget) -> BoundPoint:
-    """Bound for a pure bright two-mode squeezed probe with external losses."""
-    _T.check(T)
-    _N_R.check(n_r)
-    DOMAIN["s"].check(s)
-    # the factor rejects every s where 2 sinh^2 s, that is cosh(2 s) - 1, overflows
-    factor = conjugate_factor(budget.eta_c, s)
-    reduction = 1.0 - 1.0 / math.cosh(2.0 * s)
-    var_n = T / _ETA_P.check(budget.eta_p) - T * T * budget.T_p * factor * reduction
-    return BoundPoint(T=T, var_n=var_n)
 
 
 def qcrb_distributed(T: float, n_r: float, params: SourceParams, budget: LossBudget) -> BoundPoint:
@@ -310,10 +264,3 @@ def qcrb_numeric_gaussian(
         raise NonPhysicalError("non-positive Fisher information")
     var_n = T / budget.eta_p * det / s_cc
     return BoundPoint(T=T, var_n=var_n)
-
-
-def advantage_ratio(T: float, params: SourceParams, budget: LossBudget) -> float:
-    """Classical-over-squeezed bound ratio at identical (T, n_r, eta_p)."""
-    coherent = qcrb_coherent(T, 1.0, budget.eta_p).var_n
-    squeezed = qcrb_distributed(T, 1.0, params, budget).var_n
-    return coherent / squeezed

@@ -120,19 +120,29 @@ def _parse_grid(raw: str) -> np.ndarray:
     return grid
 
 
-def parse_filter_spec(kind_raw: str, rbw: float) -> FilterModel:
-    if kind_raw == "gaussian":
-        return FilterModel(kind="gaussian", rbw=rbw)
+def _filter_kind(kind_raw: str):
+    """(kind, poles) of ``gaussian`` or ``sync<poles>``, else None.
+
+    The poles are ASCII digits: int() would also take a sign, blanks and any
+    Unicode digit.  A Gaussian filter keeps the default poles it never reads.
+    """
     digits = kind_raw[4:]
-    # ASCII digits only: int() would also take a sign, blanks and any Unicode digit
+    if kind_raw == "gaussian":
+        return "gaussian", FilterModel.poles
     if kind_raw.startswith("sync") and digits.isascii() and digits.isdigit():
         try:
-            poles = int(digits)
+            return "sync_tuned", int(digits)
         except ValueError:  # more digits than int() converts, far past the poles row
             pass
-        else:
-            return FilterModel(kind="sync_tuned", rbw=rbw, poles=poles)
-    raise ConfigError(f"bad filter kind {kind_raw!r}; use gaussian or sync<poles>")
+    return None
+
+
+def parse_filter_spec(kind_raw: str, rbw: float) -> FilterModel:
+    """The filter of ``sa-time --filter``; poles outside their row raise `ValueError`."""
+    spec = _filter_kind(kind_raw)
+    if spec is None:
+        raise ConfigError(f"bad filter kind {kind_raw!r}; use gaussian or sync<poles>")
+    return FilterModel(kind=spec[0], rbw=rbw, poles=spec[1])
 
 
 def parse_config_text(text: str) -> "WorkbenchConfig":
@@ -156,17 +166,18 @@ def parse_config_text(text: str) -> "WorkbenchConfig":
     }
     if entries["format"] not in ("csv", "json"):
         raise ConfigError("format must be csv or json")
-    try:
-        filt = parse_filter_spec(entries["filter_kind"], numbers["rbw_hz"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    spec = _filter_kind(entries["filter_kind"])
+    if spec is None:
+        raw = entries["filter_kind"]
+        raise ConfigError(f"config key 'filter_kind': {raw!r} is not gaussian or sync<poles>")
+    KEY_ROWS["filter_kind"].check(spec[1], "config key 'filter_kind'", ConfigError)
     return WorkbenchConfig(
         source=SourceParams(
             s=numbers["s"], T_a=numbers["T_a"], seed_photons=numbers["seed_photons"]
         ),
         budget=LossBudget(T_p=numbers["T_p"], eta_p=numbers["eta_p"], eta_c=numbers["eta_c"]),
         n_r=numbers["n_r"],
-        filter=filt,
+        filter=FilterModel(kind=spec[0], rbw=numbers["rbw_hz"], poles=spec[1]),
         T_grid=_parse_grid(entries["T_grid"]),
         seed=numbers["seed"],
         out_dir=entries["out_dir"],

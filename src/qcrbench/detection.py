@@ -1,5 +1,5 @@
-"""Measurement side: optimized intensity-difference estimation and the
-spectrum-analyzer signal chain.
+"""Measurement side: optimized intensity-difference estimation, the RBW
+filter's effective time, and the SNR-ramp Monte Carlo.
 
 The transmission estimator subtracts an electronically attenuated copy of
 the conjugate photocurrent from the probe photocurrent, n_p - g n_c, with g
@@ -9,13 +9,12 @@ for this source family the optimized estimator saturates them.  At that
 optimal gain the variance in shot-noise units is set by the detected
 covariance alone, so it reads no displacement and no seed photon number.
 
-The spectrum-analyzer model follows the classic two-channel layout: split,
-mix against quadrature local oscillators, low-pass with the resolution
-bandwidth (RBW) filter, square, and sum.  The RBW filter also fixes the
-effective measurement time t = |H(0)|^2 / (2 int |H(f)|^2 df) used to turn a
-photon flux into a photon number per measurement bin.  RBW is defined as the
-FWHM of |H(f)|^2 for every filter kind here; this convention reproduces the
-4-pole analyzer fixture t ~= 0.44/RBW.
+The spectrum analyzer's resolution bandwidth (RBW) filter fixes the
+effective measurement time t = |H(0)|^2 / (2 int |H(f)|^2 df) of one ramp
+bin.  RBW is defined as the FWHM of |H(f)|^2 for every filter kind here;
+this convention reproduces the 4-pole analyzer fixture t ~= 0.44/RBW.  The
+analyzer's two-channel signal chain and the photon accounting of the lab
+detectors are test oracles (``tests/oracles.py``); no command drives them.
 """
 
 import bisect
@@ -25,10 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DOMAIN, NonPhysicalError
-
-#: exact SI values (2019 redefinition) for the photon energy h c / lambda
-PLANCK_H = 6.62607015e-34
-SPEED_OF_LIGHT = 299792458.0
 
 _POSITIVE_T, _N_R = DOMAIN["positive T"], DOMAIN["n_r"]
 
@@ -51,13 +46,6 @@ class FilterModel:
     def corner(self) -> float:
         """Corner frequency of each sync-tuned pole, placing the FWHM at RBW."""
         return 0.5 * self.rbw / math.sqrt(2.0 ** (1.0 / self.poles) - 1.0)
-
-    def power_response(self, f):
-        """|H(f)|^2 normalized to |H(0)|^2 = 1."""
-        f = np.asarray(f, dtype=float)
-        if self.kind == "gaussian":
-            return np.exp(-4.0 * math.log(2.0) * (f / self.rbw) ** 2)
-        return (1.0 + (f / self.corner) ** 2) ** (-self.poles)
 
 
 def effective_time(filt: FilterModel) -> float:
@@ -404,49 +392,3 @@ def snr_ramp_simulate(
         passes=passes,
         converged=converged,
     )
-
-
-def sa_chain_simulate(
-    input_series: np.ndarray, sample_rate: float, filt: FilterModel, f_lo: float
-) -> float:
-    """Mean output of the two-channel spectrum-analyzer chain.
-
-    Splits the input (voltage / sqrt(2) per channel), mixes against cosine
-    and sine local oscillators at `f_lo`, low-passes each channel with the
-    RBW filter, squares, sums, and returns the time-averaged output.  For a
-    tone A sin(2 pi f_lo t + phi) this yields (A^2/8) |H(0)|^2, i.e. the
-    chain measures K * Var with K = |H(0)|^2 / 4.
-    """
-    series = np.asarray(input_series, dtype=float)
-    if series.ndim != 1 or series.size < 2:
-        raise ValueError("input series must be a 1-D array")
-    if not 0.0 < f_lo < 0.5 * sample_rate:
-        raise ValueError("local oscillator must sit below the Nyquist frequency")
-    duration = series.size / sample_rate
-    if duration < 100.0 * effective_time(filt):
-        raise ValueError("series must cover at least 100 filter time constants")
-    t = np.arange(series.size) / sample_rate
-    phase = 2.0 * math.pi * f_lo * t
-    freqs = np.fft.rfftfreq(series.size, 1.0 / sample_rate)
-    response = np.sqrt(filt.power_response(freqs))
-    split = series / math.sqrt(2.0)
-    in_phase = np.fft.irfft(np.fft.rfft(split * np.cos(phase)) * response, n=series.size)
-    quadrature = np.fft.irfft(np.fft.rfft(split * np.sin(phase)) * response, n=series.size)
-    return float(np.mean(in_phase**2 + quadrature**2))
-
-
-def photons_from_voltage(v_dc: float, volts_per_watt: float, wavelength: float, t: float) -> float:
-    """Photon number from a DC photodetector voltage.
-
-    <n> = (lambda / h c) (t / m) V_dc with m the detector responsivity in
-    volts per watt and t the effective measurement time.  Every argument
-    must be finite (NaN fails each check), and so must the photon number.
-    """
-    if not 0.0 < volts_per_watt < math.inf:
-        raise ValueError("detector responsivity must be positive and finite")
-    if not (0.0 <= v_dc < math.inf and 0.0 < wavelength < math.inf and 0.0 <= t < math.inf):
-        raise ValueError("voltage and time must be non-negative, wavelength positive, all finite")
-    photons = (v_dc / volts_per_watt) * wavelength / (PLANCK_H * SPEED_OF_LIGHT) * t
-    if not math.isfinite(photons):
-        raise ValueError("photon number overflows double precision")
-    return photons

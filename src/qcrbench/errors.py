@@ -103,7 +103,6 @@ DOMAIN = {
         Field("s", "[0, inf)"),
         Field("T_a", "(0, 1]", config="T_a"),
         Field("seed_photons", "[0, inf)"),
-        Field("noise", "(0, inf)"),
         Field("layers", "[1, inf)", integer=True),
         Field("rel_tol", "(0, inf)"),
         Field("T_p", "[0, 1]", config="T_p"),

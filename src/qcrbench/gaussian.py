@@ -94,10 +94,6 @@ class SymplecticOp:
             raise ValueError(f"matrix is not symplectic within relative {SYMPLECTIC_TOL}")
         object.__setattr__(self, "S", S)
 
-    @property
-    def modes(self) -> int:
-        return self.S.shape[0] // 2
-
 
 @dataclass(frozen=True, eq=False)
 class ChannelOp:

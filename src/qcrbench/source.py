@@ -529,8 +529,3 @@ def analytic_noises(s, T_a) -> NoiseTriple:
     if diff.ndim == 0:
         return NoiseTriple(diff=float(diff), probe=float(probe), conj=float(conj))
     return NoiseTriple(diff=diff, probe=probe, conj=conj)
-
-
-def squeezing_db(noise: float) -> float:
-    """Normalized noise expressed in dB below shot noise."""
-    return -10.0 * math.log10(DOMAIN["noise"].check(noise))

@@ -16,12 +16,18 @@ Each recomputes a `qcrbench` result by an independent or more literal route:
   `four_by_four_transmission_variance`, from the 4x4 photon-statistics
   estimator `optimal_gain` and `estimator_variance`, also the only route
   to the estimator at a fixed gain;
-  `six_state_numeric_var_n`, the numeric bound from full chain states; and
-  the `array_*` rate route to `qcrb_distributed`;
-* detection: `quadrature_effective_time`, `crossing_standard_error`, the
+  `six_state_numeric_var_n`, the numeric bound from full chain states;
+  the `array_*` rate route to `qcrb_distributed`; and the pure-source
+  closed forms `conjugate_factor` and `qcrb_pure_btmss`, which the
+  distributed bound reduces to at T_a = 1 (criterion 01);
+* detection: `power_response`, the RBW filter's |H(f)|^2, and
+  `quadrature_effective_time`, its integral; `crossing_standard_error`, the
   SNR-window fits `polyfit_windows`, `polyfit_iterated_line_fit` and
   `ten_pass_line_fit`, and `reference_snr_ramp`, the whole ramp in
-  whole-array expressions;
+  whole-array expressions; and two lab models no command drives:
+  `sa_chain_simulate`, the two-channel spectrum analyzer (criterion 06),
+  and `photons_from_voltage` with `PLANCK_H` and `SPEED_OF_LIGHT`
+  (criterion 09);
 * inference: `reference_chi_square_batch`,
   `reference_differential_evolution` and `sequential_chi2_doubling`;
 * the Hypothesis strategies `log_uniform`, for values over decades, and
@@ -42,8 +48,8 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from qcrbench import detection, inference
-from qcrbench.bounds import _FD_MISMATCH_TOL, ProbeChain
-from qcrbench.errors import BrightLimitError, Field, NonPhysicalError
+from qcrbench.bounds import _FD_MISMATCH_TOL, BoundPoint, LossBudget, ProbeChain, _finite
+from qcrbench.errors import DOMAIN, BrightLimitError, Field, NonPhysicalError
 from qcrbench.gaussian import (
     Array,
     ChannelOp,
@@ -409,6 +415,39 @@ def array_route_distributed_var_n(T, s, T_a, T_p, eta_p, eta_c):
     return T / eta_p - T * T * T_p * factor * reduction
 
 
+def conjugate_factor(eta_c: float, s: float) -> float:
+    """Conjugate-arm efficiency factor gating the squeezed-probe advantage.
+
+    Equals 1 for a lossless conjugate, 0 at eta_c = 1/2 (the reference arm
+    carries no usable correlation), and is negative below that.
+    """
+    try:
+        sh2 = math.sinh(s) ** 2
+    except OverflowError:
+        sh2 = math.inf
+    return _finite((2.0 * eta_c - 1.0) * (1.0 + 2.0 * sh2) / (1.0 + 2.0 * eta_c * sh2), s)
+
+
+def qcrb_pure_btmss(T: float, n_r: float, s: float, budget: LossBudget) -> BoundPoint:
+    """Bound for a pure bright two-mode squeezed probe with external losses."""
+    DOMAIN["T"].check(T)
+    DOMAIN["n_r"].check(n_r)
+    DOMAIN["s"].check(s)
+    # the factor rejects every s where 2 sinh^2 s, that is cosh(2 s) - 1, overflows
+    factor = conjugate_factor(budget.eta_c, s)
+    reduction = 1.0 - 1.0 / math.cosh(2.0 * s)
+    eta_p = DOMAIN["positive eta_p"].check(budget.eta_p)
+    return BoundPoint(T=T, var_n=T / eta_p - T * T * budget.T_p * factor * reduction)
+
+
+def power_response(filt: detection.FilterModel, f):
+    """|H(f)|^2 of a `detection.FilterModel`, normalized to |H(0)|^2 = 1."""
+    f = np.asarray(f, dtype=float)
+    if filt.kind == "gaussian":
+        return np.exp(-4.0 * math.log(2.0) * (f / filt.rbw) ** 2)
+    return (1.0 + (f / filt.corner) ** 2) ** (-filt.poles)
+
+
 def quadrature_effective_time(filt) -> float:
     """Reference t = 1 / (4 int_0^inf |H(f)|^2 df) by adaptive quadrature.
 
@@ -419,13 +458,64 @@ def quadrature_effective_time(filt) -> float:
 
     def integrand(theta: float) -> float:
         f = scale * math.tan(theta)
-        return float(filt.power_response(f)) * scale / math.cos(theta) ** 2
+        return float(power_response(filt, f)) * scale / math.cos(theta) ** 2
 
     integral, abserr = integrate.quad(
         integrand, 0.0, 0.5 * math.pi, epsabs=0.0, epsrel=1e-12, limit=200
     )
     assert math.isfinite(integral) and abserr <= 1e-9 * integral
     return 1.0 / (4.0 * integral)
+
+
+def sa_chain_simulate(
+    input_series: np.ndarray, sample_rate: float, filt: detection.FilterModel, f_lo: float
+) -> float:
+    """Mean output of the two-channel spectrum-analyzer chain.
+
+    Splits the input (voltage / sqrt(2) per channel), mixes against cosine
+    and sine local oscillators at `f_lo`, low-passes each channel with the
+    RBW filter, squares, sums, and returns the time-averaged output.  For a
+    tone A sin(2 pi f_lo t + phi) this yields (A^2/8) |H(0)|^2, i.e. the
+    chain measures K * Var with K = |H(0)|^2 / 4.
+    """
+    series = np.asarray(input_series, dtype=float)
+    if series.ndim != 1 or series.size < 2:
+        raise ValueError("input series must be a 1-D array")
+    if not 0.0 < f_lo < 0.5 * sample_rate:
+        raise ValueError("local oscillator must sit below the Nyquist frequency")
+    duration = series.size / sample_rate
+    if duration < 100.0 * detection.effective_time(filt):
+        raise ValueError("series must cover at least 100 filter time constants")
+    t = np.arange(series.size) / sample_rate
+    phase = 2.0 * math.pi * f_lo * t
+    freqs = np.fft.rfftfreq(series.size, 1.0 / sample_rate)
+    response = np.sqrt(power_response(filt, freqs))
+    split = series / math.sqrt(2.0)
+    in_phase = np.fft.irfft(np.fft.rfft(split * np.cos(phase)) * response, n=series.size)
+    quadrature = np.fft.irfft(np.fft.rfft(split * np.sin(phase)) * response, n=series.size)
+    return float(np.mean(in_phase**2 + quadrature**2))
+
+
+#: exact SI values (2019 redefinition) for the photon energy h c / lambda
+PLANCK_H = 6.62607015e-34
+SPEED_OF_LIGHT = 299792458.0
+
+
+def photons_from_voltage(v_dc: float, volts_per_watt: float, wavelength: float, t: float) -> float:
+    """Photon number from a DC photodetector voltage.
+
+    <n> = (lambda / h c) (t / m) V_dc with m the detector responsivity in
+    volts per watt and t the effective measurement time.  Every argument
+    must be finite (NaN fails each check), and so must the photon number.
+    """
+    if not 0.0 < volts_per_watt < math.inf:
+        raise ValueError("detector responsivity must be positive and finite")
+    if not (0.0 <= v_dc < math.inf and 0.0 < wavelength < math.inf and 0.0 <= t < math.inf):
+        raise ValueError("voltage and time must be non-negative, wavelength positive, all finite")
+    photons = (v_dc / volts_per_watt) * wavelength / (PLANCK_H * SPEED_OF_LIGHT) * t
+    if not math.isfinite(photons):
+        raise ValueError("photon number overflows double precision")
+    return photons
 
 
 def crossing_standard_error(x, y, slope, intercept):

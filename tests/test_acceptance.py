@@ -14,26 +14,29 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import four_by_four_transmission_variance, quadrature_effective_time
+from oracles import (
+    conjugate_factor,
+    four_by_four_transmission_variance,
+    photons_from_voltage,
+    qcrb_pure_btmss,
+    quadrature_effective_time,
+    sa_chain_simulate,
+)
 from qcrbench.bounds import (
     LossBudget,
-    advantage_ratio,
+    _distributed_terms,
     build_chain,
-    conjugate_factor,
-    conjugate_factor_distributed,
     qcrb_coherent,
     qcrb_distributed,
     qcrb_numeric_gaussian,
-    qcrb_pure_btmss,
     qcrb_ultimate,
 )
+from qcrbench.cli import main
 from qcrbench.detection import (
     FilterModel,
     MeasurementPlan,
     effective_time,
     linear_ramp,
-    photons_from_voltage,
-    sa_chain_simulate,
     snr_ramp_simulate,
     transmission_variance,
 )
@@ -51,7 +54,6 @@ from qcrbench.source import (
     continuum_noises,
     converged_source,
     noise_triple,
-    squeezing_db,
 )
 
 PARAMS = SourceParams(s=2.04, T_a=0.71)
@@ -76,7 +78,7 @@ def test_criterion_01_reduction_identities():
         dist = qcrb_distributed(t, 1.0, SourceParams(s=s, T_a=1.0), budget).var_n
         pure = qcrb_pure_btmss(t, 1.0, s, budget).var_n
         assert dist == pytest.approx(pure, rel=1e-9, abs=1e-12)
-        assert conjugate_factor_distributed(eta_c, s, 1.0) == pytest.approx(
+        assert _distributed_terms(eta_c, s, 1.0)[0] == pytest.approx(
             conjugate_factor(eta_c, s), rel=1e-9, abs=1e-12
         )
         # zero squeezing: exact equality with the coherent bound
@@ -128,8 +130,9 @@ def test_criterion_04_measurement_saturates_bound():
     report(4, "optimized measurement saturates the bound")
 
 
-def test_criterion_05_headline_numbers():
-    advantage = advantage_ratio(0.84, PARAMS, BUDGET)
+def test_criterion_05_headline_numbers(tmp_path):
+    coherent = qcrb_coherent(0.84, 1.0, BUDGET.eta_p).var_n
+    advantage = coherent / qcrb_distributed(0.84, 1.0, PARAMS, BUDGET).var_n
     assert advantage == pytest.approx(2.6, abs=0.1)
     to_ultimate = (
         qcrb_distributed(0.84, 1.0, PARAMS, BUDGET).var_n
@@ -137,10 +140,22 @@ def test_criterion_05_headline_numbers():
     )
     assert to_ultimate == pytest.approx(1.7, abs=0.1)
     detected = apply_loss(converged_source(PARAMS).state, ChannelOp([0.919, 0.919]))
-    db = squeezing_db(noise_triple(detected).diff)
+    db = -10.0 * math.log10(noise_triple(detected).diff)
     assert db == pytest.approx(8.0, abs=1.5)
+    # the paper's 62% reduction at T = 0.84, read from the default config's bounds file
+    config, out = tmp_path / "config.txt", tmp_path / "bounds.csv"
+    config.write_text("T_grid = 0.84\n")
+    assert main(["bounds", "--config", str(config), "--out", str(out)]) == 0
+    header, row = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    columns = dict(zip(header.split(","), map(float, row.split(","))))
+    reductions = [
+        1.0 - columns[name] / columns["coherent"] for name in ("btmss_closed", "btmss_numeric")
+    ]
+    for reduction in reductions:
+        assert reduction == pytest.approx(0.62, abs=0.01)
     report(5, f"headline numbers (advantage {advantage:.2f}, ultimate ratio "
-              f"{to_ultimate:.2f}, detected squeezing {db:.2f} dB)")
+              f"{to_ultimate:.2f}, detected squeezing {db:.2f} dB, reduction "
+              f"{reductions[0]:.4f} closed, {reductions[1]:.4f} numeric)")
 
 
 def test_criterion_06_spectrum_analyzer_fixtures():

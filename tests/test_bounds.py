@@ -14,10 +14,12 @@ from oracles import (
     array_mixing_rate,
     array_route_distributed_var_n,
     coherent_state,
+    conjugate_factor,
     continuum_state,
     four_by_four_transmission_variance,
     incident_photons,
     log_uniform,
+    qcrb_pure_btmss,
     six_state_numeric_var_n,
     symplectic_eigenvalues,
     three_stage_state,
@@ -25,18 +27,14 @@ from oracles import (
 from qcrbench import bounds
 from qcrbench.bounds import (
     _distributed_rates,
+    _distributed_terms,
     BoundPoint,
     LossBudget,
     ProbeChain,
-    advantage_ratio,
     build_chain,
-    conjugate_factor,
-    conjugate_factor_distributed,
-    distributed_reduction,
     qcrb_coherent,
     qcrb_distributed,
     qcrb_numeric_gaussian,
-    qcrb_pure_btmss,
     qcrb_ultimate,
 )
 from qcrbench.cli import main
@@ -96,25 +94,25 @@ class TestConjugateFactor:
 
     def test_half_transmission_kills_advantage(self):
         assert conjugate_factor(0.5, 2.0) == 0.0
-        assert conjugate_factor_distributed(0.5, 1.7, 0.8) == 0.0
+        assert _distributed_terms(0.5, 1.7, 0.8)[0] == 0.0
 
     def test_distributed_form_reduces_at_unit_internal_transmission(self):
         rng = np.random.default_rng(3)
         for _ in range(1000):
             eta_c = rng.uniform(0.0, 1.0)
             s = rng.uniform(0.0, 3.0)
-            assert conjugate_factor_distributed(eta_c, s, 1.0) == pytest.approx(
+            assert _distributed_terms(eta_c, s, 1.0)[0] == pytest.approx(
                 conjugate_factor(eta_c, s), rel=1e-12, abs=1e-12
             )
 
     def test_unit_eta_c_gives_one(self):
         for s, ta in ((0.5, 0.9), (2.04, 0.71), (3.0, 0.5)):
-            assert conjugate_factor_distributed(1.0, s, ta) == pytest.approx(1.0, rel=1e-12)
+            assert _distributed_terms(1.0, s, ta)[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_reference_value_against_pure_form(self):
         # eta_c = 0.919, s = 2.04: the distributed factor at T_a = 1 is the
         # pure-source factor
-        assert conjugate_factor_distributed(0.919, 2.04, 1.0) == pytest.approx(
+        assert _distributed_terms(0.919, 2.04, 1.0)[0] == pytest.approx(
             conjugate_factor(0.919, 2.04), rel=1e-12
         )
 
@@ -134,9 +132,10 @@ class TestRates:
         assert xi == pytest.approx(abs(math.log(0.5)), rel=1e-14)
 
     def test_reduction_limits(self):
-        assert distributed_reduction(0.0, 0.8) == 0.0
+        # the reduction does not depend on eta_c
+        assert _distributed_terms(0.5, 0.0, 0.8)[1] == 0.0
         for s in (0.4, 1.0, 2.5):
-            assert distributed_reduction(s, 1.0) == pytest.approx(
+            assert _distributed_terms(0.5, s, 1.0)[1] == pytest.approx(
                 1.0 - 1.0 / math.cosh(2.0 * s), rel=1e-12
             )
 
@@ -155,8 +154,6 @@ class TestRates:
         helpers = (
             _source_domain,
             lambda s, T_a: SourceParams(s=s, T_a=T_a),
-            distributed_reduction,
-            lambda s, T_a: conjugate_factor_distributed(0.9, s, T_a),
         )
         for helper in helpers:
             with pytest.raises(ValueError, match=message):
@@ -257,8 +254,7 @@ class TestClosedFormBounds:
         calls = (
             lambda: conjugate_factor(eta_c, s),
             lambda: qcrb_pure_btmss(0.5, 1.0, s, budget),
-            lambda: conjugate_factor_distributed(eta_c, s, t_a),
-            lambda: distributed_reduction(s, t_a),
+            lambda: _distributed_terms(eta_c, s, t_a),
             lambda: qcrb_distributed(0.5, 1.0, SourceParams(s=s, T_a=t_a), budget),
         )
         for call in calls:
@@ -271,8 +267,9 @@ class TestClosedFormBounds:
         params = SourceParams(s=s, T_a=1.0)
         point = qcrb_distributed(0.5, 1.0, params, BUDGET)
         assert point.var_n == qcrb_coherent(0.5, 1.0, BUDGET.eta_p).var_n
-        assert conjugate_factor_distributed(0.9, s, 1.0) == pytest.approx(0.8, rel=1e-15)
-        assert distributed_reduction(s, 1.0) == 0.0
+        factor, reduction = _distributed_terms(0.9, s, 1.0)
+        assert factor == pytest.approx(0.8, rel=1e-15)
+        assert reduction == 0.0
 
     def test_distributed_approaches_lossy_ultimate_at_high_squeezing(self):
         budget = LossBudget(T_p=0.973, eta_p=0.945, eta_c=1.0)
@@ -623,15 +620,21 @@ class TestPrecomputedChainStages:
         assert len(calls) == 1
 
 
+def _advantage(T, params):
+    """Classical-over-squeezed bound ratio, `coherent / btmss_closed` of the bounds file."""
+    coherent = qcrb_coherent(T, 1.0, BUDGET.eta_p).var_n
+    return coherent / qcrb_distributed(T, 1.0, params, BUDGET).var_n
+
+
 class TestAdvantage:
     def test_no_advantage_without_squeezing(self):
-        assert advantage_ratio(0.5, SourceParams(s=0.0, T_a=0.71), BUDGET) == 1.0
+        assert _advantage(0.5, SourceParams(s=0.0, T_a=0.71)) == 1.0
 
     def test_reference_advantage(self):
-        assert advantage_ratio(0.84, PARAMS, BUDGET) == pytest.approx(2.6, abs=0.1)
+        assert _advantage(0.84, PARAMS) == pytest.approx(2.6, abs=0.1)
 
     def test_advantage_fades_at_low_transmission(self):
-        assert advantage_ratio(1e-4, PARAMS, BUDGET) == pytest.approx(1.0, abs=1e-3)
+        assert _advantage(1e-4, PARAMS) == pytest.approx(1.0, abs=1e-3)
 
 
 class TestBoundPoint:
@@ -714,44 +717,13 @@ class TestDistributedTermsCache:
         bounds._distributed_terms.cache_clear()
         assert values == [qcrb_distributed(float(t), 1.0, PARAMS, BUDGET).var_n for t in GRID]
 
-    @pytest.mark.parametrize(
-        "route, error",
-        [
-            (lambda: conjugate_factor_distributed(np.array([0.5, 0.6]), 2.0, 0.7), ValueError),
-            (lambda: conjugate_factor_distributed(0.9, np.array([2.0]), 0.7), ValueError),
-            (lambda: conjugate_factor_distributed(0.9, np.array([2.0, 1.0]), 0.7), ValueError),
-            (lambda: conjugate_factor_distributed(0.9, 2.0, np.array([0.7, 0.5])), ValueError),
-            (lambda: conjugate_factor_distributed(0.9, 2.0, [0.7, 0.5]), ValueError),
-            (lambda: distributed_reduction(np.array([2.0]), 0.7), ValueError),
-            (lambda: distributed_reduction(np.array([2.0, 1.0]), 0.7), ValueError),
-            (lambda: distributed_reduction(2.0, np.array([0.7, 0.5])), ValueError),
-            (lambda: distributed_reduction([2.0], 0.7), ValueError),
-            (lambda: conjugate_factor_distributed(np.array([0.5]), 2.0, 0.7), ValueError),
-        ],
-        ids=[
-            "factor-eta_c-pair",
-            "factor-s-one",
-            "factor-s-pair",
-            "factor-T_a-pair",
-            "factor-T_a-list",
-            "reduction-s-one",
-            "reduction-s-pair",
-            "reduction-T_a-pair",
-            "reduction-s-list",
-            "factor-eta_c-one",
-        ],
-    )
-    def test_array_input_keeps_its_error(self, route, error):
-        # arrays are rejected before the cache: no unhashable-key error
-        with pytest.raises(error) as excinfo:
-            route()
-        assert "unhashable" not in str(excinfo.value)
-
     def test_zero_dimensional_arrays_give_the_scalar_values(self):
-        factor = conjugate_factor_distributed(0.9, 2.0, 0.7)
-        assert conjugate_factor_distributed(np.array(0.9), 2.0, 0.7) == factor
-        assert conjugate_factor_distributed(0.9, np.array(2.0), np.array(0.7)) == factor
-        assert distributed_reduction(np.array(2.0), 0.7) == distributed_reduction(2.0, 0.7)
+        # 0-d arrays pass the rows and reach the cache as their scalars
+        budget = LossBudget(T_p=0.973, eta_p=0.945, eta_c=0.9)
+        expected = qcrb_distributed(0.5, 1.0, SourceParams(s=2.0, T_a=0.7), budget).var_n
+        params = SourceParams(s=np.array(2.0), T_a=np.array(0.7))
+        budget = LossBudget(T_p=0.973, eta_p=0.945, eta_c=np.array(0.9))
+        assert qcrb_distributed(0.5, 1.0, params, budget).var_n == expected
 
     def test_readme_bounds_file_keeps_its_bytes(self, tmp_path, monkeypatch):
         config = os.path.join(os.path.dirname(__file__), "..", "docs", "sample_config.txt")

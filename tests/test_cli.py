@@ -242,7 +242,10 @@ class TestBoundsCommand:
             ("T_grid = 0.1:0.5", "T_grid range must be start:stop:step"),
             ("T_grid = 0.5:0.1:0.1", "T_grid range must increase with a positive step"),
             ("T_grid = ,", "T_grid is empty"),
-            ("filter_kind = syncx", "bad filter kind 'syncx'; use gaussian or sync<poles>"),
+            (
+                "filter_kind = syncx",
+                "config key 'filter_kind': 'syncx' is not gaussian or sync<poles>",
+            ),
             ("seed = 1.5", "config key 'seed': '1.5' is not an integer"),
             ("T_p = 1.5", "config key 'T_p' must lie in [0, 1], not 1.5"),
             ("n_r = 0", "config key 'n_r' must be finite and positive, not 0.0"),

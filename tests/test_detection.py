@@ -16,26 +16,27 @@ from oracles import (
     crossing_standard_error,
     estimator_variance,
     four_by_four_transmission_variance,
+    PLANCK_H,
+    SPEED_OF_LIGHT,
     log_uniform,
     optimal_gain,
+    photons_from_voltage,
     polyfit_iterated_line_fit,
     polyfit_windows,
+    power_response,
     quadrature_effective_time,
     reference_snr_ramp,
+    sa_chain_simulate,
     ten_pass_line_fit,
 )
 from qcrbench import detection
 from qcrbench.bounds import LossBudget, build_chain, qcrb_coherent, qcrb_numeric_gaussian
 from qcrbench.cli import main
 from qcrbench.detection import (
-    PLANCK_H,
-    SPEED_OF_LIGHT,
     FilterModel,
     MeasurementPlan,
     effective_time,
     linear_ramp,
-    photons_from_voltage,
-    sa_chain_simulate,
     snr_ramp_simulate,
     transmission_variance,
 )
@@ -856,7 +857,7 @@ class TestSpectrumAnalyzerChain:
         sigma = 0.3
         out = sa_chain_simulate(rng.normal(0.0, sigma, n), fs, SYNC4, 1.5e6)
         band = 2.0 * integrate.quad(
-            lambda f: float(SYNC4.power_response(f)), 0.0, 20e6, epsabs=0.0, epsrel=1e-10, limit=300
+            lambda f: float(power_response(SYNC4, f)), 0.0, 20e6, epsabs=0.0, epsrel=1e-10, limit=300
         )[0]
         expected = (sigma**2 / fs) / 2.0 * band
         assert out == pytest.approx(expected, rel=0.02)

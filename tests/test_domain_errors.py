@@ -11,6 +11,7 @@ import re
 import numpy as np
 import pytest
 
+import oracles
 from oracles import edges
 from qcrbench import bounds, cli, detection, gaussian, inference, source
 from qcrbench.bounds import LossBudget, build_chain
@@ -37,7 +38,7 @@ def _transmission_variance(T, n_r=1.0):
 
 def _photons(**overrides):
     arguments = {"v_dc": 1.0, "volts_per_watt": 1e3, "wavelength": 795e-9, "t": 1e-5}
-    return detection.photons_from_voltage(**{**arguments, **overrides})
+    return oracles.photons_from_voltage(**{**arguments, **overrides})
 
 
 def _fit_source(noise_model="numeric_oracle", bounds=((0.0, 3.0), (0.5, 1.0))):
@@ -72,7 +73,7 @@ DOMAIN_ERRORS = {
         "T must lie in [0, 1], not -0.1",
     ),
     "pure-T-above-1": (
-        lambda: bounds.qcrb_pure_btmss(1.5, 1.0, 2.04, BUDGET),
+        lambda: oracles.qcrb_pure_btmss(1.5, 1.0, 2.04, BUDGET),
         "T must lie in [0, 1], not 1.5",
     ),
     "distributed-n_r-0": (
@@ -88,10 +89,6 @@ DOMAIN_ERRORS = {
             0.5, PARAMS, BUDGET, float("nan"), chain=build_chain(PARAMS, BUDGET)
         ),
         "n_r must be finite and positive, not nan",
-    ),
-    "distributed-factor-eta_c-above-1": (
-        lambda: bounds.conjugate_factor_distributed(1.5, 2.04, 0.71),
-        "eta_c must lie in [0, 1], not 1.5",
     ),
     "transmission-variance-T-0": (
         lambda: _transmission_variance(0.0),
@@ -115,11 +112,11 @@ DOMAIN_ERRORS = {
     "linear-ramp-nan-duration": (lambda: detection.linear_ramp(1.0, NAN), DURATION + "nan"),
     "linear-ramp-inf-duration": (lambda: detection.linear_ramp(1.0, INF), DURATION + "inf"),
     "sa-chain-2d-series": (
-        lambda: detection.sa_chain_simulate(np.zeros((2, 8)), 1e6, SYNC4, 1e3),
+        lambda: oracles.sa_chain_simulate(np.zeros((2, 8)), 1e6, SYNC4, 1e3),
         "input series must be a 1-D array",
     ),
     "sa-chain-one-sample": (
-        lambda: detection.sa_chain_simulate(np.zeros(1), 1e6, SYNC4, 1e3),
+        lambda: oracles.sa_chain_simulate(np.zeros(1), 1e6, SYNC4, 1e3),
         "input series must be a 1-D array",
     ),
     "photons-negative-voltage": (lambda: _photons(v_dc=-1.0), PHOTONS),
@@ -288,7 +285,8 @@ def test_domain_error_names_its_fault(case):
         call()
 
 
-SYNC = "use gaussian or sync<poles>"
+KIND = "config key 'filter_kind'"
+SYNC = "is not gaussian or sync<poles>"
 
 # (config line, message): a config number is ASCII without underscores, and
 # the poles of sync<poles> are ASCII digits; a sign is part of a number
@@ -298,15 +296,17 @@ CONFIG_ERRORS = {
     "grid-underscore": ("T_grid = 0.1,0_5", "config key 'T_grid': '0_5' is not a number"),
     "seed-arabic-indic": ("seed = \u0661", "config key 'seed': '\u0661' is not an integer"),
     "n_r-fullwidth": ("n_r = \uff11", "config key 'n_r': '\uff11' is not a number"),
-    "sync-plus": ("filter_kind = sync+4", f"bad filter kind 'sync+4'; {SYNC}"),
-    "sync-blank": ("filter_kind = sync 4", f"bad filter kind 'sync 4'; {SYNC}"),
-    "sync-arabic-indic": ("filter_kind = sync\u0664", f"bad filter kind 'sync\u0664'; {SYNC}"),
-    "sync-superscript": ("filter_kind = sync\u00b2", f"bad filter kind 'sync\u00b2'; {SYNC}"),
+    "sync-plus": ("filter_kind = sync+4", f"{KIND}: 'sync+4' {SYNC}"),
+    "sync-blank": ("filter_kind = sync 4", f"{KIND}: 'sync 4' {SYNC}"),
+    "sync-arabic-indic": ("filter_kind = sync\u0664", f"{KIND}: 'sync\u0664' {SYNC}"),
+    "sync-superscript": ("filter_kind = sync\u00b2", f"{KIND}: 'sync\u00b2' {SYNC}"),
     # more digits than int() converts: the line of any other malformed kind
     "sync-past-int-digits": (
         "filter_kind = sync" + "9" * 5000,
-        f"bad filter kind 'sync{'9' * 5000}'; {SYNC}",
+        f"{KIND}: 'sync{'9' * 5000}' {SYNC}",
     ),
+    # a pole count outside its row is named by the key, as any number is
+    "sync-1001": ("filter_kind = sync1001", f"{KIND} must lie in [1, 1000], not 1001"),
     "seed-negative": ("seed = -1", "config key 'seed' must be non-negative, not -1"),
     "s-negative": ("s = -0.5", "config key 's' must lie in [0, 3.5], not -0.5"),
 }
@@ -375,31 +375,18 @@ def _budget(**field):
 
 # the public entry points that read each row of the library
 ENTRY_POINTS = {
-    "s": [
-        lambda v: SourceParams(s=v, T_a=0.71),
-        lambda v: bounds.conjugate_factor_distributed(0.919, v, 0.71),
-        lambda v: bounds.distributed_reduction(v, 0.71),
-        lambda v: bounds.qcrb_pure_btmss(0.5, 1.0, v, BUDGET),
-    ],
-    "T_a": [
-        lambda v: SourceParams(s=2.04, T_a=v),
-        lambda v: bounds.conjugate_factor_distributed(0.919, 2.04, v),
-        lambda v: bounds.distributed_reduction(2.04, v),
-    ],
+    "s": [lambda v: SourceParams(s=v, T_a=0.71)],
+    "T_a": [lambda v: SourceParams(s=2.04, T_a=v)],
     "seed_photons": [lambda v: SourceParams(s=2.04, T_a=0.71, seed_photons=v)],
     "bright seed_photons": [
         lambda v: build_chain(SourceParams(s=2.04, T_a=0.71, seed_photons=v), BUDGET)
     ],
     "T_p": [lambda v: _budget(T_p=v)],
     "eta_p": [lambda v: _budget(eta_p=v)],
-    "eta_c": [
-        lambda v: _budget(eta_c=v),
-        lambda v: bounds.conjugate_factor_distributed(v, 2.04, 0.71),
-    ],
+    "eta_c": [lambda v: _budget(eta_c=v)],
     "positive eta_p": [lambda v: bounds.qcrb_coherent(0.5, 1.0, v)],
     "T": [
         lambda v: bounds.qcrb_coherent(v, 1.0, 0.945),
-        lambda v: bounds.qcrb_pure_btmss(v, 1.0, 2.04, BUDGET),
         lambda v: bounds.qcrb_distributed(v, 1.0, PARAMS, BUDGET),
         lambda v: bounds.qcrb_ultimate(v, 1.0, BUDGET),
         lambda v: _CHAIN.sector_at(v),
@@ -410,7 +397,6 @@ ENTRY_POINTS = {
     ],
     "n_r": [
         lambda v: bounds.qcrb_coherent(0.5, v, 0.945),
-        lambda v: bounds.qcrb_pure_btmss(0.5, v, 2.04, BUDGET),
         lambda v: bounds.qcrb_distributed(0.5, v, PARAMS, BUDGET),
         lambda v: bounds.qcrb_ultimate(0.5, v, BUDGET),
         lambda v: bounds.qcrb_numeric_gaussian(0.5, PARAMS, BUDGET, v, chain=_CHAIN),
@@ -438,7 +424,6 @@ ENTRY_POINTS = {
     "chi2_min": [lambda v: _contour(chi2_min=v)],
     "--trials": [lambda v: cli.cmd_simulate(parse_config_text(""), v, os.devnull, "csv")],
     "noise_variance": [lambda v: detection.snr_ramp_simulate(PLAN, lambda t: t, v)],
-    "noise": [source.squeezing_db],
     "layers": [lambda v: source.layered_source(PARAMS, v)],
     "rel_tol": [lambda v: source.converged_source(PARAMS, rel_tol=v)],
 }

@@ -5,67 +5,67 @@ The commands run in-process under `sys.setprofile`: `bounds`, `simulate`,
 of each error path of the exit-code contract (usage and I/O errors, a config
 and a noise file off their schema, and a domain error).  A function no run
 enters must be on `NOT_RUN`, with the reason it stays in the package.
+
+The one reason to stay is that the benchmark runs it.  Each reason starts
+with what does: a `perfbench/workloads.py` workload (one op and its check),
+or a `perfbench/tracer.py` target that no workload calls.  Only
+`Field.__init__` runs at import instead.
 """
 
 import contextlib
+import functools
 import inspect
 import io
 import os
 import sys
+import types
 import warnings
 
 import qcrbench
-from qcrbench import bounds
+from qcrbench import bounds, gaussian
 from qcrbench.cli import main
+from qcrbench.source import SourceParams
 
 PACKAGE = os.path.dirname(qcrbench.__file__)
-DOCS = os.path.join(os.path.dirname(os.path.dirname(PACKAGE)), "docs")
+ROOT = os.path.dirname(os.path.dirname(PACKAGE))
+DOCS = os.path.join(ROOT, "docs")
 CONFIG = os.path.join(DOCS, "sample_config.txt")
 NOISES = os.path.join(DOCS, "sample_noises.json")
+WORKLOADS = os.path.join(ROOT, "perfbench", "workloads.py")
 
-_STACK = "the slice stack, the audit of the closed-form source"
-_GAUSSIAN = "the Gaussian-state substrate of the slice stack and ProbeChain.state_at"
-_CRITERION_01 = "criterion 01's closed-form identities"
+_LADDER = "noise_map: its check holds the slice ladder to the closed-form source"
+_STATE = "ProbeChain.state_at: a tracer target"
+_LOSS = "gaussian.apply_loss: a tracer target"
 
-# (module, qualified name): why no command enters it
+# (module, qualified name): what runs it, and how, as no command does
 NOT_RUN = {
-    ("errors", "Field.__init__"): "builds the rows of DOMAIN at import, before any command",
-    ("bounds", "ProbeChain.state_at"): "the chain's two-mode state, for the audits",
-    ("bounds", "advantage_ratio"): "coherent / btmss_closed of bounds.csv, a paper cross-check",
-    ("bounds", "conjugate_factor"): _CRITERION_01,
-    ("bounds", "conjugate_factor_distributed"): _CRITERION_01,
-    ("bounds", "distributed_reduction"): _CRITERION_01,
-    ("bounds", "qcrb_pure_btmss"): _CRITERION_01,
-    ("detection", "FilterModel.power_response"): "read by sa_chain_simulate and the tests",
-    ("detection", "photons_from_voltage"): "criterion 09, lab photon accounting no command drives",
-    ("detection", "sa_chain_simulate"): "criterion 06, the lab spectrum analyzer no command drives",
-    ("gaussian", "ChannelOp.__post_init__"): _GAUSSIAN,
-    ("gaussian", "ChannelOp.modes"): _GAUSSIAN,
-    ("gaussian", "GaussianState.__post_init__"): _GAUSSIAN,
-    ("gaussian", "GaussianState.block"): _GAUSSIAN,
-    ("gaussian", "GaussianState.mode_displacement"): _GAUSSIAN,
-    ("gaussian", "GaussianState.modes"): _GAUSSIAN,
-    ("gaussian", "SymplecticOp.__post_init__"): _GAUSSIAN,
-    ("gaussian", "SymplecticOp.modes"): _GAUSSIAN,
-    ("gaussian", "_require_bright"): _GAUSSIAN,
-    ("gaussian", "apply_loss"): _GAUSSIAN,
-    ("gaussian", "bright_mean_photon"): _GAUSSIAN,
-    ("gaussian", "number_covariance_bright"): _GAUSSIAN,
-    ("gaussian", "number_variance_bright"): _GAUSSIAN,
-    ("gaussian", "symplectic_form"): _GAUSSIAN,
-    ("gaussian", "two_mode_squeezer"): _GAUSSIAN,
-    ("inference", "synthetic_noise_measurements"): "benchmark workload and coverage studies",
-    ("source", "_affine_power"): _STACK,
-    ("source", "_layer_affine"): _STACK,
-    ("source", "_probe_loss_diag"): _STACK,
-    ("source", "_seed_state"): _STACK,
-    ("source", "converged_source"): _STACK,
-    ("source", "layered_source"): _STACK,
-    ("source", "noise_triple"): _STACK,
-    ("source", "_mirrored_moments"): "expands a sector to the state of ProbeChain.state_at",
-    ("source", "_gain_kernel"): "benchmark workload (continuum_gain over the noise map)",
-    ("source", "continuum_gain"): "benchmark workload (the noise map)",
-    ("source", "squeezing_db"): "10 log10 of a noise, a paper cross-check",
+    ("errors", "Field.__init__"): "import: builds the rows of DOMAIN, before any command",
+    ("bounds", "ProbeChain.state_at"): _STATE,
+    ("gaussian", "ChannelOp.__post_init__"): _LOSS,
+    ("gaussian", "ChannelOp.modes"): _LOSS,
+    ("gaussian", "GaussianState.__post_init__"): _LADDER,
+    ("gaussian", "GaussianState.block"): _LADDER,
+    ("gaussian", "GaussianState.mode_displacement"): _LADDER,
+    ("gaussian", "GaussianState.modes"): _LOSS,
+    ("gaussian", "SymplecticOp.__post_init__"): _LADDER,
+    ("gaussian", "_require_bright"): _LADDER,
+    ("gaussian", "apply_loss"): _LOSS,
+    ("gaussian", "bright_mean_photon"): _LADDER,
+    ("gaussian", "number_covariance_bright"): _LADDER,
+    ("gaussian", "number_variance_bright"): _LADDER,
+    ("gaussian", "symplectic_form"): _LADDER,
+    ("gaussian", "two_mode_squeezer"): _LADDER,
+    ("inference", "synthetic_noise_measurements"): "fit_coverage: its inputs",
+    ("source", "_affine_power"): _LADDER,
+    ("source", "_layer_affine"): _LADDER,
+    ("source", "_probe_loss_diag"): _LADDER,
+    ("source", "_seed_state"): _LADDER,
+    ("source", "converged_source"): _LADDER,
+    ("source", "layered_source"): _LADDER,
+    ("source", "noise_triple"): _LADDER,
+    ("source", "_mirrored_moments"): _STATE,
+    ("source", "_gain_kernel"): "noise_map: its op, continuum_gain over the map",
+    ("source", "continuum_gain"): "noise_map: its op",
 }
 
 
@@ -94,6 +94,18 @@ def _defined_functions() -> dict:
             if function and not code.co_name.startswith("<"):
                 found[name[:-3], code.co_name, code.co_firstlineno] = qualname
     return found
+
+
+def _recorder(entered: set):
+    """A `sys.setprofile` hook adding (module, name, first line) of each package call."""
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and os.path.dirname(code.co_filename) == PACKAGE:
+            module = os.path.basename(code.co_filename)[:-3]
+            entered.add((module, code.co_name, code.co_firstlineno))
+
+    return profile
 
 
 def _runs(tmp_path):
@@ -128,13 +140,7 @@ def test_every_function_is_run_by_a_command_or_listed(tmp_path):
     # a cached call enters nothing, so the runs start from an empty cache
     bounds._distributed_terms.cache_clear()
     entered = set()
-
-    def profile(frame, event, arg):
-        code = frame.f_code
-        if event == "call" and os.path.dirname(code.co_filename) == PACKAGE:
-            module = os.path.basename(code.co_filename)[:-3]
-            entered.add((module, code.co_name, code.co_firstlineno))
-
+    profile = _recorder(entered)
     codes = []
     quiet = contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO())
     with quiet[0], quiet[1], warnings.catch_warnings():
@@ -156,3 +162,41 @@ def test_every_function_is_run_by_a_command_or_listed(tmp_path):
     # a listed function that a command now runs, or that is gone, leaves the list
     assert sorted(set(NOT_RUN) & entered) == []
     assert sorted(set(NOT_RUN) - defined) == []
+
+
+def _one_op(workload):
+    """Op 0 of a workload at seed 1, and its check."""
+    bench = workload(1)
+    inputs = bench.inputs(0)
+    assert bench.check(inputs, bench.op(inputs)) == (True, True), workload.__name__
+
+
+def test_every_listed_function_is_run_by_the_benchmark():
+    # compiled from the text, so no bytecode cache is written next to it
+    perfbench = types.ModuleType("perfbench_workloads")
+    with open(WORKLOADS, encoding="utf-8") as handle:
+        exec(compile(handle.read(), WORKLOADS, "exec"), perfbench.__dict__)
+    runs = {name: functools.partial(_one_op, cls) for name, cls in perfbench.WORKLOADS.items()}
+    # the tracer's targets that no workload calls (tests/test_benchmark_targets.py
+    # holds the tracer to listing them)
+    chain = bounds.build_chain(SourceParams(s=2.04, T_a=0.71), perfbench.ParamSweep.BUDGET)
+    state = chain.state_at(0.5)
+    runs["ProbeChain.state_at"] = lambda: chain.state_at(0.5)
+    runs["gaussian.apply_loss"] = lambda: gaussian.apply_loss(state, gaussian.ChannelOp([1, 1]))
+    functions = _defined_functions()
+    reached = {}
+    # FitCoverage sets a warnings filter for the rest of the process
+    with warnings.catch_warnings():
+        for name, run in runs.items():
+            entered = set()
+            sys.setprofile(_recorder(entered))
+            try:
+                run()
+            finally:
+                sys.setprofile(None)
+            reached[name] = {(key[0], functions[key]) for key in entered if key in functions}
+    # a reason names what reaches its function before its colon
+    unreached = [
+        key for key, why in NOT_RUN.items() if key not in reached.get(why.split(":")[0], ())
+    ]
+    assert unreached == [("errors", "Field.__init__")]
