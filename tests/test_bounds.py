@@ -717,6 +717,29 @@ class TestDistributedTermsCache:
         bounds._distributed_terms.cache_clear()
         assert values == [qcrb_distributed(float(t), 1.0, PARAMS, BUDGET).var_n for t in GRID]
 
+    # eta_c feeds the conjugate factor alone; s and T_a feed it and the reduction
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            pytest.param("eta_c", np.array([0.5, 0.6]), id="factor-eta_c-pair"),
+            pytest.param("s", np.array([2.0]), id="factor-s-one"),
+            pytest.param("s", np.array([2.0, 1.0]), id="factor-s-pair"),
+            pytest.param("T_a", np.array([0.7, 0.5]), id="factor-T_a-pair"),
+            pytest.param("T_a", [0.7, 0.5], id="factor-T_a-list"),
+            pytest.param("s", [2.0], id="reduction-s-list"),
+            pytest.param("eta_c", np.array([0.5]), id="factor-eta_c-one"),
+        ],
+    )
+    def test_array_input_keeps_its_error(self, field, value):
+        # arrays are rejected by the rows before the cache: no unhashable-key error
+        point = {"eta_c": 0.9, "s": 2.0, "T_a": 0.7, field: value}
+        bounds._distributed_terms.cache_clear()
+        with pytest.raises(ValueError) as excinfo:
+            params = SourceParams(s=point["s"], T_a=point["T_a"])
+            qcrb_distributed(0.5, 1.0, params, LossBudget(0.973, 0.945, point["eta_c"]))
+        assert "unhashable" not in str(excinfo.value)
+        assert bounds._distributed_terms.cache_info().currsize == 0
+
     def test_zero_dimensional_arrays_give_the_scalar_values(self):
         # 0-d arrays pass the rows and reach the cache as their scalars
         budget = LossBudget(T_p=0.973, eta_p=0.945, eta_c=0.9)

@@ -90,6 +90,11 @@ DOMAIN_ERRORS = {
         ),
         "n_r must be finite and positive, not nan",
     ),
+    # the distributed bound reads its budget's eta_c in the conjugate factor only
+    "distributed-factor-eta_c-above-1": (
+        lambda: bounds.qcrb_distributed(0.5, 1.0, PARAMS, _budget(eta_c=1.5)),
+        "eta_c must lie in [0, 1], not 1.5",
+    ),
     "transmission-variance-T-0": (
         lambda: _transmission_variance(0.0),
         "T must lie in (0, 1], not 0.0",

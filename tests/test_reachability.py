@@ -21,6 +21,8 @@ import sys
 import types
 import warnings
 
+import pytest
+
 import qcrbench
 from qcrbench import bounds, gaussian
 from qcrbench.cli import main
@@ -171,32 +173,41 @@ def _one_op(workload):
     assert bench.check(inputs, bench.op(inputs)) == (True, True), workload.__name__
 
 
-def test_every_listed_function_is_run_by_the_benchmark():
+def _benchmark_runs() -> dict:
+    """{target: run}: one op of each workload, and the tracer's targets that no workload calls."""
     # compiled from the text, so no bytecode cache is written next to it
     perfbench = types.ModuleType("perfbench_workloads")
     with open(WORKLOADS, encoding="utf-8") as handle:
         exec(compile(handle.read(), WORKLOADS, "exec"), perfbench.__dict__)
     runs = {name: functools.partial(_one_op, cls) for name, cls in perfbench.WORKLOADS.items()}
-    # the tracer's targets that no workload calls (tests/test_benchmark_targets.py
-    # holds the tracer to listing them)
+    # tests/test_benchmark_targets.py holds the tracer to listing these two
     chain = bounds.build_chain(SourceParams(s=2.04, T_a=0.71), perfbench.ParamSweep.BUDGET)
     state = chain.state_at(0.5)
     runs["ProbeChain.state_at"] = lambda: chain.state_at(0.5)
     runs["gaussian.apply_loss"] = lambda: gaussian.apply_loss(state, gaussian.ChannelOp([1, 1]))
-    functions = _defined_functions()
-    reached = {}
+    return runs
+
+
+# what each reason names as running its function: the words before its colon
+TARGETS = {key: why.split(":")[0] for key, why in NOT_RUN.items()}
+
+
+def test_every_reason_names_a_benchmark_target():
+    assert sorted(set(TARGETS.values()) - set(_benchmark_runs()) - {"import"}) == []
+    imported = [key for key, target in TARGETS.items() if target == "import"]
+    assert imported == [("errors", "Field.__init__")]
+
+
+@pytest.mark.parametrize("target", sorted(set(TARGETS.values()) - {"import"}))
+def test_every_listed_function_is_run_by_the_benchmark(target):
+    functions, entered = _defined_functions(), set()
+    run = _benchmark_runs()[target]
     # FitCoverage sets a warnings filter for the rest of the process
     with warnings.catch_warnings():
-        for name, run in runs.items():
-            entered = set()
-            sys.setprofile(_recorder(entered))
-            try:
-                run()
-            finally:
-                sys.setprofile(None)
-            reached[name] = {(key[0], functions[key]) for key in entered if key in functions}
-    # a reason names what reaches its function before its colon
-    unreached = [
-        key for key, why in NOT_RUN.items() if key not in reached.get(why.split(":")[0], ())
-    ]
-    assert unreached == [("errors", "Field.__init__")]
+        sys.setprofile(_recorder(entered))
+        try:
+            run()
+        finally:
+            sys.setprofile(None)
+    reached = {(key[0], functions[key]) for key in entered if key in functions}
+    assert sorted({key for key, name in TARGETS.items() if name == target} - reached) == []
